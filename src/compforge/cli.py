@@ -12,7 +12,6 @@ import dataclasses
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from compforge.corpus import (
@@ -21,15 +20,20 @@ from compforge.corpus import (
     iter_side,
     load_parallel_corpus,
     save_corpus_jsonl,
-    side_tokens,
 )
-from compforge.cover import CompositionalDegree, select_candidate_pool
+from compforge.cover import read_degree_tsv, select_candidate_pool, write_degree_tsv
 from compforge.engine import greedy_decode, load_weights
 from compforge.errors import CompforgeError, ConfigError, DataError, StageError
 from compforge.ngrams import NGramDictionary, build_ngram_dictionary
 from compforge.novelty import benchmark_report, read_tagged_file
 from compforge.pipeline import PipelineConfig, run_pipeline, score_pool
-from compforge.uncertainty import band_select, read_ensemble_dump, token_uncertainties
+from compforge.uncertainty import (
+    band_select,
+    read_ensemble_dump,
+    read_uncertainty_tsv,
+    token_uncertainties,
+    write_uncertainty_tsv,
+)
 
 
 def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
@@ -111,38 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_degree_scores(path: str) -> dict[str, CompositionalDegree]:
-    scores: dict[str, CompositionalDegree] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError("expected id/atom_count/length/degree", path=path, line=lineno)
-            ex_id, atoms, length = parts[0], int(parts[1]), int(parts[2])
-            scores[ex_id] = CompositionalDegree(
-                atom_count=atoms, length=length,
-                exact=Fraction(atoms, length), value=atoms / length,
-            )
-    return scores
-
-
-def _load_uncertainty_scores(path: str) -> dict[str, float]:
-    scores: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError("expected id<TAB>score", path=path, line=lineno)
-            scores[parts[0]] = float(parts[1])
-    return scores
-
-
 def _cmd_build_dict(args) -> int:
     corpus = load_parallel_corpus(args.train, args.format)
     max_n = args.max_n if args.max_n > 0 else None
@@ -166,16 +138,14 @@ def _cmd_comp_degree(args) -> int:
     dictionary = NGramDictionary.load(args.dict_path)
     pool = load_parallel_corpus(args.pool, args.format)
     scored = score_pool(pool, dictionary, args.side, args.workers)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for ex, degree in scored:
-            fh.write(f"{ex.id}\t{degree.atom_count}\t{degree.length}\t{degree.value:.10g}\n")
+    write_degree_tsv(((ex.id, degree) for ex, degree in scored), args.out)
     print(f"scored {len(scored)} examples -> {args.out}")
     return 0
 
 
 def _cmd_select_pool(args) -> int:
     pool = load_parallel_corpus(args.pool, args.format)
-    scores = _load_degree_scores(args.scores)
+    scores = read_degree_tsv(args.scores)
     missing = [ex.id for ex in pool if ex.id not in scores]
     if missing:
         raise DataError(f"{len(missing)} pool examples missing from scores, e.g. {missing[0]!r}")
@@ -189,16 +159,16 @@ def _cmd_select_pool(args) -> int:
 
 def _cmd_uncertainty_score(args) -> int:
     dists = read_ensemble_dump(args.dump)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for d in dists:
-            fh.write(f"{d.example_id}\t{token_uncertainties(d).sequence_score:.10g}\n")
+    write_uncertainty_tsv(
+        ((d.example_id, token_uncertainties(d).sequence_score) for d in dists), args.out
+    )
     print(f"scored {len(dists)} examples -> {args.out}")
     return 0
 
 
 def _cmd_sample_testset(args) -> int:
     pool = load_parallel_corpus(args.pool, args.format)
-    scores = _load_uncertainty_scores(args.scores)
+    scores = read_uncertainty_tsv(args.scores)
     missing = [ex.id for ex in pool if ex.id not in scores]
     if missing:
         raise DataError(f"{len(missing)} pool examples missing from scores, e.g. {missing[0]!r}")

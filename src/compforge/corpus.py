@@ -154,21 +154,30 @@ def save_vocab_counts(counts: VocabCounts, path: str | Path) -> None:
             fh.write(f"{token}\t{counts.counts[token]}\n")
 
 
-def load_vocab_counts(path: str | Path, side: str = "target") -> VocabCounts:
-    counts: dict[str, int] = {}
+def tsv_rows(path: str | Path, fields: int, layout: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, columns) for each non-blank line of a TSV file.
+
+    A line without exactly `fields` columns raises DataError("expected
+    `layout`") naming its line.
+    """
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
                 continue
             parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError("expected token<TAB>count", path=str(path), line=lineno)
-            token, value = parts
-            try:
-                counts[token] = int(value)
-            except ValueError:
-                raise DataError(f"count is not an integer: {value!r}", path=str(path), line=lineno)
+            if len(parts) != fields:
+                raise DataError(f"expected {layout}", path=str(path), line=lineno)
+            yield lineno, parts
+
+
+def load_vocab_counts(path: str | Path, side: str = "target") -> VocabCounts:
+    counts: dict[str, int] = {}
+    for lineno, (token, value) in tsv_rows(path, 2, "token<TAB>count"):
+        try:
+            counts[token] = int(value)
+        except ValueError:
+            raise DataError(f"count is not an integer: {value!r}", path=str(path), line=lineno)
     return VocabCounts(side=side, counts=counts, total_tokens=sum(counts.values()))
 
 

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from pathlib import Path
+from typing import Iterable, Sequence
 
-from compforge.corpus import ParallelExample, side_tokens
-from compforge.errors import ConfigError
+from compforge.corpus import ParallelExample, side_tokens, tsv_rows
+from compforge.errors import ConfigError, DataError
 from compforge.ngrams import NGramDictionary
 
 
@@ -48,6 +49,46 @@ class CompositionalDegree:
     length: int
     exact: Fraction
     value: float
+
+    @classmethod
+    def of(cls, atom_count: int, length: int) -> "CompositionalDegree":
+        return cls(
+            atom_count=atom_count,
+            length=length,
+            exact=Fraction(atom_count, length),
+            value=atom_count / length,
+        )
+
+
+# -- degrees.tsv: id, atom_count, length, degree; one example per line --------
+
+
+def write_degree_tsv(
+    rows: Iterable[tuple[str, CompositionalDegree]], path: str | Path
+) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for ex_id, degree in rows:
+            fh.write(f"{ex_id}\t{degree.atom_count}\t{degree.length}\t{degree.value:.10g}\n")
+
+
+def read_degree_tsv(path: str | Path) -> dict[str, CompositionalDegree]:
+    """Parse a degree TSV into id -> degree.
+
+    The degree column is derived, so it is recomputed from atom_count and
+    length. A malformed row raises DataError naming its line.
+    """
+    scores: dict[str, CompositionalDegree] = {}
+    for lineno, (ex_id, atoms, length, _) in tsv_rows(path, 4, "id/atom_count/length/degree"):
+        try:
+            atoms, length = int(atoms), int(length)
+        except ValueError:
+            raise DataError("atom_count and length must be integers", path=str(path), line=lineno)
+        if not 1 <= atoms <= length:
+            raise DataError(
+                f"atom_count {atoms} outside [1, length={length}]", path=str(path), line=lineno
+            )
+        scores[ex_id] = CompositionalDegree.of(atoms, length)
+    return scores
 
 
 def min_cover(sentence: Sequence[str], dictionary: NGramDictionary) -> CoverResult:
@@ -104,13 +145,7 @@ def compositional_degree(cover: CoverResult, length: int) -> CompositionalDegree
         raise ConfigError(
             f"cover spans {total} tokens but sentence length is {length}"
         )
-    exact = Fraction(cover.atom_count, length)
-    return CompositionalDegree(
-        atom_count=cover.atom_count,
-        length=length,
-        exact=exact,
-        value=cover.atom_count / length,
-    )
+    return CompositionalDegree.of(cover.atom_count, length)
 
 
 def degree_of(sentence: Sequence[str], dictionary: NGramDictionary) -> CompositionalDegree:

@@ -8,8 +8,6 @@ from compforge.engine.model import (
     TargetMemory,
     adaptive_encode,
     build_schedule,
-    decode_full,
-    decode_step,
     encode,
     encoding_hash,
     greedy_decode,
@@ -28,8 +26,6 @@ __all__ = [
     "TargetMemory",
     "adaptive_encode",
     "build_schedule",
-    "decode_full",
-    "decode_step",
     "encode",
     "encoding_hash",
     "greedy_decode",

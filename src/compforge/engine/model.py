@@ -1,12 +1,14 @@
 """Forward-pass engine: plain encoding, adaptive re-encoding, scheduled
 greedy decoding with an incrementally grown target memory.
 
-Decoding state is functional: `decode_step` returns a new memory rather
-than mutating the old one, re-encoding points rebuild the memory from
-scratch, and between points the memory grows by exactly one position per
-step. The key/value-separated entry points (`kv_decode_*`) take value
-encodings and key encodings as distinct matrices; passing the same matrix
-twice collapses them to the shared-encoding behaviour.
+Full and incremental decoding share one decoder stack, `_decode`, which
+runs new target tokens after a memory of earlier positions. `kv_decode_full`
+starts it from an empty memory (re-encoding points rebuild the memory from
+scratch); `kv_decode_step` feeds it one token, so between points the memory
+grows by exactly one position per step. Decoding state is functional: a new
+memory is returned and the old one is left untouched. Both entry points
+take value encodings and key encodings as distinct matrices; shared-encoding
+decoding passes the same matrix twice.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ class ReEncodingSchedule:
     points: tuple[int, ...]
 
     def __contains__(self, step: int) -> bool:
-        return step in set(self.points)
+        return step in self.points
 
     def point_for(self, step: int) -> int:
         """Largest re-encoding point <= `step`."""
@@ -138,7 +140,13 @@ def build_schedule(interval: float, horizon: int) -> ReEncodingSchedule:
 
 @dataclass
 class TargetMemory:
-    """Per-decoder-layer history of layer-input hidden states (t rows each)."""
+    """Per-decoder-layer history of layer-input hidden states (t rows each).
+
+    Row i of layer l is the input of decoder layer l at target position i.
+    New positions read these rows as self-attention keys and values and
+    append their own inputs, so a memory built by one full pass over a
+    prefix agrees, up to float32 rounding, with one grown a token at a time.
+    """
 
     layers: tuple[np.ndarray, ...]
 
@@ -180,20 +188,44 @@ def _finite_or_raise(logits: np.ndarray) -> None:
         raise CompforgeError("non-finite logits in decoder output")
 
 
-def _decoder_layer_full(
-    x: np.ndarray, w: Weights, idx: int, cfg: ModelConfig,
-    enc_k: np.ndarray, enc_v: np.ndarray, mask: np.ndarray,
-) -> np.ndarray:
-    p = f"dec.{idx}"
-    normed = layer_norm(x, w[f"{p}.ln1.g"], w[f"{p}.ln1.b"])
-    x = x + attention_block(normed, normed, w, f"{p}.self", cfg.n_heads, mask)
-    normed = layer_norm(x, w[f"{p}.ln2.g"], w[f"{p}.ln2.b"])
-    q = normed @ w[f"{p}.cross.wq"] + w[f"{p}.cross.bq"]
-    k = enc_k @ w[f"{p}.cross.wk"] + w[f"{p}.cross.bk"]
-    v = enc_v @ w[f"{p}.cross.wv"] + w[f"{p}.cross.bv"]
-    x = x + (cross_attention(q, k, v, cfg.n_heads) @ w[f"{p}.cross.wo"] + w[f"{p}.cross.bo"])
-    normed = layer_norm(x, w[f"{p}.ln3.g"], w[f"{p}.ln3.b"])
-    return x + ffn(normed, w, f"{p}.ffn")
+def _decode(
+    tokens: Sequence[int], memory: TargetMemory, enc_v: np.ndarray, enc_k: np.ndarray,
+    w: Weights, cfg: ModelConfig,
+) -> tuple[np.ndarray, TargetMemory]:
+    """Decode `tokens` at the m positions after the memory's t rows.
+
+    The new rows attend to the memory and to each other through causal-mask
+    rows t..t+m-1. Returns next-token logits (m, tgt_vocab) and the memory
+    grown by m rows; the input memory is left untouched.
+    """
+    _check_tokens(tokens, cfg.tgt_vocab, "prefix")
+    _check_kv(enc_v, enc_k)
+    memory._validate(cfg)
+    t, m = memory.length, len(tokens)
+    if t + m > cfg.max_tgt_positions:
+        raise ConfigError(f"prefix of {t + m} tokens exceeds max_tgt_positions")
+    x = w["tgt_embed"][np.asarray(tokens, dtype=np.int64)]
+    if cfg.use_positions:
+        x = x + w["dec_pos"][t : t + m]
+    mask = causal_mask(t + m)[t:]
+    layers = []
+    for idx in range(cfg.decoder_layers):
+        p = f"dec.{idx}"
+        inputs = np.concatenate([memory.layers[idx], x], axis=0)
+        layers.append(inputs)
+        normed = layer_norm(inputs, w[f"{p}.ln1.g"], w[f"{p}.ln1.b"])
+        x = x + attention_block(normed[t:], normed, w, f"{p}.self", cfg.n_heads, mask)
+        normed = layer_norm(x, w[f"{p}.ln2.g"], w[f"{p}.ln2.b"])
+        q = normed @ w[f"{p}.cross.wq"] + w[f"{p}.cross.bq"]
+        k = enc_k @ w[f"{p}.cross.wk"] + w[f"{p}.cross.bk"]
+        v = enc_v @ w[f"{p}.cross.wv"] + w[f"{p}.cross.bv"]
+        x = x + (cross_attention(q, k, v, cfg.n_heads) @ w[f"{p}.cross.wo"] + w[f"{p}.cross.bo"])
+        normed = layer_norm(x, w[f"{p}.ln3.g"], w[f"{p}.ln3.b"])
+        x = x + ffn(normed, w, f"{p}.ffn")
+    x = layer_norm(x, w["dec.ln_f.g"], w["dec.ln_f.b"])
+    logits = x @ w["out_w"] + w["out_b"]
+    _finite_or_raise(logits)
+    return logits, TargetMemory(layers=tuple(layers))
 
 
 def kv_decode_full(
@@ -204,30 +236,7 @@ def kv_decode_full(
     Returns per-position next-token logits (t, tgt_vocab) and the rebuilt
     memory. Used at re-encoding points and as the from-scratch reference.
     """
-    _check_tokens(prefix, cfg.tgt_vocab, "prefix")
-    _check_kv(enc_v, enc_k)
-    t = len(prefix)
-    if t > cfg.max_tgt_positions:
-        raise ConfigError(f"prefix of {t} tokens exceeds max_tgt_positions")
-    x = w["tgt_embed"][np.asarray(prefix, dtype=np.int64)]
-    if cfg.use_positions:
-        x = x + w["dec_pos"][:t]
-    mask = causal_mask(t)
-    history = []
-    for idx in range(cfg.decoder_layers):
-        history.append(x.copy())
-        x = _decoder_layer_full(x, w, idx, cfg, enc_k, enc_v, mask)
-    x = layer_norm(x, w["dec.ln_f.g"], w["dec.ln_f.b"])
-    logits = x @ w["out_w"] + w["out_b"]
-    _finite_or_raise(logits)
-    return logits, TargetMemory(layers=tuple(history))
-
-
-def decode_full(
-    prefix: Sequence[int], encodings: np.ndarray, w: Weights, cfg: ModelConfig
-) -> tuple[np.ndarray, TargetMemory]:
-    """`kv_decode_full` with keys and values read from the same encodings."""
-    return kv_decode_full(prefix, encodings, encodings, w, cfg)
+    return _decode(prefix, TargetMemory.empty(cfg), enc_v, enc_k, w, cfg)
 
 
 def kv_decode_step(
@@ -239,40 +248,8 @@ def kv_decode_step(
     Returns next-token logits (tgt_vocab,) and the grown memory; the input
     memory is left untouched.
     """
-    _check_tokens([token], cfg.tgt_vocab, "prefix")
-    _check_kv(enc_v, enc_k)
-    memory._validate(cfg)
-    pos = memory.length
-    if pos + 1 > cfg.max_tgt_positions:
-        raise ConfigError(f"prefix of {pos + 1} tokens exceeds max_tgt_positions")
-    x = w["tgt_embed"][int(token)][None, :]
-    if cfg.use_positions:
-        x = x + w["dec_pos"][pos][None, :]
-    new_layers = []
-    for idx in range(cfg.decoder_layers):
-        p = f"dec.{idx}"
-        inputs = np.concatenate([memory.layers[idx], x], axis=0)
-        new_layers.append(inputs)
-        normed_all = layer_norm(inputs, w[f"{p}.ln1.g"], w[f"{p}.ln1.b"])
-        x = x + attention_block(normed_all[-1:], normed_all, w, f"{p}.self", cfg.n_heads)
-        normed = layer_norm(x, w[f"{p}.ln2.g"], w[f"{p}.ln2.b"])
-        q = normed @ w[f"{p}.cross.wq"] + w[f"{p}.cross.bq"]
-        k = enc_k @ w[f"{p}.cross.wk"] + w[f"{p}.cross.bk"]
-        v = enc_v @ w[f"{p}.cross.wv"] + w[f"{p}.cross.bv"]
-        x = x + (cross_attention(q, k, v, cfg.n_heads) @ w[f"{p}.cross.wo"] + w[f"{p}.cross.bo"])
-        normed = layer_norm(x, w[f"{p}.ln3.g"], w[f"{p}.ln3.b"])
-        x = x + ffn(normed, w, f"{p}.ffn")
-    x = layer_norm(x, w["dec.ln_f.g"], w["dec.ln_f.b"])
-    logits = (x @ w["out_w"] + w["out_b"])[0]
-    _finite_or_raise(logits)
-    return logits, TargetMemory(layers=tuple(new_layers))
-
-
-def decode_step(
-    token: int, memory: TargetMemory, encodings: np.ndarray, w: Weights, cfg: ModelConfig
-) -> tuple[np.ndarray, TargetMemory]:
-    """`kv_decode_step` with keys and values read from the same encodings."""
-    return kv_decode_step(token, memory, encodings, encodings, w, cfg)
+    logits, memory = _decode([token], memory, enc_v, enc_k, w, cfg)
+    return logits[0], memory
 
 
 # -- greedy decoding ----------------------------------------------------------
@@ -305,7 +282,9 @@ def greedy_decode(
     Emits the argmax token each step (ties resolve to the lowest token id)
     and stops at EOS or after `max_len` steps. The trace records, per step,
     the hashes of the key and value encodings actually consumed and the
-    schedule point they came from.
+    schedule point they came from. For adaptive variants, a source too long
+    to re-encode with the prefix of the last schedule point is rejected
+    before any encoding.
     """
     if max_len < 1:
         raise ConfigError(f"max_len must be at least 1, got {max_len}")
@@ -313,52 +292,50 @@ def greedy_decode(
         raise ConfigError("max_len exceeds max_tgt_positions")
 
     shared = cfg.variant in ("dangle", "rdangle_shr")
-    separated = cfg.variant == "rdangle_sep"
     schedule = (
-        build_schedule(cfg.effective_interval, max_len) if (shared or separated) else None
+        build_schedule(cfg.effective_interval, max_len) if cfg.variant != "vanilla" else None
     )
-    points = set(schedule.points) if schedule else set()
+    if schedule is not None:
+        # adaptive_encode at point p reads the source plus a p-token prefix.
+        longest = len(src) + schedule.points[-1]
+        if longest > cfg.max_src_positions:
+            raise ConfigError(
+                f"source+prefix of up to {longest} positions exceeds "
+                f"max_src_positions={cfg.max_src_positions}"
+            )
 
-    value_enc = None
-    value_hash = ""
-    if cfg.variant == "vanilla" or separated:
+    # Values come from the plain encoder, except for shared variants, whose
+    # values are the keys of the latest re-encoding point.
+    value_enc, value_hash = None, ""
+    if not shared:
         value_enc = encode(src, w, cfg)
         value_hash = encoding_hash(value_enc)
+    key_enc, key_hash = value_enc, value_hash
 
     prefix = [cfg.bos_id]
     memory = TargetMemory.empty(cfg)
-    key_enc = value_enc
-    key_hash = value_hash
     current_point: int | None = None
     tokens: list[int] = []
     steps: list[StepTrace] = []
 
     for t in range(1, max_len + 1):
-        if t in points:
+        if schedule is not None and t in schedule:
             current_point = t
             key_enc = adaptive_encode(src, prefix, w, cfg)
             key_hash = encoding_hash(key_enc)
             if shared:
-                value_for_step, value_hash_for_step = key_enc, key_hash
-            else:
-                value_for_step, value_hash_for_step = value_enc, value_hash
-            all_logits, memory = kv_decode_full(prefix, value_for_step, key_enc, w, cfg)
+                value_enc, value_hash = key_enc, key_hash
+            all_logits, memory = kv_decode_full(prefix, value_enc, key_enc, w, cfg)
             logits = all_logits[-1]
         else:
-            if shared:
-                value_for_step, value_hash_for_step = key_enc, key_hash
-            else:
-                value_for_step, value_hash_for_step = value_enc, value_hash
-            logits, memory = kv_decode_step(
-                prefix[-1], memory, value_for_step, key_enc, w, cfg
-            )
+            logits, memory = kv_decode_step(prefix[-1], memory, value_enc, key_enc, w, cfg)
         token = int(np.argmax(logits))
         steps.append(
             StepTrace(
                 step=t,
                 point=current_point,
                 key_hash=key_hash,
-                value_hash=value_hash_for_step,
+                value_hash=value_hash,
                 token=token,
                 logits=logits,
             )

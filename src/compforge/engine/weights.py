@@ -9,6 +9,8 @@ shared layer simply appears under a single name.
 The file format is a small JSON header (names, shapes, seed, and the model
 config so a decoder can be rebuilt from the file alone) followed by the raw
 little-endian float32 blobs in header order. Round-tripping is bit-exact.
+Loading raises DataError when the header does not describe the blobs or
+bytes follow the last one.
 """
 
 from __future__ import annotations
@@ -145,6 +147,26 @@ def save_weights(path: str | Path, weights: Weights, cfg: ModelConfig | None = N
             fh.write(np.ascontiguousarray(weights.data[name], dtype="<f4").tobytes())
 
 
+def _header_layout(header, path: str) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) per blob, in file order; DataError if the header is ill-formed."""
+    if not isinstance(header, dict):
+        raise DataError("weights header is not a JSON object", path=path)
+    names, shapes = header.get("names"), header.get("shapes")
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise DataError("weights header needs 'names', a list of strings", path=path)
+    if not isinstance(shapes, dict):
+        raise DataError("weights header needs 'shapes', an object", path=path)
+    layout = []
+    for name in names:
+        shape = shapes.get(name)
+        if not isinstance(shape, list) or not all(
+            type(dim) is int and dim >= 0 for dim in shape
+        ):
+            raise DataError(f"weights header has no valid shape for {name!r}", path=path)
+        layout.append((name, tuple(shape)))
+    return layout
+
+
 def load_weights(path: str | Path) -> tuple[Weights, ModelConfig | None]:
     raw = Path(path).read_bytes()
     if len(raw) < 4:
@@ -156,13 +178,23 @@ def load_weights(path: str | Path) -> tuple[Weights, ModelConfig | None]:
         raise DataError("unreadable weights header", path=str(path))
     offset = 4 + header_len
     data: dict[str, np.ndarray] = {}
-    for name in header["names"]:
-        shape = tuple(header["shapes"][name])
+    for name, shape in _header_layout(header, str(path)):
         size = int(np.prod(shape)) * 4
         chunk = raw[offset : offset + size]
         if len(chunk) != size:
             raise DataError(f"weights blob truncated at {name}", path=str(path))
         data[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float32)
         offset += size
-    cfg = ModelConfig.from_dict(header["config"]) if header.get("config") else None
+    if offset != len(raw):
+        raise DataError(
+            f"weights file has {len(raw)} bytes but its header and blobs span {offset}",
+            path=str(path),
+        )
+    config = header.get("config")
+    if config and not isinstance(config, dict):
+        raise DataError("weights header 'config' is not an object", path=str(path))
+    try:
+        cfg = ModelConfig.from_dict(config) if config else None
+    except (TypeError, ValueError):
+        raise DataError("weights header 'config' is not a model config", path=str(path))
     return Weights(data=data, seed=header.get("seed")), cfg

@@ -35,10 +35,20 @@ from compforge.corpus import (
     save_corpus_jsonl,
     side_tokens,
 )
-from compforge.cover import CompositionalDegree, degree_of, select_candidate_pool
+from compforge.cover import (
+    CompositionalDegree,
+    degree_of,
+    select_candidate_pool,
+    write_degree_tsv,
+)
 from compforge.errors import ConfigError, DataError, StageError
 from compforge.ngrams import NGramDictionary, build_ngram_dictionary
-from compforge.uncertainty import band_select, read_ensemble_dump, token_uncertainties
+from compforge.uncertainty import (
+    band_select,
+    read_ensemble_dump,
+    token_uncertainties,
+    write_uncertainty_tsv,
+)
 
 THREADS_ENV = "COMPFORGE_THREADS"
 
@@ -233,15 +243,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
 
         stage = "score_degrees"
         scored = score_pool(filtered, dictionary, config.side, config.workers)
-
-        def write_scores(p: Path) -> None:
-            with open(p, "w", encoding="utf-8") as fh:
-                for ex, degree in scored:
-                    fh.write(
-                        f"{ex.id}\t{degree.atom_count}\t{degree.length}\t{degree.value:.10g}\n"
-                    )
-
-        path = _write_artifact(out_dir, "degrees.tsv", write_scores)
+        path = _write_artifact(
+            out_dir, "degrees.tsv",
+            lambda p: write_degree_tsv(((ex.id, degree) for ex, degree in scored), p),
+        )
         record_stage(stage, len(filtered), len(scored))
         record_artifact("degree_scores", path, len(scored))
 
@@ -263,13 +268,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
             if ex.id not in dump:
                 raise DataError(f"candidate {ex.id!r} missing from ensemble dump")
             ranked.append((ex, token_uncertainties(dump[ex.id]).sequence_score))
-
-        def write_uncertainty(p: Path) -> None:
-            with open(p, "w", encoding="utf-8") as fh:
-                for ex, score in ranked:
-                    fh.write(f"{ex.id}\t{score:.10g}\n")
-
-        path = _write_artifact(out_dir, "uncertainty.tsv", write_uncertainty)
+        path = _write_artifact(
+            out_dir, "uncertainty.tsv",
+            lambda p: write_uncertainty_tsv(((ex.id, score) for ex, score in ranked), p),
+        )
         record_stage(stage, len(candidates), len(ranked))
         record_artifact("uncertainty_scores", path, len(ranked))
 

@@ -20,12 +20,14 @@ so disagreement is measured on aligned supports.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from compforge.corpus import tsv_rows
 from compforge.errors import ConfigError, DataError
 
 PROB_FLOOR = 1e-10
@@ -172,6 +174,30 @@ def band_select(
     rng = np.random.default_rng(seed)
     picks = np.sort(rng.choice(window, size=sample, replace=False))
     return [band[i] for i in picks]
+
+
+# -- uncertainty.tsv: id, sequence score; one example per line ---------------
+
+
+def write_uncertainty_tsv(rows: Iterable[tuple[str, float]], path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for ex_id, score in rows:
+            fh.write(f"{ex_id}\t{score:.10g}\n")
+
+
+def read_uncertainty_tsv(path: str | Path) -> dict[str, float]:
+    """Parse an uncertainty TSV into id -> score; a malformed or non-finite
+    score raises DataError naming its line."""
+    scores: dict[str, float] = {}
+    for lineno, (ex_id, text) in tsv_rows(path, 2, "id<TAB>score"):
+        try:
+            score = float(text)
+        except ValueError:
+            raise DataError(f"score {text!r} is not a number", path=str(path), line=lineno)
+        if not math.isfinite(score):
+            raise DataError(f"score {text!r} is not finite", path=str(path), line=lineno)
+        scores[ex_id] = score
+    return scores
 
 
 # -- ensemble dump I/O ----------------------------------------------------

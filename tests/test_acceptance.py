@@ -22,7 +22,6 @@ from compforge.engine import (
     ModelConfig,
     adaptive_encode,
     build_schedule,
-    decode_full,
     encode,
     encoding_hash,
     greedy_decode,
@@ -263,7 +262,7 @@ def test_06_interval_one_equals_stepwise_reencoding():
             prefix = [cfg.bos_id]
             for step in result.steps:
                 enc = adaptive_encode(src, prefix, w, cfg)
-                logits = decode_full(prefix, enc, w, cfg)[0][-1]
+                logits = kv_decode_full(prefix, enc, enc, w, cfg)[0][-1]
                 gap = float(np.max(np.abs(logits - step.logits)))
                 worst = max(worst, gap)
                 assert gap <= 1e-6, f"trial {trial} step {step.step}: logit gap {gap:.3e}"

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import struct
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compforge.cli import main
 from compforge.corpus import load_parallel_corpus
@@ -273,6 +280,26 @@ class TestSimulate:
                      "--input", str(src), "--variant", "vanilla"]) == 2
         assert "no parameter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header", [
+        {"shapes": {}, "config": None},
+        {"names": ["a"], "shapes": {"a": "two"}, "config": None},
+    ])
+    def test_bad_weights_header_exits_3(self, tmp_path, capsys, header):
+        blob = json.dumps(header).encode()
+        bad = tmp_path / "bad.npw"
+        bad.write_bytes(struct.pack("<I", len(blob)) + blob)
+        src = self.write_sources(tmp_path)
+        assert main(["simulate", "--weights", str(bad), "--input", str(src)]) == 3
+        err = capsys.readouterr().err
+        assert "weights header" in err and "Traceback" not in err
+
+    def test_trailing_weights_bytes_exit_3(self, sim_weights, tmp_path, capsys):
+        padded = tmp_path / "padded.npw"
+        padded.write_bytes(sim_weights["path"].read_bytes() + b"\0\0\0\0")
+        src = self.write_sources(tmp_path)
+        assert main(["simulate", "--weights", str(padded), "--input", str(src)]) == 3
+        assert "header and blobs span" in capsys.readouterr().err
+
     def test_non_integer_tokens_exit_3(self, sim_weights, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("3 five 7\n")
@@ -343,6 +370,75 @@ class TestExitCodes:
                      "--scores", str(scores), "--discard-top", "0",
                      "--window", "10", "--sample", "20",
                      "--out", str(tmp_path / "t.jsonl")]) == 2
+
+
+class TestMalformedScores:
+    """Malformed score TSV rows exit 3 and name the offending path:line."""
+
+    @pytest.mark.parametrize("row", [
+        "p0\t1\ttwo\t0.5",   # non-integer length
+        "p0\t1.0\t2\t0.5",   # non-integer atom_count
+        "p0\t1\t0\t0.5",     # length 0
+        "p0\t0\t2\t0.0",     # atom_count below 1
+        "p0\t3\t2\t1.5",     # atom_count above length
+    ])
+    def test_bad_degree_row_exits_3(self, pipeline_inputs, tmp_path, capsys, row):
+        scores = tmp_path / "deg.tsv"
+        scores.write_text(f"\n{row}\n")
+        assert main(["select-pool", "--pool", str(pipeline_inputs["pool"]),
+                     "--scores", str(scores), "--k", "5",
+                     "--out", str(tmp_path / "c.jsonl")]) == 3
+        err = capsys.readouterr().err
+        assert f"{scores}:2]" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("score", ["abc", "nan", "inf", "-inf", ""])
+    def test_bad_uncertainty_score_exits_3(self, pipeline_inputs, tmp_path, capsys, score):
+        scores = tmp_path / "u.tsv"
+        scores.write_text(f"p0\t0.5\np1\t{score}\n")
+        assert main(["sample-testset", "--pool", str(pipeline_inputs["pool"]),
+                     "--scores", str(scores), "--discard-top", "0",
+                     "--window", "10", "--sample", "5",
+                     "--out", str(tmp_path / "t.jsonl")]) == 3
+        err = capsys.readouterr().err
+        assert f"{scores}:2]" in err
+        assert "Traceback" not in err
+
+
+_FUZZ_IDS = ("p0", "p1", "p2")
+_fuzz_line = st.one_of(
+    st.text(max_size=30),
+    st.builds("\t".join, st.lists(st.one_of(st.sampled_from(_FUZZ_IDS), st.text(max_size=6),
+                                            st.integers(-3, 9).map(str),
+                                            st.floats().map(str)), max_size=5)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(_fuzz_line, max_size=8))
+def test_fuzzed_score_files_exit_0_or_3(lines):
+    # Whatever text the --scores file holds, select-pool and sample-testset
+    # either succeed or report a data error; they never crash.
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        pool = tmp / "pool.jsonl"
+        pool.write_text("".join(
+            json.dumps({"id": ex_id, "source": f"a {ex_id}", "target": f"b {ex_id}"}) + "\n"
+            for ex_id in _FUZZ_IDS
+        ))
+        scores = tmp / "scores.tsv"
+        scores.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        commands = [
+            ["select-pool", "--k", "2"],
+            ["sample-testset", "--discard-top", "0", "--window", "3", "--sample", "2"],
+        ]
+        for command in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(command + ["--pool", str(pool), "--scores", str(scores),
+                                       "--out", str(tmp / "out.jsonl")])
+            assert code in (0, 3), err.getvalue()
+            assert "Traceback" not in err.getvalue()
 
 
 def test_interval_parsing_round_trip():

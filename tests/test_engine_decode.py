@@ -12,8 +12,6 @@ from compforge.engine import (
     TargetMemory,
     adaptive_encode,
     build_schedule,
-    decode_full,
-    decode_step,
     encode,
     encoding_hash,
     greedy_decode,
@@ -95,26 +93,31 @@ class TestSchedule:
 class TestIncrementalDecode:
     def test_cached_matches_from_scratch(self):
         # Advancing the memory one token at a time must agree with decoding
-        # the whole prefix from an empty memory, at every position.
+        # the whole prefix from an empty memory, at every position and in
+        # the memory it leaves, for shared and for distinct keys and values.
         cfg = small_config()
         rng = np.random.default_rng(0)
         for seed in range(10):
             w = init_weights(cfg, seed=seed)
             src = list(rng.integers(0, cfg.src_vocab, size=5))
             enc = encode(src, w, cfg)
+            enc_k = enc + rng.normal(scale=0.5, size=enc.shape).astype(np.float32)
             prefix = [cfg.bos_id] + list(rng.integers(0, cfg.tgt_vocab, size=6))
-            full, _ = decode_full(prefix, enc, w, cfg)
-            memory = TargetMemory.empty(cfg)
-            for t, tok in enumerate(prefix):
-                logits, memory = decode_step(int(tok), memory, enc, w, cfg)
-                np.testing.assert_allclose(logits, full[t], atol=1e-6)
+            for keys in (enc, enc_k):
+                full, full_mem = kv_decode_full(prefix, enc, keys, w, cfg)
+                memory = TargetMemory.empty(cfg)
+                for t, tok in enumerate(prefix):
+                    logits, memory = kv_decode_step(int(tok), memory, enc, keys, w, cfg)
+                    np.testing.assert_allclose(logits, full[t], atol=1e-6)
+                for stepped, rebuilt in zip(memory.layers, full_mem.layers, strict=True):
+                    np.testing.assert_allclose(stepped, rebuilt, atol=1e-6)
 
     def test_first_step_equals_single_token_full(self):
         cfg = small_config()
         w = init_weights(cfg, seed=0)
         enc = encode([2, 4, 6], w, cfg)
-        full, full_mem = decode_full([cfg.bos_id], enc, w, cfg)
-        step, step_mem = decode_step(cfg.bos_id, TargetMemory.empty(cfg), enc, w, cfg)
+        full, full_mem = kv_decode_full([cfg.bos_id], enc, enc, w, cfg)
+        step, step_mem = kv_decode_step(cfg.bos_id, TargetMemory.empty(cfg), enc, enc, w, cfg)
         np.testing.assert_array_equal(step, full[0])
         for a, b in zip(step_mem.layers, full_mem.layers):
             np.testing.assert_array_equal(a, b)
@@ -126,10 +129,10 @@ class TestIncrementalDecode:
         w = init_weights(cfg, seed=1)
         enc = encode([2, 4, 6, 8], w, cfg)
         prefix = [1, 3, 5, 7, 9]
-        base, _ = decode_full(prefix, enc, w, cfg)
+        base, _ = kv_decode_full(prefix, enc, enc, w, cfg)
         mutated = list(prefix)
         mutated[4] = 8
-        other, _ = decode_full(mutated, enc, w, cfg)
+        other, _ = kv_decode_full(mutated, enc, enc, w, cfg)
         np.testing.assert_array_equal(base[:4], other[:4])
         assert not np.array_equal(base[4], other[4])
 
@@ -140,7 +143,7 @@ class TestIncrementalDecode:
         memory = TargetMemory.empty(cfg)
         assert memory.length == 0
         for expected in range(1, 4):
-            _, memory = decode_step(1, memory, enc, w, cfg)
+            _, memory = kv_decode_step(1, memory, enc, enc, w, cfg)
             assert memory.length == expected
             assert len(memory.layers) == cfg.decoder_layers
 
@@ -148,19 +151,11 @@ class TestIncrementalDecode:
         cfg = small_config()
         w = init_weights(cfg, seed=0)
         enc = encode([2, 4], w, cfg)
-        _, memory = decode_step(1, TargetMemory.empty(cfg), enc, w, cfg)
+        _, memory = kv_decode_step(1, TargetMemory.empty(cfg), enc, enc, w, cfg)
         snapshot = [layer.copy() for layer in memory.layers]
-        decode_step(3, memory, enc, w, cfg)
+        kv_decode_step(3, memory, enc, enc, w, cfg)
         for a, b in zip(memory.layers, snapshot):
             np.testing.assert_array_equal(a, b)
-
-    def test_kv_same_matrix_collapses_to_shared(self):
-        cfg = small_config()
-        w = init_weights(cfg, seed=2)
-        enc = encode([2, 4, 6], w, cfg)
-        a, _ = kv_decode_full([1, 3], enc, enc, w, cfg)
-        b, _ = decode_full([1, 3], enc, w, cfg)
-        np.testing.assert_array_equal(a, b)
 
     def test_distinct_keys_and_values_both_matter(self):
         cfg = small_config()
@@ -192,22 +187,22 @@ class TestIncrementalDecode:
             )
         )
         with pytest.raises(ConfigError):
-            decode_step(1, lopsided, enc, w, cfg)
+            kv_decode_step(1, lopsided, enc, enc, w, cfg)
         wrong_depth = TargetMemory(layers=(np.zeros((0, cfg.d_model), np.float32),))
         with pytest.raises(ConfigError):
-            decode_step(1, wrong_depth, enc, w, cfg)
+            kv_decode_step(1, wrong_depth, enc, enc, w, cfg)
 
     def test_prefix_length_capped(self):
         cfg = small_config(max_tgt_positions=3)
         w = init_weights(cfg, seed=0)
         enc = encode([2, 4], w, cfg)
         with pytest.raises(ConfigError):
-            decode_full([1, 3, 5, 7], enc, w, cfg)
+            kv_decode_full([1, 3, 5, 7], enc, enc, w, cfg)
         memory = TargetMemory.empty(cfg)
         for tok in (1, 3, 5):
-            _, memory = decode_step(tok, memory, enc, w, cfg)
+            _, memory = kv_decode_step(tok, memory, enc, enc, w, cfg)
         with pytest.raises(ConfigError):
-            decode_step(7, memory, enc, w, cfg)
+            kv_decode_step(7, memory, enc, enc, w, cfg)
 
     def test_matches_float64_reference(self):
         cfg = small_config()
@@ -217,7 +212,7 @@ class TestIncrementalDecode:
             src = list(rng.integers(0, cfg.src_vocab, size=4))
             enc = encode(src, w, cfg)
             prefix = [1] + list(rng.integers(0, cfg.tgt_vocab, size=4))
-            ours, _ = decode_full(prefix, enc, w, cfg)
+            ours, _ = kv_decode_full(prefix, enc, enc, w, cfg)
             theirs = ref_decoder_logits(prefix, enc, enc, w, cfg)
             np.testing.assert_allclose(ours, theirs, atol=1e-5)
 
@@ -311,11 +306,31 @@ class TestGreedyDecode:
         prefix = [cfg.bos_id]
         for step in result.steps:
             enc = adaptive_encode(src, prefix, w, cfg)
-            logits, _ = decode_full(prefix, enc, w, cfg)
+            logits, _ = kv_decode_full(prefix, enc, enc, w, cfg)
             np.testing.assert_array_equal(step.logits, logits[-1])
             token = int(np.argmax(logits[-1]))
             assert step.token == token
             prefix.append(token)
+
+    def test_source_plus_prefix_checked_before_encoding(self, monkeypatch):
+        # The adaptive encoder at the last point reads len(src) + that point's
+        # prefix; a source too long for it is rejected before any encoding.
+        import compforge.engine.model as model
+
+        def no_encoding(*args):
+            raise AssertionError("source encoded before the length check")
+
+        src = [2, 4, 6, 8, 3]
+        for variant in ("dangle", "rdangle_shr", "rdangle_sep"):
+            cfg = small_config(variant=variant, interval=3, max_src_positions=12)
+            w = init_weights(cfg, seed=0)
+            # Points 1, 4, 7: 5 + 7 = 12 fits, and the decode runs to the end.
+            greedy_decode(src, w, cfg, max_len=7)
+            with monkeypatch.context() as patched:
+                for name in ("encode", "adaptive_encode"):
+                    patched.setattr(model, name, no_encoding)
+                with pytest.raises(ConfigError, match="13 positions"):
+                    greedy_decode(src + [5], w, cfg, max_len=7)
 
     def test_emission_stops_at_eos(self):
         cfg = small_config(variant="vanilla")

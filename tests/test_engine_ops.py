@@ -7,6 +7,9 @@ tolerances is evidence the vectorized math is right.
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,7 @@ from compforge.engine import (
     save_weights,
     softmax,
 )
-from compforge.errors import ConfigError
+from compforge.errors import ConfigError, DataError
 
 from reference_engine import ref_adaptive_encode, ref_attention, ref_encode, ref_layer_norm
 
@@ -347,6 +350,35 @@ class TestWeights:
         save_weights(path, w)
         _, loaded_cfg = load_weights(path)
         assert loaded_cfg is None
+
+    @pytest.mark.parametrize("header", [
+        [],                                                   # not an object
+        {"shapes": {"a": [2]}},                               # no names
+        {"names": "a", "shapes": {"a": [2]}},                 # names not a list
+        {"names": ["a"]},                                     # no shapes
+        {"names": ["a"], "shapes": [[2]]},                    # shapes not an object
+        {"names": ["a"], "shapes": {}},                       # no shape for a name
+        {"names": ["a"], "shapes": {"a": [2.0]}},             # non-integer dimension
+        {"names": ["a"], "shapes": {"a": [-2]}},              # negative dimension
+        {"names": ["a"], "shapes": {"a": [2]}, "config": 3},  # config not an object
+        {"names": ["a"], "shapes": {"a": [2]}, "config": {"d_model": 16}},
+    ])
+    def test_ill_formed_header_rejected(self, tmp_path, header):
+        blob = json.dumps(header).encode()
+        path = tmp_path / "bad.npw"
+        path.write_bytes(struct.pack("<I", len(blob)) + blob + np.zeros(2, "<f4").tobytes())
+        with pytest.raises(DataError, match="weights header"):
+            load_weights(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        cfg = small_config()
+        path = tmp_path / "model.npw"
+        save_weights(path, init_weights(cfg, seed=0), cfg)
+        load_weights(path)
+        with open(path, "ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(DataError, match="header and blobs span"):
+            load_weights(path)
 
     def test_shared_adaptive_encoder_has_no_extra_stacks(self):
         shared = small_config(share_adaptive_encoder=True, encoder_layers=2, k1=1, k2=1)
