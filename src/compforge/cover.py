@@ -43,21 +43,18 @@ class CoverResult:
 
 @dataclass(frozen=True)
 class CompositionalDegree:
-    """Degree = atom_count / length, kept both exact and as a float."""
+    """Degree = atom_count / length, held as the two integers."""
 
     atom_count: int
     length: int
-    exact: Fraction
-    value: float
 
-    @classmethod
-    def of(cls, atom_count: int, length: int) -> "CompositionalDegree":
-        return cls(
-            atom_count=atom_count,
-            length=length,
-            exact=Fraction(atom_count, length),
-            value=atom_count / length,
-        )
+    @property
+    def value(self) -> float:
+        return self.atom_count / self.length
+
+    @property
+    def exact(self) -> Fraction:
+        return Fraction(self.atom_count, self.length)
 
 
 # -- degrees.tsv: id, atom_count, length, degree; one example per line --------
@@ -87,7 +84,7 @@ def read_degree_tsv(path: str | Path) -> dict[str, CompositionalDegree]:
             raise DataError(
                 f"atom_count {atoms} outside [1, length={length}]", path=str(path), line=lineno
             )
-        scores[ex_id] = CompositionalDegree.of(atoms, length)
+        scores[ex_id] = CompositionalDegree(atoms, length)
     return scores
 
 
@@ -145,7 +142,7 @@ def compositional_degree(cover: CoverResult, length: int) -> CompositionalDegree
         raise ConfigError(
             f"cover spans {total} tokens but sentence length is {length}"
         )
-    return CompositionalDegree.of(cover.atom_count, length)
+    return CompositionalDegree(cover.atom_count, length)
 
 
 def degree_of(sentence: Sequence[str], dictionary: NGramDictionary) -> CompositionalDegree:
@@ -175,6 +172,12 @@ def select_candidate_pool(
     ties broken by shorter length first, then original order. Asking for
     more examples than survive returns the whole deduplicated pool with a
     warning set.
+
+    The float degree ranks exactly like the fraction. Division is correctly
+    rounded, so equal fractions give equal floats, and a degree in (0, 1]
+    lies within 2^-54 of its fraction. Two different fractions whose lengths
+    are below 2^26 differ by at least 1/(length1 * length2) > 2^-52, more
+    than both rounding errors together.
     """
     if k < 1:
         raise ConfigError(f"k must be positive, got {k}")
@@ -187,7 +190,7 @@ def select_candidate_pool(
         seen.add(key)
         survivors.append((example, degree, index))
 
-    survivors.sort(key=lambda item: (-item[1].exact, item[1].length, item[2]))
+    survivors.sort(key=lambda item: (-item[1].value, item[1].length, item[2]))
     warning = None
     if k > len(survivors):
         warning = (

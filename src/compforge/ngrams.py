@@ -1,4 +1,4 @@
-"""Frequent n-gram dictionary backed by a prefix tree.
+"""Frequent n-gram dictionary: one table from stored n-gram to count.
 
 The dictionary stores every n-gram (up to `max_n` tokens) that occurs
 strictly more than `min_count` times in a corpus, together with its count.
@@ -8,86 +8,83 @@ the level-wise Apriori build below sound: a k-gram can only pass the
 threshold if its (k-1)-token prefix and suffix already did, so only those
 candidates are ever counted.
 
-Lookups run on the prefix tree: `contains` walks one path, and
-`match_lengths_from` reports every stored n-gram starting at a sentence
-position in a single walk. Serialization is deterministic — the same corpus
-and flags always produce byte-identical index files.
+The table ``dict[tuple[str, ...], int]`` is the dictionary's only state:
+`contains`, `count`, `len` and `entries` read it, and pickling sends only
+it. `match_lengths_from` reports every stored n-gram starting at a sentence
+position in a single walk over a prefix tree of nested dicts,
+``token -> (stored, children)``, which is derived from the table once on
+construction.
+
+Serialization is deterministic — the same corpus and flags always produce
+byte-identical index files. The file is a depth-first walk of the prefix
+tree with children in token order, which is the sorted order of the tree's
+n-grams: `save` writes them in one loop and `load` reads them back with an
+explicit stack, so neither recurses (the layout is in the README).
 """
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from compforge.errors import ConfigError, DataError
 
 _MAGIC = b"NGIX1"
-
-
-class _Node:
-    __slots__ = ("count", "member", "children")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.member = False
-        self.children: dict[str, _Node] = {}
+# One node: token id, count, stored flag, then the node's child count.
+_NODE = struct.Struct("<IQBI")
+_U32 = struct.Struct("<I")
 
 
 class NGramDictionary:
     """Immutable-by-convention n-gram membership index with counts."""
 
-    def __init__(self, root: dict[str, _Node], min_count: int, max_n: int | None):
-        self._root = root
+    def __init__(self, counts: dict[tuple[str, ...], int], min_count: int, max_n: int | None):
+        self._counts = counts
         self.min_count = min_count
         self.max_n = max_n
+        # A prefix sorts before its extensions, so a stored n-gram's node is
+        # created before any node below it; unstored prefixes (possible in
+        # `from_entries` fixtures) get a non-stored node on first use.
+        self._tree: dict[str, tuple[bool, dict]] = {}
+        for gram in sorted(counts):
+            children = self._tree
+            for token in gram[:-1]:
+                children = children.setdefault(token, (False, {}))[1]
+            children[gram[-1]] = (True, {})
+
+    def __reduce__(self):
+        return (NGramDictionary, (self._counts, self.min_count, self.max_n))
 
     # -- queries ---------------------------------------------------------
 
     @property
     def vocab_size(self) -> int:
         """Number of distinct unigram entries."""
-        return sum(1 for node in self._root.values() if node.member)
+        return sum(1 for gram in self._counts if len(gram) == 1)
 
     def __len__(self) -> int:
         """Total number of stored n-grams."""
-        return sum(1 for _ in self.entries())
+        return len(self._counts)
 
     def contains(self, span: Sequence[str]) -> bool:
         """True iff `span` (a token sequence) is a stored n-gram."""
-        if not span:
-            return False
         if self.max_n is not None and len(span) > self.max_n:
             return False
-        node = None
-        children = self._root
-        for token in span:
-            node = children.get(token)
-            if node is None:
-                return False
-            children = node.children
-        return node.member
+        return tuple(span) in self._counts
 
     def count(self, span: Sequence[str]) -> int:
         """Corpus count of a stored n-gram; 0 when not stored."""
-        node = None
-        children = self._root
-        for token in span:
-            node = children.get(token)
-            if node is None:
-                return 0
-            children = node.children
-        return node.count if node is not None and node.member else 0
+        return self._counts.get(tuple(span), 0)
 
     def match_lengths_from(self, sentence: Sequence[str], start: int) -> list[int]:
         """Ascending lengths L such that sentence[start:start+L] is stored."""
         if not 0 <= start < len(sentence):
             raise ConfigError(f"start {start} out of range for sentence of length {len(sentence)}")
         lengths: list[int] = []
-        children = self._root
+        children = self._tree
         limit = len(sentence) - start
         if self.max_n is not None:
             limit = min(limit, self.max_n)
@@ -95,23 +92,14 @@ class NGramDictionary:
             node = children.get(sentence[start + offset])
             if node is None:
                 break
-            if node.member:
+            stored, children = node
+            if stored:
                 lengths.append(offset + 1)
-            children = node.children
         return lengths
 
-    def entries(self) -> Iterator[tuple[tuple[str, ...], int]]:
+    def entries(self) -> list[tuple[tuple[str, ...], int]]:
         """All stored (n-gram, count) pairs in lexicographic order."""
-
-        def walk(children: dict[str, _Node], prefix: tuple[str, ...]):
-            for token in sorted(children):
-                node = children[token]
-                gram = prefix + (token,)
-                if node.member:
-                    yield gram, node.count
-                yield from walk(node.children, gram)
-
-        yield from walk(self._root, ())
+        return sorted(self._counts.items())
 
     # -- construction ----------------------------------------------------
 
@@ -127,97 +115,84 @@ class NGramDictionary:
         Every entry is stored as a member with a synthetic count of
         ``min_count + 1``; `max_n` defaults to the longest entry.
         """
-        root: dict[str, _Node] = {}
-        longest = 0
+        counts: dict[tuple[str, ...], int] = {}
         for entry in entries:
             gram = tuple(entry)
             if not gram:
                 raise ConfigError("dictionary entries must be non-empty")
-            longest = max(longest, len(gram))
-            children = root
-            node = None
-            for token in gram:
-                node = children.setdefault(token, _Node())
-                children = node.children
-            node.member = True
-            node.count = min_count + 1
-        return cls(root, min_count, max_n if max_n is not None else (longest or 1))
+            counts[gram] = min_count + 1
+        longest = max(map(len, counts), default=1)
+        return cls(counts, min_count, max_n if max_n is not None else longest)
 
     # -- serialization ---------------------------------------------------
 
     def save(self, path: str | Path) -> None:
         """Write the index; same dictionary always gives identical bytes."""
-        tokens = sorted(self._collect_tokens())
+        counts = self._counts
+        tokens = sorted({tok for gram in counts for tok in gram})
         token_ids = {tok: i for i, tok in enumerate(tokens)}
-        buf = io.BytesIO()
-        buf.write(_MAGIC)
+        # The tree's nodes are every prefix of every stored n-gram; a built
+        # table is prefix-closed, so only fixtures add unstored prefixes here.
+        prefixes = set(counts)
+        for gram in counts:
+            if gram[:-1] not in counts:
+                prefixes.update(gram[:cut] for cut in range(1, len(gram)))
+        nodes = sorted(prefixes)
+        child_counts = Counter(node[:-1] for node in nodes)
         header = json.dumps(
             {"min_count": self.min_count, "max_n": self.max_n, "tokens": len(tokens)},
             sort_keys=True,
         ).encode("utf-8")
-        buf.write(struct.pack("<I", len(header)))
-        buf.write(header)
+        parts = [_MAGIC, _U32.pack(len(header)), header]
         for tok in tokens:
             raw = tok.encode("utf-8")
-            buf.write(struct.pack("<I", len(raw)))
-            buf.write(raw)
-
-        def dump(children: dict[str, _Node]) -> None:
-            buf.write(struct.pack("<I", len(children)))
-            for token in sorted(children):
-                node = children[token]
-                buf.write(struct.pack("<IQB", token_ids[token], node.count, int(node.member)))
-                dump(node.children)
-
-        dump(self._root)
-        Path(path).write_bytes(buf.getvalue())
+            parts += (_U32.pack(len(raw)), raw)
+        parts.append(_U32.pack(child_counts[()]))
+        parts += (
+            _NODE.pack(token_ids[node[-1]], counts.get(node, 0), node in counts, child_counts[node])
+            for node in nodes
+        )
+        Path(path).write_bytes(b"".join(parts))
 
     @classmethod
     def load(cls, path: str | Path) -> "NGramDictionary":
+        """Read an index written by `save`."""
         data = Path(path).read_bytes()
         if data[: len(_MAGIC)] != _MAGIC:
             raise DataError("not an n-gram index file (bad magic)", path=str(path))
-        view = io.BytesIO(data[len(_MAGIC):])
+        offset = len(_MAGIC)
 
-        def take(fmt: str):
-            size = struct.calcsize(fmt)
-            raw = view.read(size)
-            if len(raw) != size:
+        def take(size: int) -> bytes:
+            nonlocal offset
+            if offset + size > len(data):
                 raise DataError("truncated n-gram index", path=str(path))
-            return struct.unpack(fmt, raw)
+            offset += size
+            return data[offset - size : offset]
 
-        (header_len,) = take("<I")
-        header = json.loads(view.read(header_len).decode("utf-8"))
+        (header_len,) = _U32.unpack(take(_U32.size))
+        header = json.loads(take(header_len).decode("utf-8"))
+        min_count, max_n, n_tokens = header["min_count"], header["max_n"], header["tokens"]
         tokens = []
-        for _ in range(header["tokens"]):
-            (tok_len,) = take("<I")
-            tokens.append(view.read(tok_len).decode("utf-8"))
+        for _ in range(n_tokens):
+            (tok_len,) = _U32.unpack(take(_U32.size))
+            tokens.append(take(tok_len).decode("utf-8"))
 
-        def read_children() -> dict[str, _Node]:
-            (n_children,) = take("<I")
-            children: dict[str, _Node] = {}
-            for _ in range(n_children):
-                token_id, count, member = take("<IQB")
-                node = _Node()
-                node.count = count
-                node.member = bool(member)
-                node.children = read_children()
-                children[tokens[token_id]] = node
-            return children
-
-        root = read_children()
-        return cls(root, header["min_count"], header["max_n"])
-
-    def _collect_tokens(self) -> set[str]:
-        seen: set[str] = set()
-
-        def walk(children: dict[str, _Node]) -> None:
-            for token, node in children.items():
-                seen.add(token)
-                walk(node.children)
-
-        walk(self._root)
-        return seen
+        counts: dict[tuple[str, ...], int] = {}
+        # Each entry: the n-gram of an open node and how many children remain to read.
+        (root_children,) = _U32.unpack(take(_U32.size))
+        stack: list[tuple[tuple[str, ...], int]] = [((), root_children)]
+        while stack:
+            prefix, remaining = stack[-1]
+            if not remaining:
+                stack.pop()
+                continue
+            stack[-1] = (prefix, remaining - 1)
+            token_id, count, stored, n_children = _NODE.unpack(take(_NODE.size))
+            gram = prefix + (tokens[token_id],)
+            if stored:
+                counts[gram] = count
+            stack.append((gram, n_children))
+        return cls(counts, min_count, max_n)
 
 
 def build_ngram_dictionary(
@@ -264,13 +239,4 @@ def build_ngram_dictionary(
         survivors.update(level)
         n += 1
 
-    root: dict[str, _Node] = {}
-    for gram, count in survivors.items():
-        children = root
-        node = None
-        for token in gram:
-            node = children.setdefault(token, _Node())
-            children = node.children
-        node.member = True
-        node.count = count
-    return NGramDictionary(root, min_count, max_n)
+    return NGramDictionary(survivors, min_count, max_n)

@@ -148,7 +148,7 @@ def scored_examples(pairs):
         toks = tuple(sentence.split())
         ex = ParallelExample(str(i), toks, toks)
         out.append(
-            (ex, CompositionalDegree(atoms, len(toks), Fraction(atoms, len(toks)), atoms / len(toks)))
+            (ex, CompositionalDegree(atoms, len(toks)))
         )
     return out
 
