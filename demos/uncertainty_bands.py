@@ -13,7 +13,6 @@ import numpy as np
 from compforge.uncertainty import (
     EnsembleTokenDistributions,
     band_select,
-    sequence_knowledge_uncertainty,
     token_uncertainties,
 )
 
@@ -26,7 +25,7 @@ def show(example: EnsembleTokenDistributions) -> None:
             f"  {l:>3}  {score.token_entropy[l]:8.4f}  "
             f"{score.token_mutual_information[l]:8.4f}  {score.token_rmi[l]:8.4f}"
         )
-    print(f"  sequence score (mean rmi): {sequence_knowledge_uncertainty(score):.4f}")
+    print(f"  sequence score (mean rmi): {score.sequence_score:.4f}")
 
 
 def main() -> None:

@@ -39,7 +39,6 @@ from compforge.uncertainty import (
     EnsembleTokenDistributions,
     UncertaintyScore,
     band_select,
-    sequence_knowledge_uncertainty,
     token_uncertainties,
 )
 
@@ -76,7 +75,6 @@ __all__ = [
     "EnsembleTokenDistributions",
     "UncertaintyScore",
     "band_select",
-    "sequence_knowledge_uncertainty",
     "token_uncertainties",
     "__version__",
 ]

@@ -20,6 +20,7 @@ from compforge.corpus import (
     iter_side,
     load_parallel_corpus,
     save_corpus_jsonl,
+    text_lines,
 )
 from compforge.cover import read_degree_tsv, select_candidate_pool, write_degree_tsv
 from compforge.engine import greedy_decode, load_weights
@@ -216,15 +217,14 @@ def _cmd_simulate(args) -> int:
         cfg = dataclasses.replace(cfg, **updates)
 
     sources = []
-    with open(args.input, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                sources.append([int(tok) for tok in line.split()])
-            except ValueError:
-                raise DataError("token ids must be integers", path=args.input, line=lineno)
+    for lineno, line in text_lines(args.input):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            sources.append([int(tok) for tok in line.split()])
+        except ValueError:
+            raise DataError("token ids must be integers", path=args.input, line=lineno)
     if not sources:
         raise DataError("no input sequences", path=args.input)
 

@@ -43,6 +43,17 @@ def side_tokens(example: ParallelExample, side: str) -> tuple[str, ...]:
     raise ConfigError(f"unknown side {side!r}; expected one of {SIDES}")
 
 
+def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line without its newline) for each line of a UTF-8
+    text file; bytes that are not UTF-8 raise DataError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                yield lineno, raw.rstrip("\n")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"not UTF-8 text: {exc.reason}", path=str(path))
+
+
 def _infer_format(path: str | Path) -> str:
     suffix = Path(path).suffix.lower()
     if suffix in (".tsv", ".txt"):
@@ -68,45 +79,43 @@ def load_parallel_corpus(path: str | Path, format: str | None = None) -> list[Pa
 
     examples: list[ParallelExample] = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if fmt == "tsv":
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise DataError(
-                        f"expected exactly one tab, got {len(parts) - 1}",
-                        path=str(path), line=lineno,
-                    )
-                ex_id = str(len(examples))
-                src_text, tgt_text = parts
-                meta: dict = {}
-            else:
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"invalid JSON: {exc.msg}", path=str(path), line=lineno)
-                if not isinstance(record, dict):
-                    raise DataError("record is not an object", path=str(path), line=lineno)
-                missing = [k for k in ("source", "target") if not isinstance(record.get(k), str)]
-                if missing:
-                    raise DataError(
-                        f"missing or non-string field(s): {', '.join(missing)}",
-                        path=str(path), line=lineno,
-                    )
-                ex_id = str(record["id"]) if "id" in record else str(len(examples))
-                src_text, tgt_text = record["source"], record["target"]
-                meta = record.get("meta") or {}
-            source = tuple(src_text.split())
-            target = tuple(tgt_text.split())
-            if not source or not target:
-                raise DataError("source and target must be non-empty", path=str(path), line=lineno)
-            if ex_id in seen_ids:
-                raise DataError(f"duplicate example id {ex_id!r}", path=str(path), line=lineno)
-            seen_ids.add(ex_id)
-            examples.append(ParallelExample(ex_id, source, target, meta))
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        if fmt == "tsv":
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise DataError(
+                    f"expected exactly one tab, got {len(parts) - 1}",
+                    path=str(path), line=lineno,
+                )
+            ex_id = str(len(examples))
+            src_text, tgt_text = parts
+            meta: dict = {}
+        else:
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"invalid JSON: {exc.msg}", path=str(path), line=lineno)
+            if not isinstance(record, dict):
+                raise DataError("record is not an object", path=str(path), line=lineno)
+            missing = [k for k in ("source", "target") if not isinstance(record.get(k), str)]
+            if missing:
+                raise DataError(
+                    f"missing or non-string field(s): {', '.join(missing)}",
+                    path=str(path), line=lineno,
+                )
+            ex_id = str(record["id"]) if "id" in record else str(len(examples))
+            src_text, tgt_text = record["source"], record["target"]
+            meta = record.get("meta") or {}
+        source = tuple(src_text.split())
+        target = tuple(tgt_text.split())
+        if not source or not target:
+            raise DataError("source and target must be non-empty", path=str(path), line=lineno)
+        if ex_id in seen_ids:
+            raise DataError(f"duplicate example id {ex_id!r}", path=str(path), line=lineno)
+        seen_ids.add(ex_id)
+        examples.append(ParallelExample(ex_id, source, target, meta))
     return examples
 
 
@@ -160,15 +169,13 @@ def tsv_rows(path: str | Path, fields: int, layout: str) -> Iterator[tuple[int, 
     A line without exactly `fields` columns raises DataError("expected
     `layout`") naming its line.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != fields:
-                raise DataError(f"expected {layout}", path=str(path), line=lineno)
-            yield lineno, parts
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != fields:
+            raise DataError(f"expected {layout}", path=str(path), line=lineno)
+        yield lineno, parts
 
 
 def load_vocab_counts(path: str | Path, side: str = "target") -> VocabCounts:

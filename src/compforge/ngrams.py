@@ -156,7 +156,7 @@ class NGramDictionary:
 
     @classmethod
     def load(cls, path: str | Path) -> "NGramDictionary":
-        """Read an index written by `save`."""
+        """Read an index written by `save`; a malformed file raises DataError."""
         data = Path(path).read_bytes()
         if data[: len(_MAGIC)] != _MAGIC:
             raise DataError("not an n-gram index file (bad magic)", path=str(path))
@@ -170,12 +170,23 @@ class NGramDictionary:
             return data[offset - size : offset]
 
         (header_len,) = _U32.unpack(take(_U32.size))
-        header = json.loads(take(header_len).decode("utf-8"))
-        min_count, max_n, n_tokens = header["min_count"], header["max_n"], header["tokens"]
+        try:
+            header = json.loads(take(header_len).decode("utf-8"))
+            min_count, max_n, n_tokens = header["min_count"], header["max_n"], header["tokens"]
+        except (ValueError, RecursionError, LookupError, TypeError):
+            raise DataError("n-gram index header is not a JSON object with "
+                            "min_count, max_n and tokens", path=str(path))
+        if not (type(min_count) is type(n_tokens) is int and min(min_count, n_tokens) >= 0
+                and (max_n is None or type(max_n) is int and max_n >= 1)):
+            raise DataError("n-gram index header needs integers min_count >= 0, "
+                            "tokens >= 0 and max_n >= 1 or null", path=str(path))
         tokens = []
         for _ in range(n_tokens):
             (tok_len,) = _U32.unpack(take(_U32.size))
-            tokens.append(take(tok_len).decode("utf-8"))
+            try:
+                tokens.append(take(tok_len).decode("utf-8"))
+            except UnicodeDecodeError:
+                raise DataError(f"token {len(tokens)} is not UTF-8", path=str(path))
 
         counts: dict[tuple[str, ...], int] = {}
         # Each entry: the n-gram of an open node and how many children remain to read.
@@ -188,10 +199,18 @@ class NGramDictionary:
                 continue
             stack[-1] = (prefix, remaining - 1)
             token_id, count, stored, n_children = _NODE.unpack(take(_NODE.size))
+            if token_id >= len(tokens):
+                raise DataError(
+                    f"token id {token_id} out of range for {len(tokens)} tokens", path=str(path)
+                )
             gram = prefix + (tokens[token_id],)
             if stored:
                 counts[gram] = count
             stack.append((gram, n_children))
+        if offset != len(data):
+            raise DataError(
+                f"{len(data) - offset} trailing bytes after the last node", path=str(path)
+            )
         return cls(counts, min_count, max_n)
 
 

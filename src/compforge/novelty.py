@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from compforge.corpus import ParallelExample, iter_side
+from compforge.corpus import ParallelExample, iter_side, text_lines
 from compforge.cover import degree_of
 from compforge.errors import ConfigError, DataError
 from compforge.ngrams import NGramDictionary
@@ -141,19 +141,17 @@ def read_tagged_file(path: str | Path) -> list[TaggedSentence]:
     sentences: list[TaggedSentence] = []
     tokens: list[str] = []
     tags: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                if tokens:
-                    sentences.append(TaggedSentence(tuple(tokens), tuple(tags)))
-                    tokens, tags = [], []
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError("expected token<TAB>TAG", path=str(path), line=lineno)
-            tokens.append(parts[0])
-            tags.append(parts[1])
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            if tokens:
+                sentences.append(TaggedSentence(tuple(tokens), tuple(tags)))
+                tokens, tags = [], []
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError("expected token<TAB>TAG", path=str(path), line=lineno)
+        tokens.append(parts[0])
+        tags.append(parts[1])
     if tokens:
         sentences.append(TaggedSentence(tuple(tokens), tuple(tags)))
     return sentences

@@ -287,6 +287,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
     except (ConfigError, DataError) as exc:
         raise StageError(stage, str(exc)) from exc
 
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(manifest.to_json() + "\n", encoding="utf-8")
+    _write_artifact(
+        out_dir, "manifest.json",
+        lambda p: p.write_text(manifest.to_json() + "\n", encoding="utf-8"),
+    )
     return manifest

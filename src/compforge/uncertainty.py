@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from compforge.corpus import tsv_rows
+from compforge.corpus import text_lines, tsv_rows
 from compforge.errors import ConfigError, DataError
 
 PROB_FLOOR = 1e-10
@@ -76,9 +76,14 @@ class EnsembleTokenDistributions:
                 raise DataError(
                     f"example {self.example_id}: negative probability at position {l}"
                 )
-            sums = block.sum(axis=1)
-            if np.any(np.abs(sums - 1.0) > SUM_TOLERANCE):
-                worst = float(np.max(np.abs(sums - 1.0)))
+            off = np.abs(block.sum(axis=1) - 1.0)
+            # Comparisons with NaN are false, so ask for `<= tolerance` to reject NaN too.
+            if not np.all(off <= SUM_TOLERANCE):
+                if not np.all(np.isfinite(block)):
+                    raise DataError(
+                        f"example {self.example_id}: non-finite probability at position {l}"
+                    )
+                worst = float(np.max(off))
                 raise DataError(
                     f"example {self.example_id}: unnormalized distribution at position {l}"
                     f" (off by {worst:.3e})"
@@ -130,13 +135,6 @@ def token_uncertainties(dists: EnsembleTokenDistributions) -> UncertaintyScore:
         token_rmi=rmi,
         sequence_score=float(rmi.mean()),
     )
-
-
-def sequence_knowledge_uncertainty(score: UncertaintyScore) -> float:
-    """Mean per-token reverse mutual information of a scored sequence."""
-    if score.token_rmi.size == 0:
-        raise ConfigError("cannot aggregate an empty token score vector")
-    return float(score.token_rmi.mean())
 
 
 def band_select(
@@ -210,52 +208,51 @@ def read_ensemble_dump(path: str | Path) -> list[EnsembleTokenDistributions]:
     "probs": [[[...], ...], ...]}`` with probs indexed [member][position][support].
     """
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"invalid JSON: {exc.msg}", path=str(path), line=lineno)
-            try:
-                example_id = str(record["id"])
-                support = tuple(tuple(s) for s in record["support"])
-                member_probs = record["probs"]
-            except (KeyError, TypeError):
-                raise DataError("record needs id/support/probs", path=str(path), line=lineno)
-            if not member_probs:
-                raise DataError("empty probs", path=str(path), line=lineno)
-            positions = len(support)
-            blocks = []
-            for l in range(positions):
-                rows = []
-                for m, member in enumerate(member_probs):
-                    if len(member) != positions:
-                        raise DataError(
-                            f"member {m} has {len(member)} positions, expected {positions}",
-                            path=str(path), line=lineno,
-                        )
-                    if len(member[l]) != len(support[l]):
-                        raise DataError(
-                            f"member {m} support mismatch at position {l}",
-                            path=str(path), line=lineno,
-                        )
-                    rows.append(member[l])
-                blocks.append(np.asarray(rows, dtype=np.float64))
-            tokens = tuple(record["tokens"]) if "tokens" in record else None
-            try:
-                out.append(
-                    EnsembleTokenDistributions(
-                        example_id=example_id,
-                        support=support,
-                        probs=tuple(blocks),
-                        tokens=tokens,
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"invalid JSON: {exc.msg}", path=str(path), line=lineno)
+        try:
+            example_id = str(record["id"])
+            support = tuple(tuple(s) for s in record["support"])
+            member_probs = record["probs"]
+        except (KeyError, TypeError):
+            raise DataError("record needs id/support/probs", path=str(path), line=lineno)
+        if not member_probs:
+            raise DataError("empty probs", path=str(path), line=lineno)
+        positions = len(support)
+        blocks = []
+        for l in range(positions):
+            rows = []
+            for m, member in enumerate(member_probs):
+                if len(member) != positions:
+                    raise DataError(
+                        f"member {m} has {len(member)} positions, expected {positions}",
+                        path=str(path), line=lineno,
                     )
+                if len(member[l]) != len(support[l]):
+                    raise DataError(
+                        f"member {m} support mismatch at position {l}",
+                        path=str(path), line=lineno,
+                    )
+                rows.append(member[l])
+            blocks.append(np.asarray(rows, dtype=np.float64))
+        tokens = tuple(record["tokens"]) if "tokens" in record else None
+        try:
+            out.append(
+                EnsembleTokenDistributions(
+                    example_id=example_id,
+                    support=support,
+                    probs=tuple(blocks),
+                    tokens=tokens,
                 )
-            except DataError as exc:
-                raise DataError(str(exc), path=str(path), line=lineno)
+            )
+        except DataError as exc:
+            raise DataError(str(exc), path=str(path), line=lineno)
     return out
 
 

@@ -405,6 +405,52 @@ class TestMalformedScores:
         assert "Traceback" not in err
 
 
+class TestMalformedInputs:
+    """Corrupt dictionaries, non-finite probabilities and non-UTF-8 text exit 3."""
+
+    def test_bad_dictionary_header_exits_3(self, pipeline_inputs, tmp_path, capsys):
+        index = tmp_path / "d.ngix"
+        assert main(["build-dict", "--train", str(pipeline_inputs["train"]),
+                     "--out", str(index)]) == 0
+        index.write_bytes(index.read_bytes().replace(b"{", b"[", 1))
+        capsys.readouterr()
+        assert main(["comp-degree", "--dict", str(index),
+                     "--pool", str(pipeline_inputs["pool"]),
+                     "--out", str(tmp_path / "deg.tsv")]) == 3
+        err = capsys.readouterr().err
+        assert "header" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_probability_exits_3(self, tmp_path, capsys, bad):
+        dump = tmp_path / "dump.jsonl"
+        record = {"id": "p0", "support": [["a", "b"]], "probs": [[[0.5, 0.5]], [[bad, 0.5]]]}
+        dump.write_text(json.dumps(record) + "\n")
+        assert main(["uncertainty-score", "--dump", str(dump),
+                     "--out", str(tmp_path / "u.tsv")]) == 3
+        err = capsys.readouterr().err
+        assert f"{dump}:1]" in err and "Traceback" not in err
+
+    # One command per text reader; {bad} is a file holding a non-UTF-8 byte.
+    @pytest.mark.parametrize("command", [
+        ["filter-oov", "--train", "{bad}", "--pool", "{pool}", "--out", "{out}"],
+        ["select-pool", "--pool", "{pool}", "--scores", "{bad}", "--out", "{out}"],
+        ["sample-testset", "--pool", "{pool}", "--scores", "{bad}", "--out", "{out}"],
+        ["uncertainty-score", "--dump", "{bad}", "--out", "{out}"],
+        ["analyze-novelty", "--train", "{train}", "--test", "{train}", "--tagged-train", "{bad}",
+         "--tagged-test", "{bad}", "--dict", "{out}", "--out", "{out}"],
+        ["simulate", "--weights", "{weights}", "--input", "{bad}"],
+    ], ids=["corpus", "degree-tsv", "uncertainty-tsv", "dump", "tagged", "simulate-input"])
+    def test_non_utf8_text_exits_3(self, pipeline_inputs, sim_weights, tmp_path, capsys,
+                                   command):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"p0\t1\n\xff\t2\n")
+        paths = {"bad": bad, "pool": pipeline_inputs["pool"], "train": pipeline_inputs["train"],
+                 "weights": sim_weights["path"], "out": tmp_path / "out"}
+        assert main([arg.format(**paths) for arg in command]) == 3
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err and str(bad) in err and "Traceback" not in err
+
+
 _FUZZ_IDS = ("p0", "p1", "p2")
 _fuzz_line = st.one_of(
     st.text(max_size=30),

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compforge.corpus import ParallelExample
 from compforge.cover import (
@@ -193,3 +195,26 @@ class TestSelection:
     def test_invalid_k(self):
         with pytest.raises(ConfigError):
             select_candidate_pool([], k=0)
+
+
+# Degrees with lengths up to 2^26 - 1, including near-one neighbours such as
+# (n-2)/n and (n-3)/(n-1), whose floats differ only in the last bits.
+_LARGE = 2**26 - 1
+_degree = st.one_of(
+    st.integers(1, 40).flatmap(lambda n: st.tuples(st.integers(1, n), st.just(n))),
+    st.integers(1, _LARGE).flatmap(lambda n: st.tuples(st.integers(1, n), st.just(n))),
+    st.integers(_LARGE - 3, _LARGE).flatmap(lambda n: st.tuples(st.integers(n - 3, n), st.just(n))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(_degree, st.integers(0, 30)), max_size=40),
+       k=st.integers(1, 45))
+def test_selection_order_matches_fraction_sort(rows, k):
+    # The float sort key must order exactly like the oracle's Fraction key.
+    scored = [
+        (ParallelExample(str(i), (f"s{tokens}",), (f"t{tokens}",)), CompositionalDegree(a, n))
+        for i, ((a, n), tokens) in enumerate(rows)
+    ]
+    chosen = select_candidate_pool(scored, k=k)
+    assert list(chosen.examples) == full_sort_selection(scored, k)

@@ -11,7 +11,6 @@ from compforge.uncertainty import (
     band_select,
     coarsen_distributions,
     read_ensemble_dump,
-    sequence_knowledge_uncertainty,
     token_uncertainties,
     write_ensemble_dump,
 )
@@ -129,7 +128,7 @@ class TestSequenceScore:
     def test_single_position(self):
         d = dists_from([np.array([[0.7, 0.3], [0.2, 0.8]])])
         score = token_uncertainties(d)
-        assert sequence_knowledge_uncertainty(score) == pytest.approx(score.token_rmi[0])
+        assert score.sequence_score == pytest.approx(score.token_rmi[0])
 
 
 class TestValidation:
