@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 2 for configuration errors (bad flags, invalid or
 missing paths/settings), 3 for data errors (malformed records, inconsistent
-inputs). ``COMPFORGE_THREADS`` caps worker parallelism for scoring stages.
+inputs).
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("comp-degree", help="score compositional degrees")
     p.add_argument("--dict", required=True, dest="dict_path")
     p.add_argument("--pool", required=True)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", required=True)
     _add_corpus_flags(p)
 
@@ -138,7 +137,7 @@ def _cmd_filter_oov(args) -> int:
 def _cmd_comp_degree(args) -> int:
     dictionary = NGramDictionary.load(args.dict_path)
     pool = load_parallel_corpus(args.pool, args.format)
-    scored = score_pool(pool, dictionary, args.side, args.workers)
+    scored = score_pool(pool, dictionary, args.side)
     write_degree_tsv(((ex.id, degree) for ex, degree in scored), args.out)
     print(f"scored {len(scored)} examples -> {args.out}")
     return 0

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -50,38 +49,10 @@ from compforge.uncertainty import (
     write_uncertainty_tsv,
 )
 
-THREADS_ENV = "COMPFORGE_THREADS"
 
-
-def worker_count(requested: int | None = None) -> int:
-    """Effective parallelism: requested (or cpu count), capped by $COMPFORGE_THREADS."""
-    cap_raw = os.environ.get(THREADS_ENV)
-    cap = None
-    if cap_raw is not None:
-        try:
-            cap = int(cap_raw)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {cap_raw!r}")
-        if cap < 1:
-            raise ConfigError(f"{THREADS_ENV} must be positive, got {cap}")
-    workers = requested if requested is not None else (os.cpu_count() or 1)
-    if cap is not None:
-        workers = min(workers, cap)
-    return max(workers, 1)
-
-
-_WORKER_DICT: NGramDictionary | None = None
-_WORKER_SIDE = "target"
-
-
-def _score_init(dictionary: NGramDictionary, side: str) -> None:
-    global _WORKER_DICT, _WORKER_SIDE
-    _WORKER_DICT = dictionary
-    _WORKER_SIDE = side
-
-
-def _score_one(example: ParallelExample) -> CompositionalDegree:
-    return degree_of(side_tokens(example, _WORKER_SIDE), _WORKER_DICT)
+def _check_workers(workers: int | None) -> None:
+    if workers not in (None, 1):
+        raise ConfigError(f"workers must be null or 1 (degree scoring is serial), got {workers!r}")
 
 
 def score_pool(
@@ -89,19 +60,9 @@ def score_pool(
     dictionary: NGramDictionary,
     side: str = "target",
     workers: int | None = None,
-    parallel_threshold: int = 10_000,
 ) -> list[tuple[ParallelExample, CompositionalDegree]]:
-    """Degree-score a pool; examples are independent, so sharding is safe.
-
-    Results always come back in pool order regardless of worker count.
-    """
-    n_workers = worker_count(workers)
-    if n_workers > 1 and len(pool) >= parallel_threshold:
-        with multiprocessing.Pool(
-            n_workers, initializer=_score_init, initargs=(dictionary, side)
-        ) as mp_pool:
-            degrees = mp_pool.map(_score_one, pool, chunksize=max(len(pool) // (n_workers * 4), 1))
-        return list(zip(pool, degrees))
+    """Degree-score a pool in the calling process, in pool order; `workers` must be None or 1."""
+    _check_workers(workers)
     return [(ex, degree_of(side_tokens(ex, side), dictionary)) for ex in pool]
 
 
@@ -135,6 +96,7 @@ class PipelineConfig:
             raise ConfigError("max_n must be at least 1 (or None for unbounded)")
         if self.side not in ("source", "target"):
             raise ConfigError(f"side must be source or target, got {self.side!r}")
+        _check_workers(self.workers)
         for name in ("train_path", "pool_path", "ensemble_dump_path"):
             path = getattr(self, name)
             if not Path(path).is_file():
@@ -242,7 +204,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
         record_artifact("ngram_index", path, len(dictionary))
 
         stage = "score_degrees"
-        scored = score_pool(filtered, dictionary, config.side, config.workers)
+        scored = score_pool(filtered, dictionary, config.side)
         path = _write_artifact(
             out_dir, "degrees.tsv",
             lambda p: write_degree_tsv(((ex.id, degree) for ex, degree in scored), p),

@@ -198,6 +198,12 @@ class TestRunPipelineCommand:
         assert main(["run-pipeline", "--config", str(blob)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_parallel_workers_exit_2(self, pipeline_inputs, tmp_path, capsys):
+        blob = self.write_config(pipeline_inputs, tmp_path / "out", tmp_path, workers=4)
+        assert main(["run-pipeline", "--config", str(blob)]) == 2
+        assert "workers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run-pipeline", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -339,6 +345,12 @@ class TestExitCodes:
     def test_missing_input_file_exits_2(self, tmp_path):
         assert main(["build-dict", "--train", str(tmp_path / "nope.tsv"),
                      "--out", str(tmp_path / "d.ngix")]) == 2
+
+    def test_comp_degree_has_no_workers_flag(self, pipeline_inputs, tmp_path, capsys):
+        assert main(["comp-degree", "--dict", str(tmp_path / "d.ngix"),
+                     "--pool", str(pipeline_inputs["pool"]), "--workers", "2",
+                     "--out", str(tmp_path / "deg.tsv")]) == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_malformed_dictionary_exits_3(self, pipeline_inputs, tmp_path):
         junk = tmp_path / "junk.ngix"

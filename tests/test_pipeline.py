@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -16,7 +15,6 @@ from compforge.pipeline import (
     PipelineConfig,
     run_pipeline,
     score_pool,
-    worker_count,
 )
 
 ARTIFACTS = [
@@ -230,6 +228,14 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             make_config(pipeline_inputs, tmp_path, discard_top=-1).validate()
 
+    def test_parallel_workers_rejected_before_any_stage(self, pipeline_inputs, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="workers"):
+            make_config(pipeline_inputs, out, workers=2).validate()
+        with pytest.raises(ConfigError, match="workers"):
+            run_pipeline(make_config(pipeline_inputs, out, workers=2))
+        assert not out.exists()
+
     def test_from_json_round_trip(self, pipeline_inputs, tmp_path):
         cfg = make_config(pipeline_inputs, tmp_path / "out")
         blob = tmp_path / "cfg.json"
@@ -270,32 +276,6 @@ class TestPipelineConfig:
             PipelineConfig.from_json(blob)
 
 
-class TestWorkerCount:
-    def test_requested_passthrough(self, monkeypatch):
-        monkeypatch.delenv(pipeline_mod.THREADS_ENV, raising=False)
-        assert worker_count(4) == 4
-        assert worker_count(1) == 1
-
-    def test_default_uses_cpu_count(self, monkeypatch):
-        monkeypatch.delenv(pipeline_mod.THREADS_ENV, raising=False)
-        assert worker_count(None) == (os.cpu_count() or 1)
-
-    def test_env_caps_requested(self, monkeypatch):
-        monkeypatch.setenv(pipeline_mod.THREADS_ENV, "2")
-        assert worker_count(8) == 2
-        assert worker_count(1) == 1
-
-    def test_env_must_be_integer(self, monkeypatch):
-        monkeypatch.setenv(pipeline_mod.THREADS_ENV, "lots")
-        with pytest.raises(ConfigError):
-            worker_count(2)
-
-    def test_env_must_be_positive(self, monkeypatch):
-        monkeypatch.setenv(pipeline_mod.THREADS_ENV, "0")
-        with pytest.raises(ConfigError):
-            worker_count(2)
-
-
 class TestScorePool:
     def build(self):
         sentences = [["a", "b", "c"], ["b", "c"], ["a", "b"], ["c", "a", "b"]] * 3
@@ -308,18 +288,18 @@ class TestScorePool:
         ]
         return pool, dictionary
 
-    def test_serial_and_parallel_agree(self, monkeypatch):
-        monkeypatch.delenv(pipeline_mod.THREADS_ENV, raising=False)
+    def test_result_order_matches_pool_order(self):
         pool, dictionary = self.build()
-        serial = score_pool(pool, dictionary, workers=1)
-        parallel = score_pool(pool, dictionary, workers=2, parallel_threshold=1)
-        assert len(serial) == len(parallel) == len(pool)
-        for (ex_a, deg_a), (ex_b, deg_b) in zip(serial, parallel):
-            assert ex_a.id == ex_b.id
-            assert deg_a.exact == deg_b.exact
-
-    def test_result_order_matches_pool_order(self, monkeypatch):
-        monkeypatch.setenv(pipeline_mod.THREADS_ENV, "2")
-        pool, dictionary = self.build()
-        out = score_pool(pool, dictionary, workers=8, parallel_threshold=1)
+        out = score_pool(pool, dictionary)
         assert [ex.id for ex, _ in out] == [ex.id for ex in pool]
+
+    @pytest.mark.parametrize("workers", [None, 1])
+    def test_serial_worker_counts_accepted(self, workers):
+        pool, dictionary = self.build()
+        assert len(score_pool(pool, dictionary, workers=workers)) == len(pool)
+
+    @pytest.mark.parametrize("workers", [0, 2, 8])
+    def test_other_worker_counts_rejected(self, workers):
+        pool, dictionary = self.build()
+        with pytest.raises(ConfigError, match="workers"):
+            score_pool(pool, dictionary, workers=workers)
