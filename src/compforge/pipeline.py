@@ -157,9 +157,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     manifest = PipelineManifest(
-        parameters={
-            k: (v if v is not None else None) for k, v in asdict(config).items()
-        },
+        parameters=asdict(config),
         inputs={
             "train": _sha256_file(config.train_path),
             "pool": _sha256_file(config.pool_path),
@@ -244,8 +242,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
         path = _write_artifact(out_dir, "testset.jsonl", lambda p: save_corpus_jsonl(chosen, p))
         record_stage(stage, len(ranked), len(chosen))
         record_artifact("testset", path, len(chosen))
-    except StageError:
-        raise
     except (ConfigError, DataError) as exc:
         raise StageError(stage, str(exc)) from exc
 
