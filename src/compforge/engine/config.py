@@ -55,6 +55,8 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        if self.n_heads < 1:
+            raise ConfigError(f"n_heads must be at least 1, got {self.n_heads}")
         if self.d_model < 1 or self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model ({self.d_model}) must be a positive multiple of n_heads ({self.n_heads})"

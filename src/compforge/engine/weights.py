@@ -9,8 +9,9 @@ shared layer simply appears under a single name.
 The file format is a small JSON header (names, shapes, seed, and the model
 config so a decoder can be rebuilt from the file alone) followed by the raw
 little-endian float32 blobs in header order. Round-tripping is bit-exact.
-Loading raises DataError when the header does not describe the blobs or
-bytes follow the last one.
+Loading raises DataError when the header does not describe the blobs, bytes
+follow the last one, or the stored config is invalid or needs a parameter
+the file lacks or holds in another shape (extra parameters are allowed).
 """
 
 from __future__ import annotations
@@ -193,8 +194,17 @@ def load_weights(path: str | Path) -> tuple[Weights, ModelConfig | None]:
     config = header.get("config")
     if config and not isinstance(config, dict):
         raise DataError("weights header 'config' is not an object", path=str(path))
+    if not config:
+        return Weights(data=data, seed=header.get("seed")), None
     try:
-        cfg = ModelConfig.from_dict(config) if config else None
-    except (TypeError, ValueError):
-        raise DataError("weights header 'config' is not a model config", path=str(path))
+        cfg = ModelConfig.from_dict(config)
+    except (TypeError, ValueError, ConfigError) as exc:
+        raise DataError(f"weights header 'config' is not a model config ({exc})", path=str(path))
+    for name, shape in param_spec(cfg).items():
+        if name not in data or data[name].shape != shape:
+            found = data[name].shape if name in data else "missing"
+            raise DataError(
+                f"weights do not match their config: {name} should be {shape}, got {found}",
+                path=str(path),
+            )
     return Weights(data=data, seed=header.get("seed")), cfg

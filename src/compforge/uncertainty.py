@@ -201,6 +201,40 @@ def read_uncertainty_tsv(path: str | Path) -> dict[str, float]:
 # -- ensemble dump I/O ----------------------------------------------------
 
 
+def _dump_record(record) -> EnsembleTokenDistributions:
+    """One parsed dump record as distributions; DataError if it is malformed."""
+    try:
+        example_id = str(record["id"])
+        support = tuple(tuple(s) for s in record["support"])
+        member_probs = record["probs"]
+    except (KeyError, TypeError):
+        raise DataError("record needs id/support/probs")
+    if not isinstance(member_probs, list) or not member_probs:
+        raise DataError("probs must be a non-empty list")
+    positions = len(support)
+    for m, member in enumerate(member_probs):
+        if not isinstance(member, list) or len(member) != positions:
+            raise DataError(f"member {m} needs a list of {positions} positions")
+    blocks = []
+    for l, supp in enumerate(support):
+        rows = [member[l] for member in member_probs]
+        if not all(isinstance(row, list) and len(row) == len(supp) for row in rows):
+            raise DataError(f"member support mismatch at position {l}")
+        try:
+            blocks.append(np.asarray(rows, dtype=np.float64))
+        except (TypeError, ValueError, OverflowError):
+            raise DataError(f"non-numeric probability at position {l}")
+    tokens = record.get("tokens")
+    if "tokens" in record and not isinstance(tokens, list):
+        raise DataError("tokens must be a list")
+    return EnsembleTokenDistributions(
+        example_id=example_id,
+        support=support,
+        probs=tuple(blocks),
+        tokens=tuple(tokens) if tokens is not None else None,
+    )
+
+
 def read_ensemble_dump(path: str | Path) -> list[EnsembleTokenDistributions]:
     """Parse a JSONL ensemble dump.
 
@@ -217,40 +251,7 @@ def read_ensemble_dump(path: str | Path) -> list[EnsembleTokenDistributions]:
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid JSON: {exc.msg}", path=str(path), line=lineno)
         try:
-            example_id = str(record["id"])
-            support = tuple(tuple(s) for s in record["support"])
-            member_probs = record["probs"]
-        except (KeyError, TypeError):
-            raise DataError("record needs id/support/probs", path=str(path), line=lineno)
-        if not member_probs:
-            raise DataError("empty probs", path=str(path), line=lineno)
-        positions = len(support)
-        blocks = []
-        for l in range(positions):
-            rows = []
-            for m, member in enumerate(member_probs):
-                if len(member) != positions:
-                    raise DataError(
-                        f"member {m} has {len(member)} positions, expected {positions}",
-                        path=str(path), line=lineno,
-                    )
-                if len(member[l]) != len(support[l]):
-                    raise DataError(
-                        f"member {m} support mismatch at position {l}",
-                        path=str(path), line=lineno,
-                    )
-                rows.append(member[l])
-            blocks.append(np.asarray(rows, dtype=np.float64))
-        tokens = tuple(record["tokens"]) if "tokens" in record else None
-        try:
-            out.append(
-                EnsembleTokenDistributions(
-                    example_id=example_id,
-                    support=support,
-                    probs=tuple(blocks),
-                    tokens=tokens,
-                )
-            )
+            out.append(_dump_record(record))
         except DataError as exc:
             raise DataError(str(exc), path=str(path), line=lineno)
     return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -11,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from compforge.cli import main
@@ -442,6 +443,42 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert f"{dump}:1]" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("changes", [
+        {"probs": [[[0.5, 0.5]], [["q", 0.5]]]},
+        {"tokens": 5},
+        {"probs": [[[0.5, 0.5]], 7]},
+    ], ids=["non-numeric-probability", "tokens-not-a-list", "positions-not-a-list"])
+    def test_bad_dump_value_exits_3(self, tmp_path, capsys, changes):
+        dump = tmp_path / "dump.jsonl"
+        record = {"id": "p0", "tokens": ["a"], "support": [["a", "b"]],
+                  "probs": [[[0.5, 0.5]], [[0.25, 0.75]]]}
+        dump.write_text("\n" + json.dumps({**record, **changes}) + "\n")
+        assert main(["uncertainty-score", "--dump", str(dump),
+                     "--out", str(tmp_path / "u.tsv")]) == 3
+        err = capsys.readouterr().err
+        assert f"{dump}:2]" in err and "Traceback" not in err
+
+    def test_weights_not_matching_their_config_exit_3(self, sim_weights, tmp_path, capsys):
+        cfg = sim_weights["cfg"]
+        path = tmp_path / "model.npw"
+        save_weights(path, init_weights(cfg, seed=0), dataclasses.replace(cfg, d_model=32))
+        src = tmp_path / "src.txt"
+        src.write_text("3 5 7\n")
+        assert main(["simulate", "--weights", str(path), "--input", str(src)]) == 3
+        err = capsys.readouterr().err
+        assert "do not match their config" in err and "Traceback" not in err
+
+    def test_invalid_stored_config_exits_3(self, sim_weights, tmp_path, capsys):
+        path = tmp_path / "model.npw"
+        raw = sim_weights["path"].read_bytes()
+        assert b'"n_heads": 4' in raw
+        path.write_bytes(raw.replace(b'"n_heads": 4', b'"n_heads": 0', 1))
+        src = tmp_path / "src.txt"
+        src.write_text("3 5 7\n")
+        assert main(["simulate", "--weights", str(path), "--input", str(src)]) == 3
+        err = capsys.readouterr().err
+        assert "n_heads" in err and "Traceback" not in err
+
     # One command per text reader; {bad} is a file holding a non-UTF-8 byte.
     @pytest.mark.parametrize("command", [
         ["filter-oov", "--train", "{bad}", "--pool", "{pool}", "--out", "{out}"],
@@ -497,6 +534,76 @@ def test_fuzzed_score_files_exit_0_or_3(lines):
                                        "--out", str(tmp / "out.jsonl")])
             assert code in (0, 3), err.getvalue()
             assert "Traceback" not in err.getvalue()
+
+
+def _corrupt(raw: bytes, truncate: bool, at: int, byte: int) -> bytes:
+    """`raw` cut to `at` bytes, or with byte `at` replaced by `byte`."""
+    assume(truncate or byte != raw[at])
+    return raw[:at] if truncate else raw[:at] + bytes([byte]) + raw[at + 1 :]
+
+
+def _run_quietly(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _saved_model() -> bytes:
+    cfg = ModelConfig(src_vocab=12, tgt_vocab=10, d_model=8, n_heads=2, k1=1, k2=1,
+                      max_src_positions=16, max_tgt_positions=16,
+                      variant="rdangle_sep", interval=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        save_weights(path, init_weights(cfg, seed=0), cfg)
+        return path.read_bytes()
+
+
+_MODEL = _saved_model()
+_MODEL_HEADER_END = 4 + struct.unpack_from("<I", _MODEL)[0]
+
+
+# Half the offsets fall in the JSON header, where a changed byte is most likely
+# to leave a readable file that describes other weights. The two examples are
+# a config whose d_model no longer matches the blobs, and one with no heads.
+# A changed blob byte can make a weight huge, so decoding may overflow.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(truncate=st.booleans(),
+       at=st.one_of(st.integers(0, _MODEL_HEADER_END - 1), st.integers(0, len(_MODEL) - 1)),
+       byte=st.integers(0, 255))
+@example(truncate=False, at=_MODEL.index(b'"d_model": 8') + 11, byte=ord("4"))
+@example(truncate=False, at=_MODEL.index(b'"n_heads": 2') + 11, byte=ord("0"))
+def test_corrupted_weights_exit_0_2_or_3(truncate, at, byte):
+    with tempfile.TemporaryDirectory() as tmp:
+        weights, src = Path(tmp) / "model.bin", Path(tmp) / "src.txt"
+        weights.write_bytes(_corrupt(_MODEL, truncate, at, byte))
+        src.write_text("3 5 7\n")
+        code, err = _run_quietly(["simulate", "--weights", str(weights), "--input", str(src),
+                                  "--max-len", "4"])
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    assert code == 0 or "error:" in err
+
+
+_DUMP_LINE = json.dumps({
+    "id": "p0", "tokens": ["a", "b"], "support": [["a", "c", "<other>"], ["b", "<other>"]],
+    "probs": [[[0.5, 0.25, 0.25], [0.75, 0.25]], [[0.125, 0.5, 0.375], [1.0, 0.0]]],
+}, sort_keys=True).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(truncate=st.booleans(), at=st.integers(0, len(_DUMP_LINE) - 1),
+       byte=st.integers(0, 255))
+def test_corrupted_dump_line_exits_0_2_or_3(truncate, at, byte):
+    with tempfile.TemporaryDirectory() as tmp:
+        dump = Path(tmp) / "dump.jsonl"
+        dump.write_bytes(_corrupt(_DUMP_LINE, truncate, at, byte) + b"\n")
+        code, err = _run_quietly(["uncertainty-score", "--dump", str(dump),
+                                  "--out", str(Path(tmp) / "u.tsv")])
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    assert code == 0 or "error:" in err
 
 
 def test_interval_parsing_round_trip():

@@ -370,6 +370,42 @@ class TestWeights:
         with pytest.raises(DataError, match="weights header"):
             load_weights(path)
 
+    def test_zero_heads_rejected(self):
+        with pytest.raises(ConfigError, match="n_heads"):
+            small_config(n_heads=0)
+
+    def test_invalid_stored_config_rejected(self, tmp_path):
+        path = tmp_path / "model.npw"
+        save_weights(path, init_weights(small_config(), seed=0), small_config())
+        path.write_bytes(path.read_bytes().replace(b'"n_heads": 4', b'"n_heads": 0', 1))
+        with pytest.raises(DataError, match="not a model config"):
+            load_weights(path)
+
+    def test_shapes_must_match_stored_config(self, tmp_path):
+        path = tmp_path / "model.npw"
+        save_weights(path, init_weights(small_config(d_model=16), seed=0),
+                     small_config(d_model=32))
+        with pytest.raises(DataError, match="src_embed should be"):
+            load_weights(path)
+
+    def test_parameter_missing_from_stored_config_rejected(self, tmp_path):
+        cfg = small_config()
+        weights = init_weights(cfg, seed=0)
+        del weights.data["out_b"]
+        path = tmp_path / "model.npw"
+        save_weights(path, weights, cfg)
+        with pytest.raises(DataError, match="out_b should be .* got missing"):
+            load_weights(path)
+
+    def test_extra_parameters_allowed(self, tmp_path):
+        superset, cfg = small_config(variant="rdangle_sep"), small_config(variant="rdangle_shr")
+        assert set(param_spec(cfg)) < set(param_spec(superset))
+        path = tmp_path / "model.npw"
+        save_weights(path, init_weights(superset, seed=0), cfg)
+        loaded, loaded_cfg = load_weights(path)
+        assert loaded_cfg == cfg
+        assert set(loaded.names()) == set(param_spec(superset))
+
     def test_trailing_bytes_rejected(self, tmp_path):
         cfg = small_config()
         path = tmp_path / "model.npw"
