@@ -156,13 +156,6 @@ def build_vocab_counts(corpus: Sequence[ParallelExample], side: str = "target") 
     return VocabCounts(side=side, counts=dict(counter), total_tokens=sum(counter.values()))
 
 
-def save_vocab_counts(counts: VocabCounts, path: str | Path) -> None:
-    """Write a counts snapshot as TSV ``token<TAB>count`` sorted by token."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for token in sorted(counts.counts):
-            fh.write(f"{token}\t{counts.counts[token]}\n")
-
-
 def tsv_rows(path: str | Path, fields: int, layout: str) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, columns) for each non-blank line of a TSV file.
 
@@ -176,16 +169,6 @@ def tsv_rows(path: str | Path, fields: int, layout: str) -> Iterator[tuple[int, 
         if len(parts) != fields:
             raise DataError(f"expected {layout}", path=str(path), line=lineno)
         yield lineno, parts
-
-
-def load_vocab_counts(path: str | Path, side: str = "target") -> VocabCounts:
-    counts: dict[str, int] = {}
-    for lineno, (token, value) in tsv_rows(path, 2, "token<TAB>count"):
-        try:
-            counts[token] = int(value)
-        except ValueError:
-            raise DataError(f"count is not an integer: {value!r}", path=str(path), line=lineno)
-    return VocabCounts(side=side, counts=counts, total_tokens=sum(counts.values()))
 
 
 def filter_oov(

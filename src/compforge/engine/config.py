@@ -48,9 +48,6 @@ class ModelConfig:
     eos_id: int = 2
     share_adaptive_encoder: bool = False
     fusion_enabled: bool = True
-    use_positions: bool = True
-    value_encoder_layers: int | None = None
-    shared_top_layers: int = 0
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -77,13 +74,6 @@ class ModelConfig:
                 "share_adaptive_encoder requires encoder_layers == k1 + k2 "
                 f"({self.encoder_layers} != {self.k1} + {self.k2})"
             )
-        if self.shared_top_layers < 0 or self.shared_top_layers > min(
-            self.value_layers, self.k2
-        ):
-            raise ConfigError(
-                f"shared_top_layers ({self.shared_top_layers}) must lie in "
-                f"[0, min(value_encoder_layers={self.value_layers}, k2={self.k2})]"
-            )
 
     # -- derived geometry --------------------------------------------------
 
@@ -94,13 +84,6 @@ class ModelConfig:
     @property
     def ffn_dim(self) -> int:
         return self.d_ff if self.d_ff is not None else 4 * self.d_model
-
-    @property
-    def value_layers(self) -> int:
-        """Depth of the value/plain encoder (``rdangle_sep`` may override)."""
-        if self.value_encoder_layers is not None:
-            return self.value_encoder_layers
-        return self.encoder_layers
 
     @property
     def effective_interval(self) -> float:
@@ -117,7 +100,7 @@ class ModelConfig:
 
     def encoder_prefixes(self) -> list[str]:
         """The plain encoder (vanilla decoding / value encodings)."""
-        return [f"enc.{i}" for i in range(self.value_layers)]
+        return [f"enc.{i}" for i in range(self.encoder_layers)]
 
     def adaptive_prefixes(self) -> tuple[list[str], list[str]]:
         """(stage-1, stage-2) layer prefixes of the adaptive encoder."""
@@ -126,24 +109,14 @@ class ModelConfig:
             stage2 = [f"enc.{self.k1 + j}" for j in range(self.k2)]
             return stage1, stage2
         stage1 = [f"aenc1.{i}" for i in range(self.k1)]
-        stage2 = []
-        first_shared = self.k2 - self.shared_top_layers
-        for j in range(self.k2):
-            if self.variant == "rdangle_sep" and j >= first_shared:
-                stage2.append(f"enc.{self.value_layers - self.k2 + j}")
-            else:
-                stage2.append(f"aenc2.{j}")
+        stage2 = [f"aenc2.{j}" for j in range(self.k2)]
         return stage1, stage2
 
     def adaptive_final_ln(self) -> str:
         return "enc.ln_f" if self.share_adaptive_encoder else "aenc.ln_f"
 
     def needs_plain_encoder(self) -> bool:
-        return (
-            self.variant in ("vanilla", "rdangle_sep")
-            or self.share_adaptive_encoder
-            or self.shared_top_layers > 0
-        )
+        return self.variant in ("vanilla", "rdangle_sep") or self.share_adaptive_encoder
 
     def needs_adaptive_encoder(self) -> bool:
         return self.variant in ("dangle", "rdangle_shr", "rdangle_sep")

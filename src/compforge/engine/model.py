@@ -48,11 +48,8 @@ def _check_tokens(tokens: Sequence[int], vocab: int, what: str) -> None:
             raise ConfigError(f"{what} token id {tok} outside vocabulary of size {vocab}")
 
 
-def _embed_source(src: Sequence[int], w: Weights, cfg: ModelConfig) -> np.ndarray:
-    x = w["src_embed"][np.asarray(src, dtype=np.int64)]
-    if cfg.use_positions:
-        x = x + w["enc_pos"][: len(src)]
-    return x
+def _embed_source(src: Sequence[int], w: Weights) -> np.ndarray:
+    return w["src_embed"][np.asarray(src, dtype=np.int64)] + w["enc_pos"][: len(src)]
 
 
 def encode(src: Sequence[int], w: Weights, cfg: ModelConfig) -> np.ndarray:
@@ -60,7 +57,7 @@ def encode(src: Sequence[int], w: Weights, cfg: ModelConfig) -> np.ndarray:
     _check_tokens(src, cfg.src_vocab, "source")
     if len(src) > cfg.max_src_positions:
         raise ConfigError(f"source of {len(src)} tokens exceeds max_src_positions")
-    x = _embed_source(src, w, cfg)
+    x = _embed_source(src, w)
     for prefix in cfg.encoder_prefixes():
         x = encoder_layer(x, w, prefix, cfg.n_heads)
     return layer_norm(x, w["enc.ln_f.g"], w["enc.ln_f.b"])
@@ -85,10 +82,8 @@ def adaptive_encode(
         raise ConfigError(
             f"source+prefix of {n + t} positions exceeds max_src_positions={cfg.max_src_positions}"
         )
-    prefix_rows = w["tgt_embed"][np.asarray(prefix, dtype=np.int64)]
-    if cfg.use_positions:
-        prefix_rows = prefix_rows + w["enc_pos"][n : n + t]
-    x = np.concatenate([_embed_source(src, w, cfg), prefix_rows], axis=0)
+    prefix_rows = w["tgt_embed"][np.asarray(prefix, dtype=np.int64)] + w["enc_pos"][n : n + t]
+    x = np.concatenate([_embed_source(src, w), prefix_rows], axis=0)
 
     stage1, stage2 = cfg.adaptive_prefixes()
     mask = None if cfg.fusion_enabled else key_block_mask(n + t, n, n + t)
@@ -204,9 +199,7 @@ def _decode(
     t, m = memory.length, len(tokens)
     if t + m > cfg.max_tgt_positions:
         raise ConfigError(f"prefix of {t + m} tokens exceeds max_tgt_positions")
-    x = w["tgt_embed"][np.asarray(tokens, dtype=np.int64)]
-    if cfg.use_positions:
-        x = x + w["dec_pos"][t : t + m]
+    x = w["tgt_embed"][np.asarray(tokens, dtype=np.int64)] + w["dec_pos"][t : t + m]
     mask = causal_mask(t + m)[t:]
     layers = []
     for idx in range(cfg.decoder_layers):

@@ -43,8 +43,7 @@ def cross_attention(
     v: np.ndarray,
     n_heads: int,
     mask: np.ndarray | None = None,
-    return_weights: bool = False,
-):
+) -> np.ndarray:
     """Multi-head scaled dot-product attention on pre-projected inputs.
 
     `q` is (T_q, d_model); `k` and `v` are (T_k, d_model) and must agree on
@@ -63,7 +62,6 @@ def cross_attention(
     scale = 1.0 / math.sqrt(head_dim)
 
     outputs = []
-    weights = []
     for h in range(n_heads):
         lo, hi = h * head_dim, (h + 1) * head_dim
         scores = (q[:, lo:hi] @ k[:, lo:hi].T) * scale
@@ -71,12 +69,7 @@ def cross_attention(
             scores = scores + mask
         attn = softmax(scores, axis=-1)
         outputs.append(attn @ v[:, lo:hi])
-        if return_weights:
-            weights.append(attn)
-    out = np.concatenate(outputs, axis=-1)
-    if return_weights:
-        return out, np.stack(weights)
-    return out
+    return np.concatenate(outputs, axis=-1)
 
 
 def attention_block(

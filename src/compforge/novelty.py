@@ -78,17 +78,6 @@ class NoveltyReport:
         }
         return json.dumps(payload, sort_keys=True, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "NoveltyReport":
-        payload = json.loads(text)
-        return cls(
-            n_examples=payload["n_examples"],
-            mean_degree=payload["mean_degree"],
-            novel_word_ngrams={int(n): c for n, c in payload["novel_word_ngrams"].items()},
-            novel_tag_ngrams={int(n): c for n, c in payload["novel_tag_ngrams"].items()},
-            tagset=payload.get("tagset"),
-        )
-
 
 def benchmark_report(
     train: Sequence[ParallelExample],
@@ -155,14 +144,3 @@ def read_tagged_file(path: str | Path) -> list[TaggedSentence]:
     if tokens:
         sentences.append(TaggedSentence(tuple(tokens), tuple(tags)))
     return sentences
-
-
-def write_tagged_file(sentences: Iterable[TaggedSentence], path: str | Path) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for sentence in sentences:
-            for token, tag in zip(sentence.tokens, sentence.tags):
-                fh.write(f"{token}\t{tag}\n")
-            fh.write("\n")
-            n += 1
-    return n

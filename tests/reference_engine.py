@@ -72,15 +72,12 @@ def _encoder_layer(x, w, prefix, n_heads, mask=None):
     return x + _ffn(normed, w, f"{prefix}.ffn")
 
 
-def _embed_src(src, w, cfg):
-    x = _f64(w, "src_embed")[np.asarray(src, dtype=np.int64)]
-    if cfg.use_positions:
-        x = x + _f64(w, "enc_pos")[: len(src)]
-    return x
+def _embed_src(src, w):
+    return _f64(w, "src_embed")[np.asarray(src, dtype=np.int64)] + _f64(w, "enc_pos")[: len(src)]
 
 
 def ref_encode(src, w, cfg) -> np.ndarray:
-    x = _embed_src(src, w, cfg)
+    x = _embed_src(src, w)
     for prefix in cfg.encoder_prefixes():
         x = _encoder_layer(x, w, prefix, cfg.n_heads)
     return ref_layer_norm(x, _f64(w, "enc.ln_f.g"), _f64(w, "enc.ln_f.b"))
@@ -89,9 +86,8 @@ def ref_encode(src, w, cfg) -> np.ndarray:
 def ref_adaptive_encode(src, prefix_tokens, w, cfg) -> np.ndarray:
     n, t = len(src), len(prefix_tokens)
     rows = _f64(w, "tgt_embed")[np.asarray(prefix_tokens, dtype=np.int64)]
-    if cfg.use_positions:
-        rows = rows + _f64(w, "enc_pos")[n : n + t]
-    x = np.concatenate([_embed_src(src, w, cfg), rows], axis=0)
+    rows = rows + _f64(w, "enc_pos")[n : n + t]
+    x = np.concatenate([_embed_src(src, w), rows], axis=0)
     mask = None
     if not cfg.fusion_enabled:
         mask = np.zeros((n + t, n + t))
@@ -110,8 +106,7 @@ def ref_decoder_logits(prefix_tokens, enc_k, enc_v, w, cfg) -> np.ndarray:
     """Next-token logits at every prefix position, (t, tgt_vocab)."""
     t = len(prefix_tokens)
     x = _f64(w, "tgt_embed")[np.asarray(prefix_tokens, dtype=np.int64)]
-    if cfg.use_positions:
-        x = x + _f64(w, "dec_pos")[:t]
+    x = x + _f64(w, "dec_pos")[:t]
     causal = np.zeros((t, t))
     for i in range(t):
         for j in range(i + 1, t):

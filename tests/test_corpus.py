@@ -10,9 +10,7 @@ from compforge.corpus import (
     build_vocab_counts,
     filter_oov,
     load_parallel_corpus,
-    load_vocab_counts,
     save_corpus_jsonl,
-    save_vocab_counts,
     side_tokens,
 )
 from compforge.errors import ConfigError, DataError
@@ -105,15 +103,6 @@ class TestVocabCounts:
         cab = build_vocab_counts(make_examples(sents_a + sents_b), "target")
         for token in set(ca.counts) | set(cb.counts):
             assert cab.count(token) == ca.count(token) + cb.count(token)
-
-    def test_snapshot_round_trip_sorted(self, tmp_path):
-        counts = build_vocab_counts(make_examples(["b a b z"]), "target")
-        path = tmp_path / "counts.tsv"
-        save_vocab_counts(counts, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines == sorted(lines)
-        again = load_vocab_counts(path)
-        assert again.counts == counts.counts
 
 
 class TestFilterOOV:

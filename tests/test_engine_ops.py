@@ -105,8 +105,7 @@ class TestCrossAttention:
         q = rng.normal(size=(2, 8))
         k = np.tile(rng.normal(size=(1, 8)), (5, 1))
         v = rng.normal(size=(5, 8))
-        out, weights = cross_attention(q, k, v, n_heads=2, return_weights=True)
-        np.testing.assert_allclose(weights, np.full((2, 2, 5), 0.2), atol=1e-12)
+        out = cross_attention(q, k, v, n_heads=2)
         np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (2, 1)), atol=1e-12)
 
     def test_matches_looped_oracle(self):
@@ -188,24 +187,6 @@ class TestEncode:
         out = encode([1, 2, 3, 4], w, cfg)
         assert out.shape == (4, cfg.d_model)
         assert out.dtype == np.float32
-
-    def test_without_positions_identical_tokens_share_rows(self):
-        cfg = small_config(variant="vanilla", use_positions=False)
-        w = init_weights(cfg, seed=0)
-        out = encode([3, 3, 3], w, cfg)
-        np.testing.assert_array_equal(out[0], out[1])
-        np.testing.assert_array_equal(out[1], out[2])
-
-    def test_without_positions_permutation_equivariant(self):
-        # Self-attention without position information is a set operation:
-        # permuting the tokens permutes the output rows the same way.
-        cfg = small_config(variant="vanilla", use_positions=False)
-        w = init_weights(cfg, seed=1)
-        src = [4, 9, 2, 6]
-        perm = [2, 0, 3, 1]
-        base = encode(src, w, cfg)
-        shuffled = encode([src[i] for i in perm], w, cfg)
-        np.testing.assert_allclose(shuffled, base[perm], atol=1e-6)
 
     def test_with_positions_order_matters(self):
         cfg = small_config(variant="vanilla")
@@ -426,20 +407,6 @@ class TestWeights:
         names = set(param_spec(cfg))
         assert any(n.startswith("aenc1.0.") for n in names)
         assert any(n.startswith("aenc2.0.") for n in names)
-
-    def test_sep_variant_shares_top_value_layers(self):
-        cfg = small_config(
-            variant="rdangle_sep",
-            encoder_layers=3,
-            k1=1,
-            k2=2,
-            shared_top_layers=1,
-        )
-        stage1, stage2 = cfg.adaptive_prefixes()
-        assert stage2[-1] == "enc.2"  # top value-encoder layer, reused
-        names = set(param_spec(cfg))
-        assert "aenc2.1.attn.wq" not in names
-        assert "aenc2.0.attn.wq" in names
 
     def test_aliased_stacks_read_same_arrays(self):
         cfg = small_config(share_adaptive_encoder=True, encoder_layers=2)
