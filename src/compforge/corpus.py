@@ -95,8 +95,8 @@ def load_parallel_corpus(path: str | Path, format: str | None = None) -> list[Pa
         else:
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"invalid JSON: {exc.msg}", path=str(path), line=lineno)
+            except (ValueError, RecursionError) as exc:  # also deep nesting, huge ints
+                raise DataError(f"invalid JSON: {exc}", path=str(path), line=lineno)
             if not isinstance(record, dict):
                 raise DataError("record is not an object", path=str(path), line=lineno)
             missing = [k for k in ("source", "target") if not isinstance(record.get(k), str)]

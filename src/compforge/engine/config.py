@@ -24,9 +24,13 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Any
 
-from compforge.errors import ConfigError
+from compforge.errors import ConfigError, require_int
 
 VARIANTS = ("vanilla", "dangle", "rdangle_shr", "rdangle_sep")
+_INT_FIELDS = (
+    "src_vocab", "tgt_vocab", "d_model", "n_heads", "encoder_layers", "decoder_layers",
+    "k1", "k2", "max_src_positions", "max_tgt_positions", "bos_id", "eos_id",
+)
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,13 @@ class ModelConfig:
     fusion_enabled: bool = True
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            require_int(name, getattr(self, name))
+        require_int("d_ff", self.d_ff, optional=True)
+        for name in ("share_adaptive_encoder", "fusion_enabled"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be true or false, got {value!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.n_heads < 1:
@@ -65,8 +76,11 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be at least 1")
         if self.k1 < 0 or self.k2 < 0 or self.k1 + self.k2 < 1:
             raise ConfigError("adaptive encoder needs k1, k2 >= 0 with k1 + k2 >= 1")
-        if not (self.interval == math.inf or (float(self.interval).is_integer() and self.interval >= 1)):
-            raise ConfigError(f"interval must be an integer >= 1 or inf, got {self.interval}")
+        interval = self.interval
+        if isinstance(interval, bool) or not isinstance(interval, (int, float)) or not (
+            interval == math.inf or (float(interval).is_integer() and interval >= 1)
+        ):
+            raise ConfigError(f"interval must be an integer >= 1 or inf, got {interval!r}")
         if not 0 <= self.bos_id < self.tgt_vocab or not 0 <= self.eos_id < self.tgt_vocab:
             raise ConfigError("bos_id/eos_id must lie inside the target vocabulary")
         if self.share_adaptive_encoder and self.encoder_layers != self.k1 + self.k2:

@@ -175,8 +175,8 @@ def load_weights(path: str | Path) -> tuple[Weights, ModelConfig | None]:
     (header_len,) = struct.unpack_from("<I", raw)
     try:
         header = json.loads(raw[4 : 4 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        raise DataError("unreadable weights header", path=str(path))
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting, huge ints
+        raise DataError(f"unreadable weights header ({exc})", path=str(path))
     offset = 4 + header_len
     data: dict[str, np.ndarray] = {}
     for name, shape in _header_layout(header, str(path)):

@@ -31,6 +31,13 @@ class DataError(CompforgeError):
         super().__init__(message + where)
 
 
+def require_int(name: str, value, optional: bool = False) -> None:
+    """ConfigError unless `value` is an int other than a bool (or None, if `optional`)."""
+    if (optional and value is None) or (isinstance(value, int) and not isinstance(value, bool)):
+        return
+    raise ConfigError(f"{name} must be an integer{' or null' if optional else ''}, got {value!r}")
+
+
 class StageError(CompforgeError):
     """A pipeline stage aborted; names the stage and keeps the cause."""
 

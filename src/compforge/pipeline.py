@@ -40,7 +40,7 @@ from compforge.cover import (
     select_candidate_pool,
     write_degree_tsv,
 )
-from compforge.errors import ConfigError, DataError, StageError
+from compforge.errors import ConfigError, DataError, StageError, require_int
 from compforge.ngrams import NGramDictionary, build_ngram_dictionary
 from compforge.uncertainty import (
     band_select,
@@ -85,6 +85,11 @@ class PipelineConfig:
     workers: int | None = None
 
     def validate(self) -> None:
+        for name in ("oov_min_count", "dict_min_count", "pool_k", "discard_top", "window",
+                     "sample", "seed"):
+            require_int(name, getattr(self, name))
+        require_int("max_n", self.max_n, optional=True)
+        require_int("workers", self.workers, optional=True)
         for name in ("oov_min_count", "dict_min_count", "discard_top", "window", "sample"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
@@ -97,17 +102,19 @@ class PipelineConfig:
         if self.side not in ("source", "target"):
             raise ConfigError(f"side must be source or target, got {self.side!r}")
         _check_workers(self.workers)
-        for name in ("train_path", "pool_path", "ensemble_dump_path"):
+        for name in ("train_path", "pool_path", "ensemble_dump_path", "out_dir"):
             path = getattr(self, name)
-            if not Path(path).is_file():
+            if not isinstance(path, (str, os.PathLike)):
+                raise ConfigError(f"{name} must be a path string, got {path!r}")
+            if name != "out_dir" and not Path(path).is_file():
                 raise ConfigError(f"{name} does not exist: {path}")
 
     @classmethod
     def from_json(cls, path: str | Path, **overrides) -> "PipelineConfig":
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"pipeline config {path} is not valid JSON: {exc.msg}")
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"pipeline config {path} is not valid JSON: {exc}")
         if not isinstance(payload, dict):
             raise ConfigError(f"pipeline config {path} must be a JSON object")
         payload.update({k: v for k, v in overrides.items() if v is not None})

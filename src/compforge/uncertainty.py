@@ -248,8 +248,8 @@ def read_ensemble_dump(path: str | Path) -> list[EnsembleTokenDistributions]:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid JSON: {exc.msg}", path=str(path), line=lineno)
+        except (ValueError, RecursionError) as exc:  # also deep nesting, huge ints
+            raise DataError(f"invalid JSON: {exc}", path=str(path), line=lineno)
         try:
             out.append(_dump_record(record))
         except DataError as exc:

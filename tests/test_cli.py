@@ -205,6 +205,15 @@ class TestRunPipelineCommand:
         assert "workers" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("changes", [{"pool_k": "5"}, {"oov_min_count": None}],
+                             ids=["pool_k-string", "oov_min_count-null"])
+    def test_wrongly_typed_value_exits_2(self, pipeline_inputs, tmp_path, capsys, changes):
+        blob = self.write_config(pipeline_inputs, tmp_path / "out", tmp_path)
+        blob.write_text(json.dumps({**json.loads(blob.read_text()), **changes}))
+        assert main(["run-pipeline", "--config", str(blob)]) == 2
+        err = capsys.readouterr().err
+        assert next(iter(changes)) in err and "Traceback" not in err
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run-pipeline", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -479,6 +488,46 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert "n_heads" in err and "Traceback" not in err
 
+    def test_float_geometry_in_stored_config_exits_3(self, sim_weights, tmp_path, capsys):
+        path = tmp_path / "model.npw"
+        path.write_bytes(_with_stored_config(sim_weights["path"].read_bytes(), d_model=16.0))
+        src = tmp_path / "src.txt"
+        src.write_text("3 5 7\n")
+        assert main(["simulate", "--weights", str(path), "--input", str(src)]) == 3
+        err = capsys.readouterr().err
+        assert "d_model" in err and "Traceback" not in err
+
+    def test_deleted_config_field_exits_3(self, sim_weights, tmp_path, capsys):
+        # Weights saved with a layout option the engine no longer has are
+        # rejected rather than decoded with the option silently dropped.
+        path = tmp_path / "model.npw"
+        path.write_bytes(_with_stored_config(sim_weights["path"].read_bytes(),
+                                             use_positions=True))
+        src = tmp_path / "src.txt"
+        src.write_text("3 5 7\n")
+        assert main(["simulate", "--weights", str(path), "--input", str(src)]) == 3
+        err = capsys.readouterr().err
+        assert "error:" in err and "use_positions" in err and "Traceback" not in err
+
+    # One JSON reader per row; {deep} is a file whose JSON the parser cannot
+    # take: nested too deeply, or an integer too long to convert.
+    @pytest.mark.parametrize("text", [b"[" * 200_000, b"1" * 5_000], ids=["nested", "long-int"])
+    @pytest.mark.parametrize("command, code", [
+        (["filter-oov", "--train", "{train}", "--pool", "{deep}.jsonl", "--out", "{out}"], 3),
+        (["uncertainty-score", "--dump", "{deep}.jsonl", "--out", "{out}"], 3),
+        (["run-pipeline", "--config", "{deep}.jsonl"], 2),
+        (["simulate", "--weights", "{deep}.bin", "--input", "{train}"], 3),
+    ], ids=["corpus", "dump", "pipeline-config", "weights-header"])
+    def test_unparsable_json_exits_cleanly(self, pipeline_inputs, tmp_path, capsys,
+                                           command, code, text):
+        deep = tmp_path / "deep"
+        Path(f"{deep}.jsonl").write_bytes(text + b"\n")
+        Path(f"{deep}.bin").write_bytes(struct.pack("<I", len(text)) + text)
+        paths = {"deep": deep, "train": pipeline_inputs["train"], "out": tmp_path / "out"}
+        assert main([arg.format(**paths) for arg in command]) == code
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
     # One command per text reader; {bad} is a file holding a non-UTF-8 byte.
     @pytest.mark.parametrize("command", [
         ["filter-oov", "--train", "{bad}", "--pool", "{pool}", "--out", "{out}"],
@@ -559,6 +608,15 @@ def _saved_model() -> bytes:
         return path.read_bytes()
 
 
+def _with_stored_config(raw: bytes, **changes) -> bytes:
+    """A saved model whose header config has `changes` applied."""
+    end = 4 + struct.unpack_from("<I", raw)[0]
+    header = json.loads(raw[4:end])
+    header["config"].update(changes)
+    blob = json.dumps(header, sort_keys=True).encode()
+    return struct.pack("<I", len(blob)) + blob + raw[end:]
+
+
 _MODEL = _saved_model()
 _MODEL_HEADER_END = 4 + struct.unpack_from("<I", _MODEL)[0]
 
@@ -601,6 +659,38 @@ def test_corrupted_dump_line_exits_0_2_or_3(truncate, at, byte):
         dump.write_bytes(_corrupt(_DUMP_LINE, truncate, at, byte) + b"\n")
         code, err = _run_quietly(["uncertainty-score", "--dump", str(dump),
                                   "--out", str(Path(tmp) / "u.tsv")])
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    assert code == 0 or "error:" in err
+
+
+_TRAIN_TSV = "".join(f"{s}\t{t}\n" for s, t in [
+    ("a b c", "x y z"), ("b c", "y z"), ("a b", "x y"), ("c a b", "z x y"), ("a c", "x z"),
+]).encode()
+_POOL_JSONL = b"".join(
+    json.dumps({"id": f"p{i}", "source": s, "target": t, "meta": {"n": i}}).encode() + b"\n"
+    for i, (s, t) in enumerate([("a b", "x y"), ("c", "z w"), ("b c a", "y z x")])
+)
+
+
+# build-dict reads the corrupted corpus as TSV training data, filter-oov as a
+# JSONL pool; a still-valid corpus may succeed.
+@settings(max_examples=200, deadline=None)
+@given(jsonl=st.booleans(), truncate=st.booleans(), data=st.data(), byte=st.integers(0, 255))
+def test_corrupted_corpus_exits_0_2_or_3(jsonl, truncate, data, byte):
+    raw = _POOL_JSONL if jsonl else _TRAIN_TSV
+    corrupted = _corrupt(raw, truncate, data.draw(st.integers(0, len(raw) - 1)), byte)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        train, pool = tmp / "train.tsv", tmp / "pool.jsonl"
+        if jsonl:
+            train.write_bytes(_TRAIN_TSV)
+            pool.write_bytes(corrupted)
+            argv = ["filter-oov", "--train", str(train), "--pool", str(pool), "--min-count", "1"]
+        else:
+            train.write_bytes(corrupted)
+            argv = ["build-dict", "--train", str(train), "--min-count", "1"]
+        code, err = _run_quietly(argv + ["--out", str(tmp / "out")])
     assert code in (0, 2, 3), err
     assert "Traceback" not in err
     assert code == 0 or "error:" in err

@@ -355,6 +355,15 @@ class TestWeights:
         with pytest.raises(ConfigError, match="n_heads"):
             small_config(n_heads=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("d_model", 16.0), ("n_heads", True), ("k1", "1"), ("src_vocab", None),
+        ("d_ff", 32.0), ("share_adaptive_encoder", 1), ("fusion_enabled", None),
+        ("interval", True), ("interval", "3"),
+    ])
+    def test_wrongly_typed_field_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            small_config(**{field: value})
+
     def test_invalid_stored_config_rejected(self, tmp_path):
         path = tmp_path / "model.npw"
         save_weights(path, init_weights(small_config(), seed=0), small_config())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,14 @@ class TestPipelineConfig:
     def test_negative_counts_rejected(self, pipeline_inputs, tmp_path):
         with pytest.raises(ConfigError):
             make_config(pipeline_inputs, tmp_path, discard_top=-1).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("pool_k", "5"), ("oov_min_count", None), ("seed", 1.5), ("discard_top", False),
+        ("max_n", 4.0), ("workers", True), ("train_path", 5), ("out_dir", None),
+    ])
+    def test_wrongly_typed_field_rejected(self, pipeline_inputs, tmp_path, field, value):
+        with pytest.raises(ConfigError, match=field):
+            replace(make_config(pipeline_inputs, tmp_path), **{field: value}).validate()
 
     def test_parallel_workers_rejected_before_any_stage(self, pipeline_inputs, tmp_path):
         out = tmp_path / "out"
