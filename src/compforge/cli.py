@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 for configuration errors (bad flags, invalid or
-missing paths/settings), 3 for data errors (malformed records, inconsistent
-inputs).
+Exit codes: 0 on success, 2 for configuration errors (bad flags, invalid,
+missing or unreadable paths, bad settings), 3 for data errors (malformed
+records, inconsistent inputs).
 """
 
 from __future__ import annotations
@@ -287,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, StageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CompforgeError as exc:

@@ -1,14 +1,19 @@
 """Forward-pass engine: plain encoding, adaptive re-encoding, scheduled
-greedy decoding with an incrementally grown target memory.
+greedy decoding with an incrementally grown K/V cache.
 
 Full and incremental decoding share one decoder stack, `_decode`, which
-runs new target tokens after a memory of earlier positions. `kv_decode_full`
-starts it from an empty memory (re-encoding points rebuild the memory from
-scratch); `kv_decode_step` feeds it one token, so between points the memory
-grows by exactly one position per step. Decoding state is functional: a new
-memory is returned and the old one is left untouched. Both entry points
-take value encodings and key encodings as distinct matrices; shared-encoding
-decoding passes the same matrix twice.
+runs new target tokens after a memory of earlier positions. The memory is a
+per-layer cache of projected self-attention keys and values: new positions
+normalise and project only their own rows and attend over the cache plus
+those rows. `kv_decode_full` starts the stack from an empty memory
+(re-encoding points rebuild the memory from scratch); `kv_decode_step`
+feeds it one token, so between points the cache grows by exactly one row
+per layer and step. Decoding state is functional: a new memory is returned
+and the old one is left untouched. Both entry points take value encodings
+and key encodings as distinct matrices; shared-encoding decoding passes the
+same matrix twice. Their cross-attention projections depend only on those
+matrices, so `greedy_decode` makes them once per re-encoding point (values
+of the plain encoder once per decode) and passes them in as `cross`.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from compforge.engine.ops import (
     ffn,
     key_block_mask,
     layer_norm,
+    project,
 )
 from compforge.engine.weights import Weights
 from compforge.errors import CompforgeError, ConfigError
@@ -135,40 +141,56 @@ def build_schedule(interval: float, horizon: int) -> ReEncodingSchedule:
 
 @dataclass
 class TargetMemory:
-    """Per-decoder-layer history of layer-input hidden states (t rows each).
+    """Per-decoder-layer cache of projected self-attention keys and values.
 
-    Row i of layer l is the input of decoder layer l at target position i.
-    New positions read these rows as self-attention keys and values and
-    append their own inputs, so a memory built by one full pass over a
+    `keys[l]` and `values[l]` are (t, d_model): row i is decoder layer l's
+    self-attention key (value) projection of its normalised input at target
+    position i. New positions project only their own rows, append them and
+    attend over the whole cache, so a memory built by one full pass over a
     prefix agrees, up to float32 rounding, with one grown a token at a time.
     """
 
-    layers: tuple[np.ndarray, ...]
+    keys: tuple[np.ndarray, ...]
+    values: tuple[np.ndarray, ...]
 
     @classmethod
     def empty(cls, cfg: ModelConfig) -> "TargetMemory":
-        return cls(
-            layers=tuple(
-                np.zeros((0, cfg.d_model), dtype=np.float32)
-                for _ in range(cfg.decoder_layers)
+        def no_rows() -> tuple[np.ndarray, ...]:
+            return tuple(
+                np.zeros((0, cfg.d_model), dtype=np.float32) for _ in range(cfg.decoder_layers)
             )
-        )
+
+        return cls(keys=no_rows(), values=no_rows())
 
     @property
     def length(self) -> int:
-        return self.layers[0].shape[0]
+        return self.keys[0].shape[0]
 
     def _validate(self, cfg: ModelConfig) -> None:
-        if len(self.layers) != cfg.decoder_layers:
-            raise ConfigError(
-                f"memory has {len(self.layers)} layers, model has {cfg.decoder_layers}"
-            )
-        lengths = {layer.shape[0] for layer in self.layers}
+        for name, rows in (("key", self.keys), ("value", self.values)):
+            if len(rows) != cfg.decoder_layers:
+                raise ConfigError(
+                    f"memory has {len(rows)} {name} layers, model has {cfg.decoder_layers}"
+                )
+        cached = self.keys + self.values
+        lengths = {rows.shape[0] for rows in cached}
         if len(lengths) != 1:
             raise ConfigError(f"inconsistent memory lengths across layers: {sorted(lengths)}")
-        widths = {layer.shape[1] for layer in self.layers}
+        widths = {rows.shape[1] for rows in cached}
         if widths != {cfg.d_model}:
             raise ConfigError(f"memory width {sorted(widths)} does not match d_model")
+
+
+# Per-decoder-layer cross-attention (values, keys), as `_project_cross` makes them.
+CrossProjections = tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
+
+
+def _project_cross(
+    enc: np.ndarray, w: Weights, cfg: ModelConfig, part: str
+) -> tuple[np.ndarray, ...]:
+    """Every decoder layer's cross-attention keys (`part` "k") or values ("v")
+    of an encoding matrix, each (n, d_model)."""
+    return tuple(project(enc, w, f"dec.{i}.cross", part) for i in range(cfg.decoder_layers))
 
 
 def _check_kv(enc_v: np.ndarray, enc_k: np.ndarray) -> None:
@@ -185,13 +207,15 @@ def _finite_or_raise(logits: np.ndarray) -> None:
 
 def _decode(
     tokens: Sequence[int], memory: TargetMemory, enc_v: np.ndarray, enc_k: np.ndarray,
-    w: Weights, cfg: ModelConfig,
+    w: Weights, cfg: ModelConfig, cross: CrossProjections | None = None,
 ) -> tuple[np.ndarray, TargetMemory]:
     """Decode `tokens` at the m positions after the memory's t rows.
 
-    The new rows attend to the memory and to each other through causal-mask
-    rows t..t+m-1. Returns next-token logits (m, tgt_vocab) and the memory
-    grown by m rows; the input memory is left untouched.
+    The new rows attend to the cache and to each other through causal-mask
+    rows t..t+m-1. `cross`, if given, is the per-layer cross-attention
+    (values, keys) that `_project_cross` makes of `enc_v` and `enc_k`.
+    Returns next-token logits (m, tgt_vocab) and the memory grown by m rows;
+    the input memory is left untouched.
     """
     _check_tokens(tokens, cfg.tgt_vocab, "prefix")
     _check_kv(enc_v, enc_k)
@@ -199,49 +223,54 @@ def _decode(
     t, m = memory.length, len(tokens)
     if t + m > cfg.max_tgt_positions:
         raise ConfigError(f"prefix of {t + m} tokens exceeds max_tgt_positions")
+    if cross is None:
+        cross = (_project_cross(enc_v, w, cfg, "v"), _project_cross(enc_k, w, cfg, "k"))
+    cross_v, cross_k = cross
     x = w["tgt_embed"][np.asarray(tokens, dtype=np.int64)] + w["dec_pos"][t : t + m]
-    mask = causal_mask(t + m)[t:]
-    layers = []
+    # A single new row sees every cached position: its mask row is all zeros.
+    mask = causal_mask(t + m)[t:] if m > 1 else None
+    keys, values = [], []
     for idx in range(cfg.decoder_layers):
         p = f"dec.{idx}"
-        inputs = np.concatenate([memory.layers[idx], x], axis=0)
-        layers.append(inputs)
-        normed = layer_norm(inputs, w[f"{p}.ln1.g"], w[f"{p}.ln1.b"])
-        x = x + attention_block(normed[t:], normed, w, f"{p}.self", cfg.n_heads, mask)
+        normed = layer_norm(x, w[f"{p}.ln1.g"], w[f"{p}.ln1.b"])
+        keys.append(np.concatenate([memory.keys[idx], project(normed, w, f"{p}.self", "k")]))
+        values.append(np.concatenate([memory.values[idx], project(normed, w, f"{p}.self", "v")]))
+        x = x + attention_block(normed, keys[-1], values[-1], w, f"{p}.self", cfg.n_heads, mask)
         normed = layer_norm(x, w[f"{p}.ln2.g"], w[f"{p}.ln2.b"])
-        q = normed @ w[f"{p}.cross.wq"] + w[f"{p}.cross.bq"]
-        k = enc_k @ w[f"{p}.cross.wk"] + w[f"{p}.cross.bk"]
-        v = enc_v @ w[f"{p}.cross.wv"] + w[f"{p}.cross.bv"]
-        x = x + (cross_attention(q, k, v, cfg.n_heads) @ w[f"{p}.cross.wo"] + w[f"{p}.cross.bo"])
+        q = project(normed, w, f"{p}.cross", "q")
+        x = x + project(cross_attention(q, cross_k[idx], cross_v[idx], cfg.n_heads), w,
+                        f"{p}.cross", "o")
         normed = layer_norm(x, w[f"{p}.ln3.g"], w[f"{p}.ln3.b"])
         x = x + ffn(normed, w, f"{p}.ffn")
     x = layer_norm(x, w["dec.ln_f.g"], w["dec.ln_f.b"])
     logits = x @ w["out_w"] + w["out_b"]
     _finite_or_raise(logits)
-    return logits, TargetMemory(layers=tuple(layers))
+    return logits, TargetMemory(keys=tuple(keys), values=tuple(values))
 
 
 def kv_decode_full(
-    prefix: Sequence[int], enc_v: np.ndarray, enc_k: np.ndarray, w: Weights, cfg: ModelConfig
+    prefix: Sequence[int], enc_v: np.ndarray, enc_k: np.ndarray, w: Weights, cfg: ModelConfig,
+    cross: CrossProjections | None = None,
 ) -> tuple[np.ndarray, TargetMemory]:
     """Run the decoder over a whole prefix with an empty starting memory.
 
     Returns per-position next-token logits (t, tgt_vocab) and the rebuilt
     memory. Used at re-encoding points and as the from-scratch reference.
+    `cross` is as in `_decode`.
     """
-    return _decode(prefix, TargetMemory.empty(cfg), enc_v, enc_k, w, cfg)
+    return _decode(prefix, TargetMemory.empty(cfg), enc_v, enc_k, w, cfg, cross)
 
 
 def kv_decode_step(
     token: int, memory: TargetMemory, enc_v: np.ndarray, enc_k: np.ndarray,
-    w: Weights, cfg: ModelConfig,
+    w: Weights, cfg: ModelConfig, cross: CrossProjections | None = None,
 ) -> tuple[np.ndarray, TargetMemory]:
     """Advance one step: consume `token` at the next position.
 
     Returns next-token logits (tgt_vocab,) and the grown memory; the input
-    memory is left untouched.
+    memory is left untouched. `cross` is as in `_decode`.
     """
-    logits, memory = _decode([token], memory, enc_v, enc_k, w, cfg)
+    logits, memory = _decode([token], memory, enc_v, enc_k, w, cfg, cross)
     return logits[0], memory
 
 
@@ -262,9 +291,18 @@ class StepTrace:
 
 @dataclass
 class DecodeResult:
+    """Emitted tokens, the per-step trace and what the decode cost.
+
+    `reencodings` counts the adaptive encodes run (one per schedule point
+    reached); `cached_rows` sums, over incremental steps, the target rows
+    read from the K/V cache instead of recomputed.
+    """
+
     tokens: tuple[int, ...]
     steps: tuple[StepTrace, ...]
     schedule: ReEncodingSchedule | None
+    reencodings: int
+    cached_rows: int
 
 
 def greedy_decode(
@@ -298,30 +336,42 @@ def greedy_decode(
             )
 
     # Values come from the plain encoder, except for shared variants, whose
-    # values are the keys of the latest re-encoding point.
-    value_enc, value_hash = None, ""
+    # values are the keys of the latest re-encoding point. Each encoding's
+    # cross-attention projections are made once, when it is made.
+    value_enc, value_hash, cross_v = None, "", ()
     if not shared:
         value_enc = encode(src, w, cfg)
         value_hash = encoding_hash(value_enc)
+        cross_v = _project_cross(value_enc, w, cfg, "v")
     key_enc, key_hash = value_enc, value_hash
+    cross_k = _project_cross(key_enc, w, cfg, "k") if schedule is None else ()
 
     prefix = [cfg.bos_id]
     memory = TargetMemory.empty(cfg)
     current_point: int | None = None
     tokens: list[int] = []
     steps: list[StepTrace] = []
+    reencodings = cached_rows = 0
 
     for t in range(1, max_len + 1):
         if schedule is not None and t in schedule:
             current_point = t
             key_enc = adaptive_encode(src, prefix, w, cfg)
             key_hash = encoding_hash(key_enc)
+            cross_k = _project_cross(key_enc, w, cfg, "k")
+            reencodings += 1
             if shared:
                 value_enc, value_hash = key_enc, key_hash
-            all_logits, memory = kv_decode_full(prefix, value_enc, key_enc, w, cfg)
+                cross_v = _project_cross(key_enc, w, cfg, "v")
+            all_logits, memory = kv_decode_full(
+                prefix, value_enc, key_enc, w, cfg, cross=(cross_v, cross_k)
+            )
             logits = all_logits[-1]
         else:
-            logits, memory = kv_decode_step(prefix[-1], memory, value_enc, key_enc, w, cfg)
+            cached_rows += memory.length
+            logits, memory = kv_decode_step(
+                prefix[-1], memory, value_enc, key_enc, w, cfg, cross=(cross_v, cross_k)
+            )
         token = int(np.argmax(logits))
         steps.append(
             StepTrace(
@@ -338,4 +388,10 @@ def greedy_decode(
             break
         prefix.append(token)
 
-    return DecodeResult(tokens=tuple(tokens), steps=tuple(steps), schedule=schedule)
+    return DecodeResult(
+        tokens=tuple(tokens),
+        steps=tuple(steps),
+        schedule=schedule,
+        reencodings=reencodings,
+        cached_rows=cached_rows,
+    )

@@ -37,6 +37,17 @@ def key_block_mask(n_keys: int, visible: int, n_queries: int, dtype=np.float32) 
     return mask
 
 
+def project(x: np.ndarray, w, prefix: str, part: str) -> np.ndarray:
+    """One attention projection: `x @ {prefix}.w{part} + {prefix}.b{part}`,
+    `part` being q, k, v or o."""
+    return x @ w[f"{prefix}.w{part}"] + w[f"{prefix}.b{part}"]
+
+
+def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """(T, d_model) -> (n_heads, T, d_model / n_heads), a view."""
+    return x.reshape(x.shape[0], n_heads, -1).transpose(1, 0, 2)
+
+
 def cross_attention(
     q: np.ndarray,
     k: np.ndarray,
@@ -48,44 +59,40 @@ def cross_attention(
 
     `q` is (T_q, d_model); `k` and `v` are (T_k, d_model) and must agree on
     row count. `mask`, if given, is an additive (T_q, T_k) matrix (0 keeps,
-    -inf hides). Returns the concatenated head outputs (T_q, d_model); the
+    -inf hides). All heads run as one batched (H, T_q, d/H) @ (H, d/H, T_k)
+    product. Returns the concatenated head outputs (T_q, d_model); the
     output projection is the caller's business.
     """
     if k.shape[0] != v.shape[0]:
         raise ConfigError(f"key rows ({k.shape[0]}) != value rows ({v.shape[0]})")
-    d_model = q.shape[-1]
+    t_q, d_model = q.shape
     if d_model % n_heads != 0:
         raise ConfigError(f"d_model {d_model} not divisible by n_heads {n_heads}")
-    head_dim = d_model // n_heads
     # Plain-float scale so float32 inputs stay float32 (a numpy scalar
     # would promote the whole score matrix to float64).
-    scale = 1.0 / math.sqrt(head_dim)
-
-    outputs = []
-    for h in range(n_heads):
-        lo, hi = h * head_dim, (h + 1) * head_dim
-        scores = (q[:, lo:hi] @ k[:, lo:hi].T) * scale
-        if mask is not None:
-            scores = scores + mask
-        attn = softmax(scores, axis=-1)
-        outputs.append(attn @ v[:, lo:hi])
-    return np.concatenate(outputs, axis=-1)
+    scale = 1.0 / math.sqrt(d_model // n_heads)
+    keys_t = _split_heads(k, n_heads).transpose(0, 2, 1)
+    scores = (_split_heads(q, n_heads) @ keys_t) * scale
+    if mask is not None:
+        scores = scores + mask
+    out = softmax(scores, axis=-1) @ _split_heads(v, n_heads)
+    return out.transpose(1, 0, 2).reshape(t_q, d_model)
 
 
 def attention_block(
     x_q: np.ndarray,
-    x_kv: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
     w,
     prefix: str,
     n_heads: int,
     mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Projected attention sublayer output (pre-norm residual not included)."""
-    q = x_q @ w[f"{prefix}.wq"] + w[f"{prefix}.bq"]
-    k = x_kv @ w[f"{prefix}.wk"] + w[f"{prefix}.bk"]
-    v = x_kv @ w[f"{prefix}.wv"] + w[f"{prefix}.bv"]
-    out = cross_attention(q, k, v, n_heads, mask=mask)
-    return out @ w[f"{prefix}.wo"] + w[f"{prefix}.bo"]
+    """Attention sublayer output over projected keys and values: projects
+    the queries, attends and projects the result (pre-norm residual not
+    included)."""
+    out = cross_attention(project(x_q, w, prefix, "q"), k, v, n_heads, mask=mask)
+    return project(out, w, prefix, "o")
 
 
 def ffn(x: np.ndarray, w, prefix: str) -> np.ndarray:
@@ -98,6 +105,8 @@ def encoder_layer(
 ) -> np.ndarray:
     """One pre-norm self-attention encoder layer."""
     normed = layer_norm(x, w[f"{prefix}.ln1.g"], w[f"{prefix}.ln1.b"])
-    x = x + attention_block(normed, normed, w, f"{prefix}.attn", n_heads, mask)
+    attn = f"{prefix}.attn"
+    k, v = project(normed, w, attn, "k"), project(normed, w, attn, "v")
+    x = x + attention_block(normed, k, v, w, attn, n_heads, mask)
     normed = layer_norm(x, w[f"{prefix}.ln2.g"], w[f"{prefix}.ln2.b"])
     return x + ffn(normed, w, f"{prefix}.ffn")

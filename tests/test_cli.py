@@ -549,6 +549,66 @@ class TestMalformedInputs:
         assert "not UTF-8" in err and str(bad) in err and "Traceback" not in err
 
 
+# Every option naming a file a command reads, and the input it takes.
+_READERS = {
+    "build-dict": {"--train": "train"},
+    "filter-oov": {"--train": "train", "--pool": "pool"},
+    "comp-degree": {"--dict": "dict", "--pool": "pool"},
+    "select-pool": {"--pool": "pool", "--scores": "degrees"},
+    "uncertainty-score": {"--dump": "dump"},
+    "sample-testset": {"--pool": "pool", "--scores": "uncertainty"},
+    "analyze-novelty": {"--train": "train", "--test": "train", "--tagged-train": "tagged",
+                        "--tagged-test": "tagged", "--dict": "dict"},
+    "simulate": {"--weights": "weights", "--input": "sources"},
+    "run-pipeline": {"--config": "config"},
+}
+_READ_OPTIONS = [(command, option) for command, options in _READERS.items() for option in options]
+
+
+class TestUnreadablePaths:
+    @pytest.fixture
+    def inputs(self, pipeline_inputs, sim_weights, tmp_path):
+        """A readable file for every input kind in `_READERS`."""
+        paths = dict(pipeline_inputs, weights=sim_weights["path"], dict=tmp_path / "d.ngix",
+                     degrees=tmp_path / "degrees.tsv", uncertainty=tmp_path / "unc.tsv",
+                     tagged=tmp_path / "train.tags", sources=tmp_path / "sources.txt",
+                     config=tmp_path / "pipeline.json")
+        for argv in (["build-dict", "--train", "{train}", "--out", "{dict}"],
+                     ["comp-degree", "--dict", "{dict}", "--pool", "{pool}", "--out", "{degrees}"],
+                     ["uncertainty-score", "--dump", "{dump}", "--out", "{uncertainty}"]):
+            assert _run_quietly([arg.format(**paths) for arg in argv])[0] == 0
+        paths["tagged"].write_text("w1\tTOK\nw2\tTOK\n\n", encoding="utf-8")
+        paths["sources"].write_text("3 5 7\n", encoding="utf-8")
+        paths["config"].write_text(json.dumps(make_config(pipeline_inputs, tmp_path).__dict__))
+        return paths
+
+    # A directory, or a path below a regular file, in place of one input file.
+    @pytest.mark.parametrize("kind", ["directory", "below-a-file"])
+    @pytest.mark.parametrize("command, option", _READ_OPTIONS,
+                             ids=[" ".join(pair) for pair in _READ_OPTIONS])
+    def test_unreadable_input_exits_2(self, inputs, tmp_path, capsys, command, option, kind):
+        bad = tmp_path if kind == "directory" else inputs["train"] / "child"
+        argv = [command]
+        for flag, name in _READERS[command].items():
+            argv += [flag, str(bad if flag == option else inputs[name])]
+        if command not in ("simulate", "run-pipeline"):
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and str(bad) in err and "Traceback" not in err
+
+    def test_permission_denied_exits_2(self, monkeypatch, capsys):
+        import compforge.cli as cli
+
+        def denied(args):
+            raise PermissionError(13, "Permission denied", args.train)
+
+        monkeypatch.setitem(cli._COMMANDS, "build-dict", denied)
+        assert main(["build-dict", "--train", "locked.tsv", "--out", "d.ngix"]) == 2
+        err = capsys.readouterr().err
+        assert "Permission denied" in err and "locked.tsv" in err
+
+
 _FUZZ_IDS = ("p0", "p1", "p2")
 _fuzz_line = st.one_of(
     st.text(max_size=30),
@@ -694,6 +754,99 @@ def test_corrupted_corpus_exits_0_2_or_3(jsonl, truncate, data, byte):
     assert code in (0, 2, 3), err
     assert "Traceback" not in err
     assert code == 0 or "error:" in err
+
+
+def _assert_clean_exit(code: int, err: str) -> None:
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    assert code == 0 or "error:" in err
+
+
+# select-pool and sample-testset read the corrupted pool against scores for
+# its original ids; an id the corruption changed is a data error.
+@settings(max_examples=150, deadline=None)
+@given(truncate=st.booleans(), at=st.integers(0, len(_POOL_JSONL) - 1),
+       byte=st.integers(0, 255))
+def test_corrupted_selection_pool_exits_0_2_or_3(truncate, at, byte):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        pool, degrees, uncertainty = tmp / "pool.jsonl", tmp / "degrees.tsv", tmp / "unc.tsv"
+        pool.write_bytes(_corrupt(_POOL_JSONL, truncate, at, byte))
+        degrees.write_text("p0\t1\t2\t0.5\np1\t2\t2\t1\np2\t1\t3\t0.3333333333\n")
+        uncertainty.write_text("p0\t0.1\np1\t0.2\np2\t0.3\n")
+        for argv in (["select-pool", "--scores", str(degrees), "--k", "2"],
+                     ["sample-testset", "--scores", str(uncertainty), "--discard-top", "0",
+                      "--window", "3", "--sample", "2"]):
+            _assert_clean_exit(*_run_quietly(
+                argv + ["--pool", str(pool), "--out", str(tmp / "out.jsonl")]))
+
+
+# One tagged sentence per target of _TRAIN_TSV, which is both train and test set.
+_TAGGED = b"".join(
+    b"".join(tok + b"\tTOK\n" for tok in line.split(b"\t")[1].split()) + b"\n"
+    for line in _TRAIN_TSV.splitlines()
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(test_side=st.booleans(), truncate=st.booleans(), at=st.integers(0, len(_TAGGED) - 1),
+       byte=st.integers(0, 255))
+def test_corrupted_tagged_file_exits_0_2_or_3(test_side, truncate, at, byte):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        train, dictionary = tmp / "train.tsv", tmp / "d.ngix"
+        good, bad = tmp / "good.tags", tmp / "bad.tags"
+        train.write_bytes(_TRAIN_TSV)
+        good.write_bytes(_TAGGED)
+        bad.write_bytes(_corrupt(_TAGGED, truncate, at, byte))
+        assert _run_quietly(["build-dict", "--train", str(train), "--min-count", "1",
+                             "--out", str(dictionary)])[0] == 0
+        tagged_train, tagged_test = (good, bad) if test_side else (bad, good)
+        _assert_clean_exit(*_run_quietly([
+            "analyze-novelty", "--train", str(train), "--test", str(train),
+            "--tagged-train", str(tagged_train), "--tagged-test", str(tagged_test),
+            "--dict", str(dictionary), "--out", str(tmp / "report.json")]))
+
+
+_SOURCES = b"3 5 7\n2 4 6 8\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(truncate=st.booleans(), at=st.integers(0, len(_SOURCES) - 1), byte=st.integers(0, 255))
+def test_corrupted_simulate_sources_exit_0_2_or_3(truncate, at, byte):
+    with tempfile.TemporaryDirectory() as tmp:
+        weights, src = Path(tmp) / "model.bin", Path(tmp) / "src.txt"
+        weights.write_bytes(_MODEL)
+        src.write_bytes(_corrupt(_SOURCES, truncate, at, byte))
+        _assert_clean_exit(*_run_quietly(["simulate", "--weights", str(weights),
+                                          "--input", str(src), "--max-len", "4"]))
+
+
+def _dump_record(ex_id: str) -> bytes:
+    support = [["x", "y", "<other>"], ["z", "<other>"]]
+    probs = [[[0.5, 0.25, 0.25], [0.75, 0.25]], [[0.25, 0.5, 0.25], [0.5, 0.5]]]
+    return json.dumps({"id": ex_id, "support": support, "probs": probs}).encode() + b"\n"
+
+
+# The output directory comes from --out-dir, so a corrupted out_dir cannot
+# send the run's files elsewhere.
+@settings(max_examples=100, deadline=None)
+@given(truncate=st.booleans(), data=st.data(), byte=st.integers(0, 255))
+def test_corrupted_pipeline_config_exits_0_2_or_3(truncate, data, byte):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = {"train": tmp / "train.tsv", "pool": tmp / "pool.jsonl",
+                 "dump": tmp / "dump.jsonl"}
+        paths["train"].write_bytes(_TRAIN_TSV)
+        paths["pool"].write_bytes(_POOL_JSONL)
+        paths["dump"].write_bytes(b"".join(_dump_record(f"p{i}") for i in range(3)))
+        config = make_config(paths, tmp / "out", oov_min_count=1, dict_min_count=1, max_n=3,
+                             pool_k=3, discard_top=0, window=2, sample=1)
+        raw = json.dumps(config.__dict__, sort_keys=True).encode()
+        blob = tmp / "pipeline.json"
+        blob.write_bytes(_corrupt(raw, truncate, data.draw(st.integers(0, len(raw) - 1)), byte))
+        _assert_clean_exit(*_run_quietly(["run-pipeline", "--config", str(blob),
+                                          "--out-dir", str(tmp / "out")]))
 
 
 def test_interval_parsing_round_trip():

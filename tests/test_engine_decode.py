@@ -109,7 +109,9 @@ class TestIncrementalDecode:
                 for t, tok in enumerate(prefix):
                     logits, memory = kv_decode_step(int(tok), memory, enc, keys, w, cfg)
                     np.testing.assert_allclose(logits, full[t], atol=1e-6)
-                for stepped, rebuilt in zip(memory.layers, full_mem.layers, strict=True):
+                for stepped, rebuilt in zip(
+                    memory.keys + memory.values, full_mem.keys + full_mem.values, strict=True
+                ):
                     np.testing.assert_allclose(stepped, rebuilt, atol=1e-6)
 
     def test_first_step_equals_single_token_full(self):
@@ -119,7 +121,7 @@ class TestIncrementalDecode:
         full, full_mem = kv_decode_full([cfg.bos_id], enc, enc, w, cfg)
         step, step_mem = kv_decode_step(cfg.bos_id, TargetMemory.empty(cfg), enc, enc, w, cfg)
         np.testing.assert_array_equal(step, full[0])
-        for a, b in zip(step_mem.layers, full_mem.layers):
+        for a, b in zip(step_mem.keys + step_mem.values, full_mem.keys + full_mem.values):
             np.testing.assert_array_equal(a, b)
 
     def test_causality(self):
@@ -145,16 +147,16 @@ class TestIncrementalDecode:
         for expected in range(1, 4):
             _, memory = kv_decode_step(1, memory, enc, enc, w, cfg)
             assert memory.length == expected
-            assert len(memory.layers) == cfg.decoder_layers
+            assert len(memory.keys) == len(memory.values) == cfg.decoder_layers
 
     def test_step_does_not_mutate_input_memory(self):
         cfg = small_config()
         w = init_weights(cfg, seed=0)
         enc = encode([2, 4], w, cfg)
         _, memory = kv_decode_step(1, TargetMemory.empty(cfg), enc, enc, w, cfg)
-        snapshot = [layer.copy() for layer in memory.layers]
+        snapshot = [rows.copy() for rows in memory.keys + memory.values]
         kv_decode_step(3, memory, enc, enc, w, cfg)
-        for a, b in zip(memory.layers, snapshot):
+        for a, b in zip(memory.keys + memory.values, snapshot):
             np.testing.assert_array_equal(a, b)
 
     def test_distinct_keys_and_values_both_matter(self):
@@ -180,15 +182,15 @@ class TestIncrementalDecode:
         cfg = small_config()
         w = init_weights(cfg, seed=0)
         enc = encode([2, 4], w, cfg)
-        lopsided = TargetMemory(
-            layers=(
-                np.zeros((2, cfg.d_model), dtype=np.float32),
-                np.zeros((1, cfg.d_model), dtype=np.float32),
-            )
+        rows = (
+            np.zeros((2, cfg.d_model), dtype=np.float32),
+            np.zeros((1, cfg.d_model), dtype=np.float32),
         )
+        lopsided = TargetMemory(keys=rows, values=rows)
         with pytest.raises(ConfigError):
             kv_decode_step(1, lopsided, enc, enc, w, cfg)
-        wrong_depth = TargetMemory(layers=(np.zeros((0, cfg.d_model), np.float32),))
+        empty = (np.zeros((0, cfg.d_model), np.float32),)
+        wrong_depth = TargetMemory(keys=empty, values=empty)
         with pytest.raises(ConfigError):
             kv_decode_step(1, wrong_depth, enc, enc, w, cfg)
 
@@ -203,6 +205,26 @@ class TestIncrementalDecode:
             _, memory = kv_decode_step(tok, memory, enc, enc, w, cfg)
         with pytest.raises(ConfigError):
             kv_decode_step(7, memory, enc, enc, w, cfg)
+
+    def test_stepped_cache_equals_full_cache(self):
+        # Every layer's cached self-attention keys and values, grown a token
+        # at a time, equal the ones one full pass over the prefix builds.
+        cfg = small_config(decoder_layers=3)
+        rng = np.random.default_rng(11)
+        for seed in range(5):
+            w = init_weights(cfg, seed=seed)
+            enc_v = encode(list(rng.integers(0, cfg.src_vocab, size=6)), w, cfg)
+            enc_k = enc_v + rng.normal(scale=0.5, size=enc_v.shape).astype(np.float32)
+            prefix = [cfg.bos_id] + [int(tok) for tok in rng.integers(0, cfg.tgt_vocab, size=7)]
+            _, full = kv_decode_full(prefix, enc_v, enc_k, w, cfg)
+            stepped = TargetMemory.empty(cfg)
+            for tok in prefix:
+                _, stepped = kv_decode_step(tok, stepped, enc_v, enc_k, w, cfg)
+            for layer in range(cfg.decoder_layers):
+                for got, want in ((stepped.keys[layer], full.keys[layer]),
+                                  (stepped.values[layer], full.values[layer])):
+                    assert got.shape == want.shape == (len(prefix), cfg.d_model)
+                    np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_matches_float64_reference(self):
         cfg = small_config()
@@ -374,6 +396,51 @@ class TestGreedyDecode:
         for sa, sb in zip(a.steps, b.steps):
             assert sa.key_hash == sb.key_hash
             np.testing.assert_array_equal(sa.logits, sb.logits)
+
+
+class TestDecodeCost:
+    @staticmethod
+    def no_eos_weights(cfg, seed):
+        # A strongly negative EOS bias keeps every decode going to max_len.
+        w = init_weights(cfg, seed=seed)
+        w.data["out_b"][cfg.eos_id] -= 100.0
+        return w
+
+    def test_cross_projections_made_once_per_point(self, monkeypatch):
+        import compforge.engine.model as model
+
+        made = []
+        project = model._project_cross
+
+        def counted(enc, w, cfg, part):
+            made.append(part)
+            return project(enc, w, cfg, part)
+
+        monkeypatch.setattr(model, "_project_cross", counted)
+        # 9 steps; rdangle o=4 re-encodes at steps 1, 5 and 9.
+        for variant, interval, keys, values in (
+            ("vanilla", 1, 1, 1),
+            ("rdangle_shr", 4, 3, 3),
+            ("rdangle_sep", 4, 3, 1),
+            ("dangle", 1, 9, 9),
+        ):
+            cfg = small_config(variant=variant, interval=interval)
+            made.clear()
+            result = greedy_decode([2, 4, 6], self.no_eos_weights(cfg, 0), cfg, max_len=9)
+            assert len(result.tokens) == 9
+            assert (made.count("k"), made.count("v")) == (keys, values), variant
+
+    def test_reencodings_and_cached_rows(self):
+        for variant, interval, reencodings, cached_rows in (
+            ("vanilla", 1, 0, sum(range(9))),  # steps read 0..8 cached rows
+            ("rdangle_shr", 4, 3, (1 + 2 + 3) + (5 + 6 + 7)),  # full at 1, 5, 9
+            ("dangle", 1, 9, 0),
+        ):
+            cfg = small_config(variant=variant, interval=interval)
+            result = greedy_decode([3, 5, 7], self.no_eos_weights(cfg, 1), cfg, max_len=9)
+            assert len(result.tokens) == 9
+            assert result.reencodings == reencodings, variant
+            assert result.cached_rows == cached_rows, variant
 
 
 class TestAgainstNaiveDecoder:
