@@ -21,9 +21,9 @@ from compforge.cover import (
     CompositionalDegree,
     CoverResult,
     PoolSelection,
-    compositional_degree,
     degree_of,
     min_cover,
+    score_degrees,
     select_candidate_pool,
 )
 from compforge.errors import CompforgeError, ConfigError, DataError, StageError
@@ -54,9 +54,9 @@ __all__ = [
     "CompositionalDegree",
     "CoverResult",
     "PoolSelection",
-    "compositional_degree",
     "degree_of",
     "min_cover",
+    "score_degrees",
     "select_candidate_pool",
     "CompforgeError",
     "ConfigError",

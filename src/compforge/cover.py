@@ -12,21 +12,40 @@ The segmentation is a shortest-path DP over token boundaries:
     f[i] = min over admissible last atoms sentence[j:i] of f[j] + 1
 
 where "admissible" means the span is a dictionary member, or has length 1
-(the fallback for uncovered tokens). Among equal-cost segmentations the
-reconstruction prefers the longer final atom, applied recursively, so the
-result is deterministic.
+(the fallback for uncovered tokens).
+
+`score_degrees` is the one degree scorer. It takes the sentences in chunks
+of `_CHUNK`, maps their tokens to the dictionary's ids and finds every
+stored n-gram of two or more tokens with `NGramDictionary.stored_starts`.
+It then runs the DP for the whole chunk at once, one vectorised step per
+end position i: for every sentence at least i tokens long, the fallback
+``f[i - 1] + 1`` lowered by a scatter-min over every stored n-gram that
+ends at i, whatever its length. The table is ragged (sentence r owns
+``length_r + 1`` cells), so one long sentence does not pad the others. A
+degree needs only the minimum count, so no back-pointers are kept.
+
+`min_cover` reconstructs the atoms of one sentence with the same DP in
+Python. Among equal-cost segmentations it prefers the longer final atom,
+applied recursively, so the result is deterministic.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from compforge.corpus import ParallelExample, side_tokens, tsv_rows
 from compforge.errors import ConfigError, DataError
-from compforge.ngrams import NGramDictionary
+from compforge.ngrams import NGramDictionary, room_to_end
+
+# Sentences scored together: bounds the span arrays and the DP table, so
+# scoring memory does not grow with the pool.
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -72,10 +91,12 @@ def read_degree_tsv(path: str | Path) -> dict[str, CompositionalDegree]:
     """Parse a degree TSV into id -> degree.
 
     The degree column is derived, so it is recomputed from atom_count and
-    length. A malformed row raises DataError naming its line.
+    length. A malformed row or a repeated id raises DataError naming its line.
     """
     scores: dict[str, CompositionalDegree] = {}
     for lineno, (ex_id, atoms, length, _) in tsv_rows(path, 4, "id/atom_count/length/degree"):
+        if ex_id in scores:
+            raise DataError(f"duplicate example id {ex_id!r}", path=str(path), line=lineno)
         try:
             atoms, length = int(atoms), int(length)
         except ValueError:
@@ -98,27 +119,22 @@ def min_cover(sentence: Sequence[str], dictionary: NGramDictionary) -> CoverResu
     n = len(sentence)
     if n == 0:
         raise ConfigError("cannot cover an empty sentence")
+    lengths_from: list[set[int]] = [{1} for _ in range(n)]
+    room = room_to_end(np.array([n]))
+    for length, starts in dictionary.stored_starts(dictionary.token_ids(sentence), room):
+        for j in starts.tolist():
+            lengths_from[j].add(length)
 
-    infinity = n + 1
-    best = [infinity] * (n + 1)
+    best = [n + 1] * (n + 1)
     best[0] = 0
-    # back[i] = start of the chosen last atom ending at i; init any j < i wins a tie
-    back = list(range(n + 1))
+    back = [0] * (n + 1)  # back[i] = start of the chosen last atom ending at i
     for j in range(n):
         cost = best[j] + 1
-        saw_unigram = False
-        for length in dictionary.match_lengths_from(sentence, j):
-            i = j + length
-            if length == 1:
-                saw_unigram = True
-            if cost < best[i] or (cost == best[i] and j < back[i]):
-                best[i] = cost
-                back[i] = j
-        if not saw_unigram:
-            i = j + 1
-            if cost < best[i] or (cost == best[i] and j < back[i]):
-                best[i] = cost
-                back[i] = j
+        for length in lengths_from[j]:
+            # Strictly better only: the earliest start, the longest final atom, wins a tie.
+            if cost < best[j + length]:
+                best[j + length] = cost
+                back[j + length] = j
 
     atoms: list[tuple[str, ...]] = []
     covered = [False] * n
@@ -135,19 +151,66 @@ def min_cover(sentence: Sequence[str], dictionary: NGramDictionary) -> CoverResu
     return CoverResult(atoms=tuple(atoms), covered=tuple(covered))
 
 
-def compositional_degree(cover: CoverResult, length: int) -> CompositionalDegree:
-    """Degree of a cover over a sentence of `length` tokens."""
-    total = sum(len(atom) for atom in cover.atoms)
-    if total != length:
-        raise ConfigError(
-            f"cover spans {total} tokens but sentence length is {length}"
-        )
-    return CompositionalDegree(cover.atom_count, length)
+def _min_atom_counts(
+    ids: np.ndarray, lengths: np.ndarray, dictionary: NGramDictionary
+) -> np.ndarray:
+    """Fewest atoms covering each sentence, for sentences laid end to end in `ids`."""
+    rows = len(lengths)
+    offsets = np.cumsum(lengths) - lengths
+    row = np.repeat(np.arange(rows), lengths)
+    column = np.arange(len(ids)) - offsets[row]
+    # Sentence r owns cells first[r] .. first[r] + lengths[r] of `best`; cell
+    # first[r] + i holds the fewest atoms covering its first i tokens, so the
+    # boundary before token p is cell p + row[p].
+    first = offsets + np.arange(rows)
+    none = np.zeros(0, dtype=np.int64)
+    ends, sources, targets = [none], [none], [none]
+    for n, starts in dictionary.stored_starts(ids, room_to_end(lengths)):
+        if n > 1:  # a stored unigram costs what the singleton fallback costs
+            ends.append(column[starts] + n)
+            sources.append(starts + row[starts])
+            targets.append(starts + row[starts] + n)
+    ends = np.concatenate(ends)
+    order = np.argsort(ends, kind="stable")
+    sources = np.concatenate(sources)[order]
+    targets = np.concatenate(targets)[order]
+    width = int(lengths.max())
+    bounds = np.searchsorted(ends[order], np.arange(width + 2)).tolist()
+    # Longest sentences first, so the sentences still open at column i are a prefix.
+    by_length = np.argsort(-lengths, kind="stable")
+    first_by_length = first[by_length]
+    open_at = np.searchsorted(-lengths[by_length], -np.arange(width + 1), side="right").tolist()
+
+    best = np.zeros(len(ids) + rows, dtype=np.int32)
+    for i in range(1, width + 1):
+        at = first_by_length[: open_at[i]] + i
+        best[at] = best[at - 1] + 1
+        lo, hi = bounds[i], bounds[i + 1]
+        if lo < hi:
+            np.minimum.at(best, targets[lo:hi], best[sources[lo:hi]] + 1)
+    return best[first + lengths]
+
+
+def score_degrees(
+    sentences: Iterable[Sequence[str]], dictionary: NGramDictionary
+) -> list[CompositionalDegree]:
+    """Compositional degree of every sentence, in order, `_CHUNK` sentences at a time."""
+    sentences = iter(sentences)
+    degrees: list[CompositionalDegree] = []
+    while chunk := list(itertools.islice(sentences, _CHUNK)):
+        lengths = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
+        if not lengths.all():
+            empty = len(degrees) + int(np.argmin(lengths))
+            raise ConfigError(f"cannot cover an empty sentence (sentence {empty})")
+        ids = dictionary.token_ids(itertools.chain.from_iterable(chunk))
+        atoms = _min_atom_counts(ids, lengths, dictionary)
+        degrees += map(CompositionalDegree, atoms.tolist(), lengths.tolist())
+    return degrees
 
 
 def degree_of(sentence: Sequence[str], dictionary: NGramDictionary) -> CompositionalDegree:
-    """Convenience wrapper: minimum cover, then its degree."""
-    return compositional_degree(min_cover(sentence, dictionary), len(sentence))
+    """Degree of one sentence: `score_degrees` on a single-sentence batch."""
+    return score_degrees([sentence], dictionary)[0]
 
 
 @dataclass(frozen=True)

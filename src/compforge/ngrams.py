@@ -4,16 +4,27 @@ The dictionary stores every n-gram (up to `max_n` tokens) that occurs
 strictly more than `min_count` times in a corpus, together with its count.
 Because any contiguous subspan of an n-gram occurs at least as often as the
 n-gram itself, the stored set is closed under prefixes, which is what makes
-the level-wise Apriori build below sound: a k-gram can only pass the
-threshold if its (k-1)-token prefix and suffix already did, so only those
+the level-wise Apriori build below sound: an n-gram can only pass the
+threshold if its (n-1)-token prefix and suffix already did, so only those
 candidates are ever counted.
 
-The table ``dict[tuple[str, ...], int]`` is the dictionary's only state:
+The build works on integer token ids. The corpus side becomes one flat id
+array with, per position, the number of tokens left in its sentence. Level
+n extends only the positions whose (n-1)-gram prefix and suffix survived,
+packs each candidate as ``prefix gram id * vocabulary + next token id``
+(int64) and counts the keys with one `np.unique`, so no level loops over
+tokens in Python and no input shape makes the build cubic.
+
+The table ``dict[tuple[str, ...], int]`` is the dictionary's state:
 `contains`, `count`, `len` and `entries` read it, and pickling sends only
-it. `match_lengths_from` reports every stored n-gram starting at a sentence
-position in a single walk over a prefix tree of nested dicts,
-``token -> (stored, children)``, which is derived from the table once on
-construction.
+it. Construction derives one id-level index of the prefix tree from it:
+the sorted tokens (a token's id is its rank) and, per depth n, the sorted
+packed keys ``parent node * tokens + token id`` of the tree's nodes with a
+stored flag each, where a node's number is its rank among the keys of its
+depth. Unstored prefixes (possible in `from_entries` fixtures) are nodes
+too. `stored_starts` walks that index for many token positions at once,
+one `np.searchsorted` per depth; `match_lengths_from` is the same walk
+from one position.
 
 Serialization is deterministic — the same corpus and flags always produce
 byte-identical index files. The file is a depth-first walk of the prefix
@@ -24,11 +35,14 @@ explicit stack, so neither recurses (the layout is in the README).
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from compforge.errors import ConfigError, DataError
 
@@ -38,6 +52,24 @@ _NODE = struct.Struct("<IQBI")
 _U32 = struct.Struct("<I")
 
 
+def room_to_end(lengths: np.ndarray) -> np.ndarray:
+    """For sentences of `lengths` laid end to end: tokens from each position to its sentence end."""
+    ends = np.cumsum(lengths)
+    return np.repeat(ends, lengths) - np.arange(ends[-1] if len(ends) else 0)
+
+
+def _prefix_nodes(counts: dict[tuple[str, ...], int]) -> set[tuple[str, ...]]:
+    """Every prefix of every stored n-gram: the nodes of the prefix tree.
+
+    A built table is prefix-closed, so only fixtures add unstored prefixes.
+    """
+    nodes = set(counts)
+    for gram in counts:
+        if gram[:-1] not in counts:
+            nodes.update(gram[:cut] for cut in range(1, len(gram)))
+    return nodes
+
+
 class NGramDictionary:
     """Immutable-by-convention n-gram membership index with counts."""
 
@@ -45,15 +77,25 @@ class NGramDictionary:
         self._counts = counts
         self.min_count = min_count
         self.max_n = max_n
-        # A prefix sorts before its extensions, so a stored n-gram's node is
-        # created before any node below it; unstored prefixes (possible in
-        # `from_entries` fixtures) get a non-stored node on first use.
-        self._tree: dict[str, tuple[bool, dict]] = {}
-        for gram in sorted(counts):
-            children = self._tree
-            for token in gram[:-1]:
-                children = children.setdefault(token, (False, {}))[1]
-            children[gram[-1]] = (True, {})
+        self._tokens = sorted({tok for gram in counts for tok in gram})
+        self._token_ids = {tok: i for i, tok in enumerate(self._tokens)}
+        by_depth: dict[int, list[tuple[str, ...]]] = {}
+        for node in _prefix_nodes(counts):
+            by_depth.setdefault(len(node), []).append(node)
+        # Same-length n-grams sort like (parent rank, token id), so each depth's
+        # keys come out sorted and a node's rank is its number.
+        width = len(self._tokens)
+        rank: dict[tuple[str, ...], int] = {(): 0}
+        self._levels: list[tuple[np.ndarray, np.ndarray]] = []
+        for depth in range(1, len(by_depth) + 1):
+            nodes = sorted(by_depth[depth])
+            keys = np.fromiter(
+                (rank[node[:-1]] * width + self._token_ids[node[-1]] for node in nodes),
+                dtype=np.int64, count=len(nodes),
+            )
+            stored = np.fromiter((node in counts for node in nodes), dtype=bool, count=len(nodes))
+            self._levels.append((keys, stored))
+            rank = {node: i for i, node in enumerate(nodes)}
 
     def __reduce__(self):
         return (NGramDictionary, (self._counts, self.min_count, self.max_n))
@@ -79,23 +121,45 @@ class NGramDictionary:
         """Corpus count of a stored n-gram; 0 when not stored."""
         return self._counts.get(tuple(span), 0)
 
+    def token_ids(self, tokens: Iterable[str]) -> np.ndarray:
+        """The index's int64 id of each token; -1 for a token no n-gram holds."""
+        return np.fromiter(map(self._token_ids.get, tokens, itertools.repeat(-1)), dtype=np.int64)
+
+    def stored_starts(self, ids: np.ndarray, room: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (n, positions p where ids[p:p+n] is a stored n-gram) for n = 1, 2, ...
+
+        `ids` come from `token_ids`; room[p] is how many tokens p's sentence
+        has from p on, so no n-gram crosses a sentence end. Depth n looks up
+        only the positions whose (n-1)-token prefix is a node of the tree, and
+        the walk stops when none is left or at `max_n`.
+        """
+        width = len(self._tokens)
+        levels = self._levels if self.max_n is None else self._levels[: self.max_n]
+        pos = np.flatnonzero(room > 0)
+        node = np.zeros(len(pos), dtype=np.int64)
+        for n, (keys, stored) in enumerate(levels, start=1):
+            inside = room[pos] >= n
+            pos, node = pos[inside], node[inside]
+            token = ids[pos + (n - 1)]
+            key = node * width + token
+            # Binary search is several times faster over sorted needles.
+            order = np.argsort(key)
+            at = np.empty_like(key)
+            at[order] = np.minimum(np.searchsorted(keys, key[order]), len(keys) - 1)
+            found = (keys[at] == key) & (token >= 0)
+            pos, node = pos[found], at[found]
+            if not len(pos):
+                return
+            yield n, pos[stored[node]]
+
     def match_lengths_from(self, sentence: Sequence[str], start: int) -> list[int]:
         """Ascending lengths L such that sentence[start:start+L] is stored."""
         if not 0 <= start < len(sentence):
             raise ConfigError(f"start {start} out of range for sentence of length {len(sentence)}")
-        lengths: list[int] = []
-        children = self._tree
-        limit = len(sentence) - start
-        if self.max_n is not None:
-            limit = min(limit, self.max_n)
-        for offset in range(limit):
-            node = children.get(sentence[start + offset])
-            if node is None:
-                break
-            stored, children = node
-            if stored:
-                lengths.append(offset + 1)
-        return lengths
+        ids = self.token_ids(sentence[start : start + len(self._levels)])
+        room = np.zeros(len(ids), dtype=np.int64)
+        room[:1] = len(ids)
+        return [n for n, starts in self.stored_starts(ids, room) if len(starts)]
 
     def entries(self) -> list[tuple[tuple[str, ...], int]]:
         """All stored (n-gram, count) pairs in lexicographic order."""
@@ -128,16 +192,8 @@ class NGramDictionary:
 
     def save(self, path: str | Path) -> None:
         """Write the index; same dictionary always gives identical bytes."""
-        counts = self._counts
-        tokens = sorted({tok for gram in counts for tok in gram})
-        token_ids = {tok: i for i, tok in enumerate(tokens)}
-        # The tree's nodes are every prefix of every stored n-gram; a built
-        # table is prefix-closed, so only fixtures add unstored prefixes here.
-        prefixes = set(counts)
-        for gram in counts:
-            if gram[:-1] not in counts:
-                prefixes.update(gram[:cut] for cut in range(1, len(gram)))
-        nodes = sorted(prefixes)
+        counts, tokens, token_ids = self._counts, self._tokens, self._token_ids
+        nodes = sorted(_prefix_nodes(counts))
         child_counts = Counter(node[:-1] for node in nodes)
         header = json.dumps(
             {"min_count": self.min_count, "max_n": self.max_n, "tokens": len(tokens)},
@@ -230,32 +286,44 @@ def build_ngram_dictionary(
     if max_n is not None and max_n < 1:
         raise ConfigError(f"max_n must be at least 1, got {max_n}")
 
-    sents = [tuple(s) for s in sentences]
-    survivors: dict[tuple[str, ...], int] = {}
+    tokens: list[str] = []
+    lengths: list[int] = []
+    for sentence in sentences:
+        before = len(tokens)
+        tokens.extend(sentence)
+        lengths.append(len(tokens) - before)
+    words = list(dict.fromkeys(tokens))  # id -> token, in first-occurrence order
+    word_ids = {word: i for i, word in enumerate(words)}
+    ids = np.fromiter(map(word_ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    room = room_to_end(np.array(lengths, dtype=np.int64))
+    width = len(words)
 
-    unigrams = Counter(tok for s in sents for tok in s)
-    level = {(tok,): c for tok, c in unigrams.items() if c > min_count}
-    survivors.update(level)
-    # Start positions (per sentence) whose current-level n-gram survived.
-    alive_tokens = {g[0] for g in level}
-    alive = [[i for i, tok in enumerate(s) if tok in alive_tokens] for s in sents]
+    counts = np.bincount(ids, minlength=width)
+    keep = counts > min_count
+    # gram_ids[p]: id of the surviving current-level n-gram starting at p, else -1.
+    gram_ids = np.where(keep, np.cumsum(keep) - 1, -1)[ids]
+    grams = [(words[t],) for t in np.flatnonzero(keep).tolist()]
+    survivors = dict(zip(grams, counts[keep].tolist()))
+    pos = np.flatnonzero(gram_ids >= 0)
 
     n = 2
-    while level and (max_n is None or n <= max_n):
-        counter: Counter[tuple[str, ...]] = Counter()
-        candidates: list[list[int]] = []
-        for s, positions in zip(sents, alive):
-            posset = set(positions)
-            cand = [i for i in positions if i + 1 in posset and i + n <= len(s)]
-            for i in cand:
-                counter[s[i : i + n]] += 1
-            candidates.append(cand)
-        level = {g: c for g, c in counter.items() if c > min_count}
-        alive = [
-            [i for i in cand if s[i : i + n] in level]
-            for s, cand in zip(sents, candidates)
+    while grams and (max_n is None or n <= max_n):
+        # A candidate's (n-1)-token prefix starts at p and its suffix at p + 1.
+        pos = pos[room[pos] >= n]
+        pos = pos[gram_ids[pos + 1] >= 0]
+        keys = gram_ids[pos] * width + ids[pos + (n - 1)]
+        unique, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        keep = counts > min_count
+        level_ids = np.where(keep, np.cumsum(keep) - 1, -1)[inverse]
+        gram_ids.fill(-1)
+        gram_ids[pos] = level_ids
+        pos = pos[level_ids >= 0]
+        kept = unique[keep]
+        grams = [
+            grams[prefix] + (words[last],)
+            for prefix, last in zip((kept // width).tolist(), (kept % width).tolist())
         ]
-        survivors.update(level)
+        survivors.update(zip(grams, counts[keep].tolist()))
         n += 1
 
     return NGramDictionary(survivors, min_count, max_n)

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from compforge.corpus import ParallelExample, iter_side, text_lines
-from compforge.cover import degree_of
+from compforge.cover import score_degrees
 from compforge.errors import ConfigError, DataError
 from compforge.ngrams import NGramDictionary
 
@@ -113,7 +113,7 @@ def benchmark_report(
     novel_words = {n: novel_ngram_count(train_words, test_words, n) for n in orders}
     novel_tags = {n: novel_ngram_count(train_tags, test_tags, n) for n in orders}
 
-    degrees = [degree_of(sentence, dictionary).value for sentence in test_words]
+    degrees = [degree.value for degree in score_degrees(test_words, dictionary)]
     mean_degree = sum(degrees) / len(degrees)
     return NoveltyReport(
         n_examples=len(test),

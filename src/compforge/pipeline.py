@@ -36,7 +36,7 @@ from compforge.corpus import (
 )
 from compforge.cover import (
     CompositionalDegree,
-    degree_of,
+    score_degrees,
     select_candidate_pool,
     write_degree_tsv,
 )
@@ -63,7 +63,7 @@ def score_pool(
 ) -> list[tuple[ParallelExample, CompositionalDegree]]:
     """Degree-score a pool in the calling process, in pool order; `workers` must be None or 1."""
     _check_workers(workers)
-    return [(ex, degree_of(side_tokens(ex, side), dictionary)) for ex in pool]
+    return list(zip(pool, score_degrees((side_tokens(ex, side) for ex in pool), dictionary)))
 
 
 @dataclass

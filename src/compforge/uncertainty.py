@@ -185,9 +185,11 @@ def write_uncertainty_tsv(rows: Iterable[tuple[str, float]], path: str | Path) -
 
 def read_uncertainty_tsv(path: str | Path) -> dict[str, float]:
     """Parse an uncertainty TSV into id -> score; a malformed or non-finite
-    score raises DataError naming its line."""
+    score or a repeated id raises DataError naming its line."""
     scores: dict[str, float] = {}
     for lineno, (ex_id, text) in tsv_rows(path, 2, "id<TAB>score"):
+        if ex_id in scores:
+            raise DataError(f"duplicate example id {ex_id!r}", path=str(path), line=lineno)
         try:
             score = float(text)
         except ValueError:
@@ -240,8 +242,10 @@ def read_ensemble_dump(path: str | Path) -> list[EnsembleTokenDistributions]:
 
     Each record: ``{"id": ..., "tokens": [...], "support": [[...], ...],
     "probs": [[[...], ...], ...]}`` with probs indexed [member][position][support].
+    A repeated id raises DataError naming its line.
     """
     out = []
+    seen: set[str] = set()
     for lineno, line in text_lines(path):
         line = line.strip()
         if not line:
@@ -251,9 +255,15 @@ def read_ensemble_dump(path: str | Path) -> list[EnsembleTokenDistributions]:
         except (ValueError, RecursionError) as exc:  # also deep nesting, huge ints
             raise DataError(f"invalid JSON: {exc}", path=str(path), line=lineno)
         try:
-            out.append(_dump_record(record))
+            dists = _dump_record(record)
         except DataError as exc:
             raise DataError(str(exc), path=str(path), line=lineno)
+        if dists.example_id in seen:
+            raise DataError(
+                f"duplicate example id {dists.example_id!r}", path=str(path), line=lineno
+            )
+        seen.add(dists.example_id)
+        out.append(dists)
     return out
 
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from compforge.corpus import ParallelExample
 from compforge.cover import degree_of, min_cover
 from compforge.engine import (
     ModelConfig,
@@ -30,6 +31,7 @@ from compforge.engine import (
 )
 from compforge.ngrams import NGramDictionary
 from compforge.novelty import novel_ngram_count
+from compforge.pipeline import score_pool
 from compforge.uncertainty import (
     EnsembleTokenDistributions,
     band_select,
@@ -467,19 +469,25 @@ def test_11_degree_scoring_throughput_recorded():
             [vocab[int(j)] for j in rng.integers(0, 300, size=int(rng.integers(8, 15)))]
             for _ in range(10_000)
         ]
+        examples = [ParallelExample(str(i), tuple(s), tuple(s)) for i, s in enumerate(pool)]
         degree_of(pool[0], dictionary)  # warm-up
         started = time.perf_counter()
-        for sentence in pool:
-            degree_of(sentence, dictionary)
+        singles = [degree_of(sentence, dictionary) for sentence in pool]
         elapsed = time.perf_counter() - started
+        started = time.perf_counter()
+        batched = [degree for _, degree in score_pool(examples, dictionary)]
+        batch_elapsed = time.perf_counter() - started
         per_minute = len(pool) / elapsed * 60
+        batch_per_minute = len(pool) / batch_elapsed * 60
 
+        assert batched == singles
         met = per_minute >= 50_000
         info["detail"] = (
-            f"{per_minute:,.0f} sentences/min against {len(entries):,} entries — "
-            f"soft target {'met' if met else 'NOT met (recorded, non-gating)'}"
+            f"{per_minute:,.0f} sentences/min one degree_of call each, "
+            f"{batch_per_minute:,.0f} in one score_pool call, against {len(entries):,} "
+            f"entries — soft target {'met' if met else 'NOT met (recorded, non-gating)'}"
         )
-        assert elapsed > 0  # the rate itself is recorded, not gated
+        assert elapsed > 0  # the rates themselves are recorded, not gated
 
 
 def test_12_scale_caveat_recorded():

@@ -427,6 +427,44 @@ class TestMalformedScores:
         assert "Traceback" not in err
 
 
+class TestDuplicateIds:
+    """A score file or dump that lists an id twice exits 3 and names the repeat's line."""
+
+    def test_repeated_degree_row_exits_3(self, pipeline_inputs, tmp_path, capsys):
+        scores = tmp_path / "deg.tsv"
+        rows = [f"p{i}\t1\t2\t0.5" for i in range(60)] + ["p0\t2\t2\t1"]
+        scores.write_text("\n".join(rows) + "\n")
+        assert main(["select-pool", "--pool", str(pipeline_inputs["pool"]),
+                     "--scores", str(scores), "--k", "1",
+                     "--out", str(tmp_path / "c.jsonl")]) == 3
+        err = capsys.readouterr().err
+        assert "duplicate example id 'p0'" in err and f"{scores}:61]" in err
+        assert not (tmp_path / "c.jsonl").exists()
+
+    def test_repeated_uncertainty_row_exits_3(self, pipeline_inputs, tmp_path, capsys):
+        scores = tmp_path / "u.tsv"
+        rows = [f"p{i}\t0.5" for i in range(60)]
+        rows.insert(10, "p3\t9.5")
+        scores.write_text("\n".join(rows) + "\n")
+        assert main(["sample-testset", "--pool", str(pipeline_inputs["pool"]),
+                     "--scores", str(scores), "--discard-top", "0",
+                     "--window", "10", "--sample", "5",
+                     "--out", str(tmp_path / "t.jsonl")]) == 3
+        err = capsys.readouterr().err
+        assert "duplicate example id 'p3'" in err and f"{scores}:11]" in err
+
+    def test_repeated_dump_record_exits_3(self, tmp_path, capsys):
+        dump = tmp_path / "dump.jsonl"
+        record = {"id": "p0", "tokens": ["a"], "support": [["a", "b"]],
+                  "probs": [[[0.5, 0.5]], [[0.25, 0.75]]]}
+        other = {**record, "id": "p1"}
+        dump.write_text("".join(json.dumps(r) + "\n" for r in (record, other, record)))
+        assert main(["uncertainty-score", "--dump", str(dump),
+                     "--out", str(tmp_path / "u.tsv")]) == 3
+        err = capsys.readouterr().err
+        assert "duplicate example id 'p0'" in err and f"{dump}:3]" in err
+
+
 class TestMalformedInputs:
     """Corrupt dictionaries, non-finite probabilities and non-UTF-8 text exit 3."""
 

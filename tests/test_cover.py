@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import compforge.cover as cover_module
 from compforge.corpus import ParallelExample
 from compforge.cover import (
     CompositionalDegree,
-    compositional_degree,
     degree_of,
     min_cover,
+    score_degrees,
     select_candidate_pool,
 )
 from compforge.errors import ConfigError
@@ -126,12 +129,6 @@ class TestDegree:
         degree = degree_of("a b c d".split(), d)
         assert degree.atom_count == 1 and degree.exact == Fraction(1, 4)
 
-    def test_length_mismatch_rejected(self):
-        d = dict_of("a b")
-        cover = min_cover(["a", "b"], d)
-        with pytest.raises(ConfigError):
-            compositional_degree(cover, 3)
-
     def test_degree_bounds(self):
         rng = np.random.default_rng(2)
         tokens = list("abcde")
@@ -142,6 +139,62 @@ class TestDegree:
             sent = list(rng.choice(tokens, size=int(rng.integers(1, 10))))
             degree = degree_of(sent, d)
             assert 0 < degree.value <= 1.0
+
+
+class TestScoreDegrees:
+    def test_more_sentences_than_one_chunk_match_min_cover(self):
+        rng = np.random.default_rng(5)
+        tokens = list("abcdef")
+        d = build_ngram_dictionary(
+            [tuple(rng.choice(tokens, size=8)) for _ in range(200)], min_count=2, max_n=5
+        )
+        pool = [list(rng.choice(tokens + ["zz"], size=int(rng.integers(1, 30))))
+                for _ in range(2 * cover_module._CHUNK + 3)]
+        degrees = score_degrees(pool, d)
+        assert [(g.atom_count, g.length) for g in degrees] == [
+            (min_cover(sent, d).atom_count, len(sent)) for sent in pool
+        ]
+
+    def test_empty_sentence_rejected_with_its_index(self):
+        with pytest.raises(ConfigError, match="sentence 2"):
+            score_degrees([["a"], ["a", "b"], []], dict_of("a b"))
+
+    def test_no_sentences(self):
+        assert score_degrees([], dict_of("a")) == []
+
+    def test_long_repeated_sentences_are_fast(self):
+        # 400-token sentences store every n-gram up to length 400 with max_n=None.
+        corpus = [("a",) * 400] * 5
+        started = time.perf_counter()
+        d = build_ngram_dictionary(corpus, min_count=3, max_n=None)
+        degrees = score_degrees(corpus, d)
+        elapsed = time.perf_counter() - started
+        assert len(d) == 400
+        assert [g.atom_count for g in degrees] == [1] * 5
+        assert elapsed < 1.0, f"build and score took {elapsed:.2f} s"
+
+
+_ALPHABET = "abcde"  # "z" below is never in a dictionary
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=st.lists(st.lists(st.sampled_from(_ALPHABET), min_size=1, max_size=4), max_size=12),
+    max_n=st.one_of(st.none(), st.integers(1, 4)),
+    sentences=st.lists(st.lists(st.sampled_from(_ALPHABET + "z"), min_size=1, max_size=9),
+                       min_size=1, max_size=7),
+)
+def test_score_degrees_matches_exhaustive_cover(entries, max_n, sentences):
+    # Random entries are rarely prefix-closed, so the index holds unstored
+    # prefixes; with a chunk of three, draws of four or more sentences span chunks.
+    d = NGramDictionary.from_entries(entries, max_n=max_n)
+    with mock.patch.object(cover_module, "_CHUNK", 3):
+        degrees = score_degrees(sentences, d)
+    for sentence, degree in zip(sentences, degrees, strict=True):
+        best = exhaustive_min_cover(sentence, d)
+        assert (degree.atom_count, degree.length) == (best, len(sentence))
+        assert min_cover(sentence, d).atom_count == best
+        assert degree_of(sentence, d) == degree
 
 
 def scored_examples(pairs):

@@ -69,6 +69,19 @@ class TestBuild:
             build_ngram_dictionary([("a",)], min_count=-1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    corpus=st.lists(st.lists(st.sampled_from("abcd"), max_size=12), max_size=25),
+    min_count=st.integers(0, 3),
+    max_n=st.one_of(st.none(), st.integers(1, 6)),
+)
+def test_id_build_matches_brute_force_counts(corpus, min_count, max_n):
+    d = build_ngram_dictionary(corpus, min_count=min_count, max_n=max_n)
+    longest = max(map(len, corpus), default=0)
+    oracle = brute_force_ngram_counts(corpus, longest if max_n is None else max_n)
+    assert d.entries() == sorted((g, c) for g, c in oracle.items() if c > min_count)
+
+
 class TestQueries:
     def fixture(self):
         return NGramDictionary.from_entries(
