@@ -36,9 +36,7 @@ def main() -> None:
     mild = np.array([[0.6, 0.3, 0.1], [0.4, 0.4, 0.2]])
     split = np.array([[0.9, 0.1, 0.0], [0.1, 0.9, 0.0]])
     example = EnsembleTokenDistributions(
-        example_id="demo",
-        support=(("a", "b", "c"),) * 3,
-        probs=(agree, mild, split),
+        example_id="demo", widths=[3, 3, 3], probs=np.hstack([agree, mild, split])
     )
     print("per-token uncertainties (nats):")
     show(example)

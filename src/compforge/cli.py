@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-dict", help="build a frequent n-gram index")
     p.add_argument("--train", required=True)
     p.add_argument("--min-count", type=int, default=3)
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--max-n", type=int, default=8, help="longest n-gram; 0 means no cap")
     p.add_argument("--out", required=True)
     _add_corpus_flags(p)
 
@@ -117,7 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_build_dict(args) -> int:
     corpus = load_parallel_corpus(args.train, args.format)
-    max_n = args.max_n if args.max_n > 0 else None
+    if args.max_n < 0:
+        raise ConfigError(f"--max-n must be non-negative (0 means no cap), got {args.max_n}")
+    max_n = args.max_n or None
     dictionary = build_ngram_dictionary(iter_side(corpus, args.side), args.min_count, max_n)
     dictionary.save(args.out)
     print(f"stored {len(dictionary)} n-grams ({dictionary.vocab_size} unigrams) -> {args.out}")

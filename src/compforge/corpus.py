@@ -70,7 +70,7 @@ def load_parallel_corpus(path: str | Path, format: str | None = None) -> list[Pa
     suffix. Blank lines are skipped. An empty file yields an empty corpus.
     Malformed records raise :class:`DataError` carrying the 1-based line
     number. Explicit ids must be unique; missing ids are assigned from the
-    record index.
+    record index. Equal tokens share one string object, to save memory.
     """
     fmt = format or _infer_format(path)
     if fmt not in ("tsv", "jsonl"):
@@ -79,6 +79,7 @@ def load_parallel_corpus(path: str | Path, format: str | None = None) -> list[Pa
 
     examples: list[ParallelExample] = []
     seen_ids: set[str] = set()
+    canon: dict[str, str] = {}
     for lineno, line in text_lines(path):
         if not line.strip():
             continue
@@ -108,8 +109,9 @@ def load_parallel_corpus(path: str | Path, format: str | None = None) -> list[Pa
             ex_id = str(record["id"]) if "id" in record else str(len(examples))
             src_text, tgt_text = record["source"], record["target"]
             meta = record.get("meta") or {}
-        source = tuple(src_text.split())
-        target = tuple(tgt_text.split())
+        src_toks, tgt_toks = src_text.split(), tgt_text.split()
+        source = tuple(map(canon.setdefault, src_toks, src_toks))
+        target = tuple(map(canon.setdefault, tgt_toks, tgt_toks))
         if not source or not target:
             raise DataError("source and target must be non-empty", path=str(path), line=lineno)
         if ex_id in seen_ids:
@@ -175,20 +177,18 @@ def filter_oov(
     pool: Sequence[ParallelExample],
     counts: VocabCounts,
     min_count: int = 3,
-    side: str | None = None,
 ) -> list[ParallelExample]:
     """Drop pool examples containing any rare token.
 
-    An example survives only if every token on the screened side occurred at
-    least `min_count` times in the counts (built from the training corpus on
-    the same side convention). Order is preserved; the filter is idempotent.
+    An example survives only if every token on the side the counts were built
+    from (`counts.side`) occurred at least `min_count` times in them. Order
+    is preserved; the filter is idempotent.
     """
     if min_count < 0:
         raise ConfigError(f"min_count must be non-negative, got {min_count}")
-    screened = side or counts.side
     kept = []
     for ex in pool:
-        if all(counts.count(tok) >= min_count for tok in side_tokens(ex, screened)):
+        if all(counts.count(tok) >= min_count for tok in side_tokens(ex, counts.side)):
             kept.append(ex)
     return kept
 

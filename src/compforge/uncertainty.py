@@ -12,16 +12,21 @@ Reverse mutual information (knowledge uncertainty) is the score the test-set
 sampler ranks by; a sequence's score is the mean of its per-token values.
 All three are zero exactly when every member agrees, and positive otherwise.
 
-Distributions arrive via a JSONL dump whose positions carry a shared token
-support (members' top candidates plus an "other" bucket absorbing the rest),
-so disagreement is measured on aligned supports.
+Distributions arrive via a JSONL dump, written outside this package, whose
+positions carry a token support shared by all members, so disagreement is
+measured on aligned supports. The reader checks the support tokens but keeps
+only each position's width: an example is one ``(M, sum of widths)`` array
+with the positions' columns laid end to end, validated and scored with
+array operations over the position starts.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,70 +37,52 @@ from compforge.errors import ConfigError, DataError
 
 PROB_FLOOR = 1e-10
 SUM_TOLERANCE = 1e-9
-OTHER_TOKEN = "<other>"
 
 
 @dataclass
 class EnsembleTokenDistributions:
     """Per-position categorical distributions from M ensemble members.
 
-    ``probs[l]`` has shape ``(M, len(support[l]))``; each row is one member's
-    distribution over position l's support. Supports may differ across
-    positions but are shared by all members at a position.
+    Position l has ``widths[l]`` support tokens. Its columns of ``probs``,
+    shape ``(M, widths.sum())``, begin at ``starts[l]``, and each row of them
+    is one member's distribution over that support.
     """
 
     example_id: str
-    support: tuple[tuple[str, ...], ...]
-    probs: tuple[np.ndarray, ...]
-    tokens: tuple[str, ...] | None = None
+    widths: np.ndarray
+    probs: np.ndarray
+    starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.support) == 0:
-            raise DataError(f"example {self.example_id}: no positions")
-        if len(self.support) != len(self.probs):
-            raise DataError(
-                f"example {self.example_id}: {len(self.support)} supports vs "
-                f"{len(self.probs)} probability blocks"
-            )
-        members = self.probs[0].shape[0]
-        if members < 2:
-            raise DataError(
-                f"example {self.example_id}: need at least 2 ensemble members, got {members}"
-            )
-        for l, (supp, block) in enumerate(zip(self.support, self.probs)):
-            if block.ndim != 2 or block.shape[0] != members:
-                raise DataError(
-                    f"example {self.example_id}: member support mismatch at position {l}"
-                )
-            if block.shape[1] != len(supp):
-                raise DataError(
-                    f"example {self.example_id}: position {l} support has {len(supp)} "
-                    f"tokens but rows have {block.shape[1]} probabilities"
-                )
-            if np.any(block < 0):
-                raise DataError(
-                    f"example {self.example_id}: negative probability at position {l}"
-                )
-            off = np.abs(block.sum(axis=1) - 1.0)
-            # Comparisons with NaN are false, so ask for `<= tolerance` to reject NaN too.
-            if not np.all(off <= SUM_TOLERANCE):
-                if not np.all(np.isfinite(block)):
-                    raise DataError(
-                        f"example {self.example_id}: non-finite probability at position {l}"
-                    )
-                worst = float(np.max(off))
-                raise DataError(
-                    f"example {self.example_id}: unnormalized distribution at position {l}"
-                    f" (off by {worst:.3e})"
-                )
-
-    @property
-    def members(self) -> int:
-        return self.probs[0].shape[0]
+        self.widths = np.asarray(self.widths, dtype=np.int64)
+        self.probs = np.asarray(self.probs, dtype=np.float64)
+        where = f"example {self.example_id}"
+        if self.widths.ndim != 1 or self.widths.size == 0:
+            raise DataError(f"{where}: no positions")
+        if np.any(self.widths < 1):  # reduceat would read the next position's column
+            raise DataError(f"{where}: empty support at position {np.argmax(self.widths < 1)}")
+        if self.probs.ndim != 2 or self.probs.shape[1] != self.widths.sum():
+            raise DataError(f"{where}: widths add up to {self.widths.sum()} columns, "
+                            f"probs has shape {self.probs.shape}")
+        if len(self.probs) < 2:
+            raise DataError(f"{where}: need at least 2 ensemble members, got {len(self.probs)}")
+        self.starts = starts = np.cumsum(self.widths) - self.widths
+        negative = np.logical_or.reduceat(self.probs < 0, starts, axis=1).any(axis=0)
+        off = np.abs(np.add.reduceat(self.probs, starts, axis=1) - 1.0).max(axis=0)
+        # Comparisons with NaN are false, so ask for `<= tolerance` to reject NaN too.
+        bad = negative | ~(off <= SUM_TOLERANCE)
+        if np.any(bad):
+            l = int(np.argmax(bad))
+            if negative[l]:
+                raise DataError(f"{where}: negative probability at position {l}")
+            if not np.all(np.isfinite(self.probs[:, starts[l] : starts[l] + self.widths[l]])):
+                raise DataError(f"{where}: non-finite probability at position {l}")
+            raise DataError(f"{where}: unnormalized distribution at position {l} "
+                            f"(off by {off[l]:.3e})")
 
     @property
     def positions(self) -> int:
-        return len(self.support)
+        return len(self.widths)
 
 
 @dataclass
@@ -109,29 +96,21 @@ class UncertaintyScore:
     sequence_score: float
 
 
-def _entropy(rows: np.ndarray) -> np.ndarray:
-    # rows: (..., S); epsilon floor applied inside the log only
-    return -(rows * np.log(np.maximum(rows, PROB_FLOOR))).sum(axis=-1)
-
-
 def token_uncertainties(dists: EnsembleTokenDistributions) -> UncertaintyScore:
     """Compute entropy / MI / RMI at every position, plus the sequence score."""
-    entropy = np.empty(dists.positions)
-    mutual_information = np.empty(dists.positions)
-    rmi = np.empty(dists.positions)
-    for l, block in enumerate(dists.probs):
-        block = np.asarray(block, dtype=np.float64)
-        mean = block.mean(axis=0)
-        log_mean = np.log(np.maximum(mean, PROB_FLOOR))
-        entropy[l] = -(mean * log_mean).sum()
-        mutual_information[l] = entropy[l] - _entropy(block).mean()
-        log_members = np.log(np.maximum(block, PROB_FLOOR))
-        kl_each = (mean[None, :] * (log_mean[None, :] - log_members)).sum(axis=1)
-        rmi[l] = kl_each.mean()
+    probs, starts = dists.probs, dists.starts
+    mean = probs.mean(axis=0)
+    log_mean = np.log(np.maximum(mean, PROB_FLOOR))
+    log_members = np.log(np.maximum(probs, PROB_FLOOR))
+    # Per-position sums of each column's terms: (C,) -> (L,), (M, C) -> (M, L).
+    entropy = -np.add.reduceat(mean * log_mean, starts)
+    member_entropy = -np.add.reduceat(probs * log_members, starts, axis=1)
+    kl = np.add.reduceat(mean * (log_mean - log_members), starts, axis=1)
+    rmi = kl.mean(axis=0)
     return UncertaintyScore(
         example_id=dists.example_id,
         token_entropy=entropy,
-        token_mutual_information=mutual_information,
+        token_mutual_information=entropy - member_entropy.mean(axis=0),
         token_rmi=rmi,
         sequence_score=float(rmi.mean()),
     )
@@ -203,38 +182,46 @@ def read_uncertainty_tsv(path: str | Path) -> dict[str, float]:
 # -- ensemble dump I/O ----------------------------------------------------
 
 
+def _is_number(value) -> bool:
+    """A JSON number that converts to a float; a bool is not one."""
+    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+
+
 def _dump_record(record) -> EnsembleTokenDistributions:
     """One parsed dump record as distributions; DataError if it is malformed."""
     try:
-        example_id = str(record["id"])
-        support = tuple(tuple(s) for s in record["support"])
-        member_probs = record["probs"]
+        example_id, support, member_probs = str(record["id"]), record["support"], record["probs"]
     except (KeyError, TypeError):
         raise DataError("record needs id/support/probs")
-    if not isinstance(member_probs, list) or not member_probs:
-        raise DataError("probs must be a non-empty list")
-    positions = len(support)
-    for m, member in enumerate(member_probs):
-        if not isinstance(member, list) or len(member) != positions:
-            raise DataError(f"member {m} needs a list of {positions} positions")
-    blocks = []
+    if type(support) is not list:
+        raise DataError("support must be a list of positions")
     for l, supp in enumerate(support):
-        rows = [member[l] for member in member_probs]
-        if not all(isinstance(row, list) and len(row) == len(supp) for row in rows):
-            raise DataError(f"member support mismatch at position {l}")
-        try:
-            blocks.append(np.asarray(rows, dtype=np.float64))
-        except (TypeError, ValueError, OverflowError):
-            raise DataError(f"non-numeric probability at position {l}")
-    tokens = record.get("tokens")
-    if "tokens" in record and not isinstance(tokens, list):
+        if type(supp) is not list or not set(map(type, supp)) <= {str}:
+            raise DataError(f"support at position {l} is not a list of strings")
+    widths = np.array([len(supp) for supp in support], dtype=np.int64)
+    if type(member_probs) is not list or not member_probs:
+        raise DataError("probs must be a non-empty list")
+    for m, member in enumerate(member_probs):
+        if type(member) is not list or len(member) != len(widths):
+            raise DataError(f"member {m} needs a list of {len(widths)} positions")
+    lengths = np.array([[len(r) if type(r) is list else -1 for r in m] for m in member_probs])
+    mismatch = np.any(lengths != widths, axis=0)
+    if np.any(mismatch):
+        raise DataError(f"member support mismatch at position {np.argmax(mismatch)}")
+    rows = [list(chain.from_iterable(member)) for member in member_probs]
+    # numpy would read a bool as 1/0 and a numeric string as its value.
+    numeric = set(map(type, chain.from_iterable(rows))) <= {float, int}
+    try:
+        probs = np.array(rows, dtype=np.float64) if numeric else None
+    except OverflowError:  # an integer too large for a float
+        probs = None
+    if probs is None:
+        bad = np.any([[not _is_number(p) for p in row] for row in rows], axis=0)
+        l = np.searchsorted(np.cumsum(widths), np.argmax(bad), side="right")
+        raise DataError(f"non-numeric probability at position {l}")
+    if "tokens" in record and not isinstance(record["tokens"], list):
         raise DataError("tokens must be a list")
-    return EnsembleTokenDistributions(
-        example_id=example_id,
-        support=support,
-        probs=tuple(blocks),
-        tokens=tuple(tokens) if tokens is not None else None,
-    )
+    return EnsembleTokenDistributions(example_id, widths, probs)
 
 
 def read_ensemble_dump(path: str | Path) -> list[EnsembleTokenDistributions]:
@@ -242,7 +229,9 @@ def read_ensemble_dump(path: str | Path) -> list[EnsembleTokenDistributions]:
 
     Each record: ``{"id": ..., "tokens": [...], "support": [[...], ...],
     "probs": [[[...], ...], ...]}`` with probs indexed [member][position][support].
-    A repeated id raises DataError naming its line.
+    Supports are lists of strings, of which only the widths are kept; `tokens`
+    is optional and not kept. Probabilities are JSON numbers, not bools. A
+    malformed record or a repeated id raises DataError naming its line.
     """
     out = []
     seen: set[str] = set()
@@ -265,66 +254,3 @@ def read_ensemble_dump(path: str | Path) -> list[EnsembleTokenDistributions]:
         seen.add(dists.example_id)
         out.append(dists)
     return out
-
-
-def write_ensemble_dump(dists: Iterable[EnsembleTokenDistributions], path: str | Path) -> int:
-    """Write distributions as a JSONL dump (full float precision)."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for d in dists:
-            record = {
-                "id": d.example_id,
-                "support": [list(s) for s in d.support],
-                "probs": [
-                    [[float(p) for p in d.probs[l][m]] for l in range(d.positions)]
-                    for m in range(d.members)
-                ],
-            }
-            if d.tokens is not None:
-                record["tokens"] = list(d.tokens)
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-            n += 1
-    return n
-
-
-def coarsen_distributions(
-    example_id: str,
-    full_probs: np.ndarray,
-    vocab: Sequence[str],
-    top_k: int = 16,
-    tokens: Sequence[str] | None = None,
-) -> EnsembleTokenDistributions:
-    """Reduce full-vocabulary member distributions to compact shared supports.
-
-    `full_probs` has shape (M, L, V). Each position's support is the union of
-    every member's `top_k` tokens; remaining mass goes to an ``<other>``
-    bucket so rows still sum to one.
-    """
-    full_probs = np.asarray(full_probs, dtype=np.float64)
-    if full_probs.ndim != 3:
-        raise ConfigError("full_probs must have shape (members, positions, vocab)")
-    members, positions, vocab_size = full_probs.shape
-    if vocab_size != len(vocab):
-        raise ConfigError(f"vocab of {len(vocab)} tokens but distributions over {vocab_size}")
-    supports = []
-    blocks = []
-    for l in range(positions):
-        block = full_probs[:, l, :]
-        keep: set[int] = set()
-        for m in range(members):
-            top = np.argsort(-block[m])[:top_k]
-            keep.update(int(i) for i in top)
-        kept = sorted(keep)
-        support = tuple(vocab[i] for i in kept) + (OTHER_TOKEN,)
-        rows = np.empty((members, len(kept) + 1))
-        rows[:, :-1] = block[:, kept]
-        rows[:, -1] = 1.0 - block[:, kept].sum(axis=1)
-        np.clip(rows[:, -1], 0.0, None, out=rows[:, -1])
-        supports.append(support)
-        blocks.append(rows)
-    return EnsembleTokenDistributions(
-        example_id=example_id,
-        support=tuple(supports),
-        probs=tuple(blocks),
-        tokens=tuple(tokens) if tokens is not None else None,
-    )

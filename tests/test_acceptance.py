@@ -137,9 +137,7 @@ def test_04_uncertainty_fixture_and_oracle_sweep():
         4, "two-member fixture mi/rmi to 1e-6; identical members exactly 0; 500 random vs oracle at 1e-10"
     ) as info:
         fixture = EnsembleTokenDistributions(
-            example_id="fixture",
-            support=(("a", "b"),),
-            probs=(np.array([[0.9, 0.1], [0.1, 0.9]]),),
+            example_id="fixture", widths=[2], probs=np.array([[0.9, 0.1], [0.1, 0.9]])
         )
         score = token_uncertainties(fixture)
         assert abs(score.token_mutual_information[0] - 0.368064) < 1e-6
@@ -149,9 +147,7 @@ def test_04_uncertainty_fixture_and_oracle_sweep():
         # disagreement measures must vanish with no tolerance at all.
         row = np.array([0.3, 0.2, 0.5])
         same = EnsembleTokenDistributions(
-            example_id="same",
-            support=(("a", "b", "c"),) * 2,
-            probs=(np.tile(row, (2, 1)),) * 2,
+            example_id="same", widths=[3, 3], probs=np.tile(row, (2, 2))
         )
         same_score = token_uncertainties(same)
         assert np.all(same_score.token_mutual_information == 0.0)
@@ -163,14 +159,15 @@ def test_04_uncertainty_fixture_and_oracle_sweep():
         for case in range(500):
             members = int(rng.integers(2, 7))
             positions = int(rng.integers(1, 5))
-            support, blocks = [], []
+            blocks = []
             for l in range(positions):
                 size = int(rng.integers(2, 9))
-                support.append(tuple(f"s{l}_{j}" for j in range(size)))
                 alpha = rng.uniform(0.3, 3.0, size=size)
                 blocks.append(rng.dirichlet(alpha, size=members))
             dists = EnsembleTokenDistributions(
-                example_id=f"case{case}", support=tuple(support), probs=tuple(blocks)
+                example_id=f"case{case}",
+                widths=[b.shape[1] for b in blocks],
+                probs=np.concatenate(blocks, axis=1),
             )
             got = token_uncertainties(dists)
             for l in range(positions):

@@ -356,6 +356,19 @@ class TestExitCodes:
         assert main(["build-dict", "--train", str(tmp_path / "nope.tsv"),
                      "--out", str(tmp_path / "d.ngix")]) == 2
 
+    def test_negative_max_n_exits_2(self, pipeline_inputs, tmp_path, capsys):
+        out = tmp_path / "d.ngix"
+        assert main(["build-dict", "--train", str(pipeline_inputs["train"]),
+                     "--max-n", "-1", "--out", str(out)]) == 2
+        assert "--max-n" in capsys.readouterr().err and not out.exists()
+
+    def test_zero_max_n_builds_uncapped_index(self, pipeline_inputs, tmp_path, capsys):
+        out = tmp_path / "d.ngix"
+        assert main(["build-dict", "--train", str(pipeline_inputs["train"]),
+                     "--max-n", "0", "--out", str(out)]) == 0
+        assert out.exists()
+        capsys.readouterr()
+
     def test_comp_degree_has_no_workers_flag(self, pipeline_inputs, tmp_path, capsys):
         assert main(["comp-degree", "--dict", str(tmp_path / "d.ngix"),
                      "--pool", str(pipeline_inputs["pool"]), "--workers", "2",
@@ -494,7 +507,11 @@ class TestMalformedInputs:
         {"probs": [[[0.5, 0.5]], [["q", 0.5]]]},
         {"tokens": 5},
         {"probs": [[[0.5, 0.5]], 7]},
-    ], ids=["non-numeric-probability", "tokens-not-a-list", "positions-not-a-list"])
+        {"support": ["xy", "z"], "probs": [[[0.5, 0.5], [1.0]], [[0.25, 0.75], [1.0]]]},
+        {"support": [{"x": 1, "y": 2}]},
+        {"probs": [[[True, False]], [[0.25, 0.75]]]},
+    ], ids=["non-numeric-probability", "tokens-not-a-list", "positions-not-a-list",
+            "support-of-strings", "support-object", "boolean-probability"])
     def test_bad_dump_value_exits_3(self, tmp_path, capsys, changes):
         dump = tmp_path / "dump.jsonl"
         record = {"id": "p0", "tokens": ["a"], "support": [["a", "b"]],

@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compforge.errors import ConfigError, DataError
 from compforge.uncertainty import (
     EnsembleTokenDistributions,
     band_select,
-    coarsen_distributions,
     read_ensemble_dump,
     token_uncertainties,
-    write_ensemble_dump,
 )
 
 from oracles import naive_uncertainties
@@ -20,11 +20,11 @@ from oracles import naive_uncertainties
 
 def dists_from(blocks, example_id="e"):
     """blocks: list over positions of (M, S) arrays/lists."""
-    support = tuple(tuple(f"t{i}" for i in range(np.asarray(b).shape[1])) for b in blocks)
+    blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
     return EnsembleTokenDistributions(
         example_id=example_id,
-        support=support,
-        probs=tuple(np.asarray(b, dtype=np.float64) for b in blocks),
+        widths=[b.shape[1] for b in blocks],
+        probs=np.concatenate(blocks, axis=1),
     )
 
 
@@ -103,6 +103,21 @@ class TestTokenUncertainties:
             s1.token_mutual_information, s2.token_mutual_information, atol=1e-12
         )
 
+    @settings(max_examples=150, deadline=None)
+    @given(widths=st.lists(st.integers(1, 20), min_size=1, max_size=30),
+           members=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_ragged_widths_against_oracle(self, widths, members, seed):
+        # Widths of 8 or more are where numpy's pairwise summation changes the
+        # order of additions; a small alpha puts some probabilities under the floor.
+        rng = np.random.default_rng(seed)
+        blocks = [rng.dirichlet([0.3] * w, size=members) for w in widths]
+        score = token_uncertainties(dists_from(blocks))
+        for l, block in enumerate(blocks):
+            ent, mi, rmi = naive_uncertainties([list(row) for row in block])
+            assert score.token_entropy[l] == pytest.approx(ent, abs=1e-10)
+            assert score.token_mutual_information[l] == pytest.approx(mi, abs=1e-10)
+            assert score.token_rmi[l] == pytest.approx(rmi, abs=1e-10)
+
     def test_member_duplication_invariance(self):
         rng = np.random.default_rng(34)
         blocks = random_blocks(rng, members=3, positions=2)
@@ -139,10 +154,29 @@ class TestValidation:
     def test_support_row_mismatch(self):
         with pytest.raises(DataError):
             EnsembleTokenDistributions(
-                example_id="x",
-                support=(("a", "b", "c"),),
-                probs=(np.array([[0.5, 0.5], [0.5, 0.5]]),),
+                example_id="x", widths=[3], probs=np.array([[0.5, 0.5], [0.5, 0.5]])
             )
+
+    def test_widths_not_matching_columns(self):
+        with pytest.raises(DataError, match="columns"):
+            EnsembleTokenDistributions(
+                example_id="x", widths=[2, 2], probs=np.full((2, 5), 0.5)
+            )
+
+    def test_zero_width_support(self):
+        # np.add.reduceat returns the element at a repeated start, not 0, so an
+        # empty support must be rejected before any sum is taken.
+        probs = np.array([[0.5, 0.5, 1.0], [0.5, 0.5, 1.0]])
+        with pytest.raises(DataError, match="empty support at position 1"):
+            EnsembleTokenDistributions(example_id="x", widths=[2, 0, 1], probs=probs)
+
+    def test_error_names_first_bad_position(self):
+        good = np.array([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(DataError, match="unnormalized distribution at position 1"):
+            dists_from([good, np.array([[0.9, 0.2], [0.5, 0.5]]),
+                        np.array([[1.1, -0.1], [0.5, 0.5]])])
+        with pytest.raises(DataError, match="non-finite probability at position 0"):
+            dists_from([np.array([[np.nan, 0.5], [0.5, 0.5]]), good])
 
     def test_unnormalized_rejected(self):
         with pytest.raises(DataError):
@@ -203,28 +237,24 @@ class TestBandSelect:
 
 
 class TestDumpIO:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(15)
-        dists = [
-            EnsembleTokenDistributions(
-                example_id=f"e{i}",
-                support=(("a", "b"), ("a", "b", "c")),
-                probs=(
-                    rng.dirichlet([1, 1], size=3),
-                    rng.dirichlet([1, 1, 1], size=3),
-                ),
-                tokens=("x", "y"),
-            )
-            for i in range(4)
-        ]
+    def test_reads_hand_written_dump(self, tmp_path):
         path = tmp_path / "dump.jsonl"
-        assert write_ensemble_dump(dists, path) == 4
-        again = read_ensemble_dump(path)
-        assert [d.example_id for d in again] == [d.example_id for d in dists]
-        for d1, d2 in zip(dists, again):
-            assert d1.support == d2.support and d1.tokens == d2.tokens
-            for b1, b2 in zip(d1.probs, d2.probs):
-                np.testing.assert_allclose(b1, b2, atol=0)
+        path.write_text(
+            '{"id": "e0", "tokens": ["x", "y"], "support": [["a", "b"], ["a", "b", "c"]],'
+            ' "probs": [[[0.5, 0.5], [0.1, 0.2, 0.7]], [[0.25, 0.75], [1, 0, 0]]]}\n'
+            "\n"
+            '{"id": 7, "support": [["z", "<other>"]], "probs": [[[0.125, 0.875]],'
+            ' [[1e-3, 0.999]], [[0.3, 0.7]]]}\n',
+            encoding="utf-8",
+        )
+        first, second = read_ensemble_dump(path)
+        assert first.example_id == "e0" and second.example_id == "7"
+        assert first.widths.tolist() == [2, 3] and second.widths.tolist() == [2]
+        assert first.widths.dtype == np.int64 and first.probs.dtype == np.float64
+        assert np.array_equal(
+            first.probs, [[0.5, 0.5, 0.1, 0.2, 0.7], [0.25, 0.75, 1.0, 0.0, 0.0]]
+        )
+        assert np.array_equal(second.probs, [[0.125, 0.875], [1e-3, 0.999], [0.3, 0.7]])
 
     def test_mismatched_member_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -235,15 +265,3 @@ class TestDumpIO:
         with pytest.raises(DataError) as err:
             read_ensemble_dump(path)
         assert err.value.line == 1
-
-    def test_coarsening_keeps_rows_normalized(self):
-        rng = np.random.default_rng(44)
-        vocab = [f"v{i}" for i in range(40)]
-        full = rng.dirichlet([0.5] * 40, size=(4, 6))
-        d = coarsen_distributions("big", full, vocab, top_k=5)
-        assert d.members == 4 and d.positions == 6
-        for support, block in zip(d.support, d.probs):
-            assert support[-1] == "<other>"
-            np.testing.assert_allclose(block.sum(axis=1), 1.0, atol=1e-9)
-        # scoring the coarsened dump works
-        token_uncertainties(d)
