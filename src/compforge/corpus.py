@@ -186,11 +186,10 @@ def filter_oov(
     """
     if min_count < 0:
         raise ConfigError(f"min_count must be non-negative, got {min_count}")
-    kept = []
-    for ex in pool:
-        if all(counts.count(tok) >= min_count for tok in side_tokens(ex, counts.side)):
-            kept.append(ex)
-    return kept
+    if min_count == 0:  # every token qualifies, seen or not
+        return list(pool)
+    frequent = {tok for tok, count in counts.counts.items() if count >= min_count}
+    return [ex for ex in pool if frequent.issuperset(side_tokens(ex, counts.side))]
 
 
 def iter_side(corpus: Iterable[ParallelExample], side: str) -> Iterator[tuple[str, ...]]:

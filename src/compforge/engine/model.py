@@ -77,9 +77,10 @@ def adaptive_encode(
     Stage 1 runs k1 layers over the concatenated source + prefix rows (the
     prefix embeds with the target table and continues the source position
     indices); the result is truncated back to the source rows, and stage 2
-    runs k2 layers over those. With fusion disabled, stage-1 attention
-    places zero mass on prefix columns, so the prefix cannot influence the
-    output at all.
+    runs k2 layers over those. The last stage-1 layer computes only the
+    source rows (keys and values still come from every row). With fusion
+    disabled, stage-1 attention places zero mass on prefix columns, so the
+    prefix cannot influence the output at all.
     """
     _check_tokens(src, cfg.src_vocab, "source")
     _check_tokens(prefix, cfg.tgt_vocab, "prefix")
@@ -93,9 +94,10 @@ def adaptive_encode(
 
     stage1, stage2 = cfg.adaptive_prefixes()
     mask = None if cfg.fusion_enabled else key_block_mask(n + t, n, n + t)
-    for layer in stage1:
-        x = encoder_layer(x, w, layer, cfg.n_heads, mask=mask)
-    x = x[:n]
+    for i, layer in enumerate(stage1, start=1):
+        x = encoder_layer(x, w, layer, cfg.n_heads, mask=mask,
+                          rows=n if i == len(stage1) else None)
+    x = x[:n]  # already n rows unless stage 1 is empty
     for layer in stage2:
         x = encoder_layer(x, w, layer, cfg.n_heads)
     final = cfg.adaptive_final_ln()
@@ -366,7 +368,8 @@ def greedy_decode(
             all_logits, memory = kv_decode_full(
                 prefix, value_enc, key_enc, w, cfg, cross=(cross_v, cross_k)
             )
-            logits = all_logits[-1]
+            # A copy: the row view would keep all t rows of logits alive.
+            logits = all_logits[-1].copy()
         else:
             cached_rows += memory.length
             logits, memory = kv_decode_step(

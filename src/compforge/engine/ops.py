@@ -1,5 +1,7 @@
 """Numeric primitives for the forward pass. Everything here is functional
-and dtype-preserving; the decode pipeline feeds float32 through."""
+and dtype-preserving; the decode pipeline feeds float32 through. Inputs are
+never written to: each sublayer allocates its result once and updates that
+temporary in place, unless the update needs a wider dtype."""
 
 from __future__ import annotations
 
@@ -10,17 +12,30 @@ import numpy as np
 from compforge.errors import ConfigError
 
 
+def _update(ufunc, temp: np.ndarray, other) -> np.ndarray:
+    """`ufunc(temp, other)`, written into `temp` (an array this module made)
+    when the result keeps its dtype; a wider operand gets a new array."""
+    out = temp if np.result_type(temp, other) == temp.dtype else None
+    return ufunc(temp, other, out=out)
+
+
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-subtraction stabilized softmax. Tolerates -inf masked entries."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
+    # An integer input gets a float result, as np.exp would give it.
+    out = np.subtract(x, np.max(x, axis=axis, keepdims=True), dtype=np.result_type(x, 1.0))
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=axis, keepdims=True)
+    return out
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    mean = x.mean(axis=-1, keepdims=True)
-    var = ((x - mean) ** 2).mean(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * gain + bias
+    width = x.shape[-1]
+    out = x - np.add.reduce(x, axis=-1, keepdims=True) / width
+    var = np.add.reduce(np.square(out), axis=-1, keepdims=True)
+    var /= width
+    var += eps
+    out /= np.sqrt(var, out=var)
+    return _update(np.add, _update(np.multiply, out, gain), bias)
 
 
 def causal_mask(n: int, dtype=np.float32) -> np.ndarray:
@@ -40,7 +55,7 @@ def key_block_mask(n_keys: int, visible: int, n_queries: int, dtype=np.float32) 
 def project(x: np.ndarray, w, prefix: str, part: str) -> np.ndarray:
     """One attention projection: `x @ {prefix}.w{part} + {prefix}.b{part}`,
     `part` being q, k, v or o."""
-    return x @ w[f"{prefix}.w{part}"] + w[f"{prefix}.b{part}"]
+    return _update(np.add, x @ w[f"{prefix}.w{part}"], w[f"{prefix}.b{part}"])
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -72,9 +87,10 @@ def cross_attention(
     # would promote the whole score matrix to float64).
     scale = 1.0 / math.sqrt(d_model // n_heads)
     keys_t = _split_heads(k, n_heads).transpose(0, 2, 1)
-    scores = (_split_heads(q, n_heads) @ keys_t) * scale
+    scores = _split_heads(q, n_heads) @ keys_t
+    scores *= scale
     if mask is not None:
-        scores = scores + mask
+        scores = _update(np.add, scores, mask)
     out = softmax(scores, axis=-1) @ _split_heads(v, n_heads)
     return out.transpose(1, 0, 2).reshape(t_q, d_model)
 
@@ -96,17 +112,28 @@ def attention_block(
 
 
 def ffn(x: np.ndarray, w, prefix: str) -> np.ndarray:
-    hidden = np.maximum(x @ w[f"{prefix}.w1"] + w[f"{prefix}.b1"], 0.0)
-    return hidden @ w[f"{prefix}.w2"] + w[f"{prefix}.b2"]
+    hidden = _update(np.add, x @ w[f"{prefix}.w1"], w[f"{prefix}.b1"])
+    np.maximum(hidden, 0.0, out=hidden)
+    return _update(np.add, hidden @ w[f"{prefix}.w2"], w[f"{prefix}.b2"])
 
 
 def encoder_layer(
-    x: np.ndarray, w, prefix: str, n_heads: int, mask: np.ndarray | None = None
+    x: np.ndarray, w, prefix: str, n_heads: int, mask: np.ndarray | None = None,
+    rows: int | None = None,
 ) -> np.ndarray:
-    """One pre-norm self-attention encoder layer."""
+    """One pre-norm self-attention encoder layer.
+
+    With `rows`, only the first `rows` positions are computed and returned:
+    keys and values still come from every row of `x`, but queries,
+    attention output and FFN run on the kept rows alone (and `mask`, if
+    given, is cut to their rows).
+    """
     normed = layer_norm(x, w[f"{prefix}.ln1.g"], w[f"{prefix}.ln1.b"])
     attn = f"{prefix}.attn"
     k, v = project(normed, w, attn, "k"), project(normed, w, attn, "v")
-    x = x + attention_block(normed, k, v, w, attn, n_heads, mask)
+    if rows is not None:
+        x, normed = x[:rows], normed[:rows]
+        mask = None if mask is None else mask[:rows]
+    x = _update(np.add, attention_block(normed, k, v, w, attn, n_heads, mask), x)
     normed = layer_norm(x, w[f"{prefix}.ln2.g"], w[f"{prefix}.ln2.b"])
-    return x + ffn(normed, w, f"{prefix}.ffn")
+    return _update(np.add, x, ffn(normed, w, f"{prefix}.ffn"))

@@ -9,6 +9,9 @@ shared layer simply appears under a single name.
 The file format is a small JSON header (names, shapes, seed, and the model
 config so a decoder can be rebuilt from the file alone) followed by the raw
 little-endian float32 blobs in header order. Round-tripping is bit-exact.
+Loading checks the blob sizes the header gives against the file size, then
+reads the whole blob region once into one float32 buffer; every parameter
+is a reshaped view of it, so a loaded model holds its parameter bytes once.
 Loading raises DataError when the header does not describe the blobs, bytes
 follow the last one, or the stored config is invalid or needs a parameter
 the file lacks or holds in another shape (extra parameters are allowed).
@@ -17,6 +20,8 @@ the file lacks or holds in another shape (extra parameters are allowed).
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -169,28 +174,37 @@ def _header_layout(header, path: str) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def load_weights(path: str | Path) -> tuple[Weights, ModelConfig | None]:
-    raw = Path(path).read_bytes()
-    if len(raw) < 4:
-        raise DataError("truncated weights file", path=str(path))
-    (header_len,) = struct.unpack_from("<I", raw)
-    try:
-        header = json.loads(raw[4 : 4 + header_len].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting, huge ints
-        raise DataError(f"unreadable weights header ({exc})", path=str(path))
-    offset = 4 + header_len
-    data: dict[str, np.ndarray] = {}
-    for name, shape in _header_layout(header, str(path)):
-        size = int(np.prod(shape)) * 4
-        chunk = raw[offset : offset + size]
-        if len(chunk) != size:
-            raise DataError(f"weights blob truncated at {name}", path=str(path))
-        data[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float32)
-        offset += size
-    if offset != len(raw):
-        raise DataError(
-            f"weights file has {len(raw)} bytes but its header and blobs span {offset}",
-            path=str(path),
-        )
+    with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
+        if file_size < 4:
+            raise DataError("truncated weights file", path=str(path))
+        (header_len,) = struct.unpack("<I", fh.read(4))
+        try:
+            # A header length past the end reads what is there, never more.
+            header = json.loads(fh.read(min(header_len, file_size - 4)).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting, huge ints
+            raise DataError(f"unreadable weights header ({exc})", path=str(path))
+        offset = 4 + header_len
+        blobs = []  # (name, shape, first element, element count)
+        count = 0
+        for name, shape in _header_layout(header, str(path)):
+            size = math.prod(shape)  # exact: a huge shape reads as truncated, not as 0
+            if offset + 4 * (count + size) > file_size:
+                raise DataError(f"weights blob truncated at {name}", path=str(path))
+            blobs.append((name, shape, count, size))
+            count += size
+        if offset + 4 * count != file_size:
+            raise DataError(
+                f"weights file has {file_size} bytes but its header and blobs span "
+                f"{offset + 4 * count}",
+                path=str(path),
+            )
+        flat = np.empty(count, dtype="<f4")
+        if fh.readinto(flat) != flat.nbytes:
+            raise DataError("weights file shrank while it was read", path=str(path))
+    flat = flat.astype(np.float32, copy=False)
+    data = {name: flat[start : start + size].reshape(shape)
+            for name, shape, start, size in blobs}
     config = header.get("config")
     if config and not isinstance(config, dict):
         raise DataError("weights header 'config' is not an object", path=str(path))

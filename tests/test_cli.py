@@ -532,6 +532,18 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert "do not match their config" in err and "Traceback" not in err
 
+    def test_overflowing_weights_shape_exits_3(self, tmp_path, capsys):
+        # The shape's int64 product wraps to 0; its exact size is far past the file.
+        blob = json.dumps({"names": ["a"], "shapes": {"a": [2**32, 2**32]},
+                           "config": None}).encode()
+        path = tmp_path / "huge.npw"
+        path.write_bytes(struct.pack("<I", len(blob)) + blob + b"\0" * 8)
+        src = tmp_path / "src.txt"
+        src.write_text("3 5 7\n")
+        assert main(["simulate", "--weights", str(path), "--input", str(src)]) == 3
+        err = capsys.readouterr().err
+        assert "truncated at a" in err and "Traceback" not in err
+
     def test_invalid_stored_config_exits_3(self, sim_weights, tmp_path, capsys):
         path = tmp_path / "model.npw"
         raw = sim_weights["path"].read_bytes()

@@ -152,6 +152,11 @@ class TestFilterOOV:
         it = iter(corpus)
         assert all(ex in it for ex in kept)  # order-preserving subsequence
 
+    def test_zero_min_count_keeps_unseen_tokens(self):
+        counts = self.fixture_counts()
+        pool = make_examples(["a never-seen", "rare"])
+        assert filter_oov(pool, counts, min_count=0) == pool
+
     def test_negative_min_count_rejected(self):
         with pytest.raises(ConfigError):
             filter_oov([], self.fixture_counts(), min_count=-1)

@@ -443,6 +443,21 @@ class TestDecodeCost:
             assert result.cached_rows == cached_rows, variant
 
 
+    def test_step_logits_hold_only_their_own_row(self):
+        # At o=1 every step decodes the whole prefix; the trace keeps its last
+        # row alone, not the (t, tgt_vocab) array it was cut from.
+        cfg = small_config(variant="dangle", interval=1)
+        result = greedy_decode([3, 5, 7], self.no_eos_weights(cfg, 2), cfg, max_len=9)
+        owners = {}
+        for step in result.steps:
+            owner = step.logits
+            while owner.base is not None:
+                owner = owner.base
+            owners[id(owner)] = owner
+        assert len(result.steps) == 9
+        assert sum(a.nbytes for a in owners.values()) == 9 * cfg.tgt_vocab * 4
+
+
 class TestAgainstNaiveDecoder:
     def test_shared_variant_matches_full_redecode_oracle(self):
         # The oracle re-encodes at schedule points and redecodes the whole

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from compforge.engine import (
     save_weights,
     softmax,
 )
+from compforge.engine.ops import encoder_layer, key_block_mask
 from compforge.errors import ConfigError, DataError
 
 from reference_engine import ref_adaptive_encode, ref_attention, ref_encode, ref_layer_norm
@@ -80,6 +82,22 @@ class TestSoftmaxAndLayerNorm:
         np.testing.assert_allclose(
             layer_norm(x, g, b), ref_layer_norm(x, g, b), atol=1e-12
         )
+
+    def test_wider_operand_is_not_cast_down(self):
+        # Float32 activations with float64 parameters or masks give float64
+        # results, and no input is written to.
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(3, 8)).astype(np.float32)
+        g, b = rng.normal(size=8), rng.normal(size=8)
+        mask = np.zeros((3, 3))
+        mask[0, 2] = -np.inf
+        before = [a.copy() for a in (x, g, b, mask)]
+        assert layer_norm(x, g, b).dtype == np.float64
+        assert softmax(x + mask[:, :1]).dtype == np.float64
+        assert softmax(np.array([[1, 2]])).dtype == np.float64
+        assert cross_attention(x, x, x, n_heads=2, mask=mask).dtype == np.float64
+        for arr, copy in zip((x, g, b, mask), before):
+            np.testing.assert_array_equal(arr, copy)
 
     def test_layer_norm_output_statistics(self):
         rng = np.random.default_rng(2)
@@ -240,6 +258,30 @@ class TestAdaptiveEncode:
                 atol=1e-6,
             )
 
+    @pytest.mark.parametrize("k1, k2", [(0, 2), (2, 0)])
+    def test_matches_reference_with_an_empty_stage(self, k1, k2):
+        cfg = small_config(k1=k1, k2=k2)
+        w = init_weights(cfg, seed=2)
+        src, prefix = [5, 7, 2, 9], [1, 3, 4]
+        np.testing.assert_allclose(
+            adaptive_encode(src, prefix, w, cfg),
+            ref_adaptive_encode(src, prefix, w, cfg),
+            atol=1e-6,
+        )
+
+    @pytest.mark.parametrize("fusion", [True, False])
+    def test_encoder_layer_rows_match_full_layer(self, fusion):
+        # Keeping the first n rows computes only those queries, over keys and
+        # values from every row: the same rows a full layer would give.
+        cfg = small_config()
+        w = init_weights(cfg, seed=4)
+        x = np.random.default_rng(8).normal(size=(7, cfg.d_model)).astype(np.float32)
+        mask = None if fusion else key_block_mask(7, 4, 7)
+        full = encoder_layer(x, w, "aenc1.0", cfg.n_heads, mask=mask)
+        kept = encoder_layer(x, w, "aenc1.0", cfg.n_heads, mask=mask, rows=4)
+        assert kept.shape == (4, cfg.d_model)
+        np.testing.assert_allclose(kept, full[:4], atol=1e-6)
+
     def test_returns_source_rows_only(self):
         cfg = small_config()
         w = init_weights(cfg, seed=0)
@@ -350,6 +392,28 @@ class TestWeights:
         path.write_bytes(struct.pack("<I", len(blob)) + blob + np.zeros(2, "<f4").tobytes())
         with pytest.raises(DataError, match="weights header"):
             load_weights(path)
+
+    def test_overflowing_shape_reads_as_truncated(self, tmp_path):
+        # 2**32 * 2**32 wraps to 0 in int64; the exact size is far past the file.
+        blob = json.dumps({"names": ["a"], "shapes": {"a": [2**32, 2**32]}}).encode()
+        path = tmp_path / "huge.npw"
+        path.write_bytes(struct.pack("<I", len(blob)) + blob + np.zeros(2, "<f4").tobytes())
+        with pytest.raises(DataError, match="truncated at a"):
+            load_weights(path)
+
+    def test_load_peaks_near_parameter_bytes(self, tmp_path):
+        # The blobs are read once into one buffer that every parameter views.
+        cfg = small_config(src_vocab=200, tgt_vocab=200, d_model=64)
+        path = tmp_path / "model.npw"
+        save_weights(path, init_weights(cfg, seed=0), cfg)
+        tracemalloc.start()
+        try:
+            loaded, _ = load_weights(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        param_bytes = sum(loaded[name].nbytes for name in loaded.names())
+        assert peak <= 1.25 * param_bytes
 
     def test_zero_heads_rejected(self):
         with pytest.raises(ConfigError, match="n_heads"):
