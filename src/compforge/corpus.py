@@ -4,7 +4,8 @@ Two on-disk layouts are understood:
 
 * TSV — one example per line, ``source<TAB>target``, whitespace-tokenized.
 * JSONL — one JSON object per line with ``source`` and ``target`` string
-  fields and optional ``id``/``meta``.
+  fields, an optional ``id`` (a string or an integer) and an optional
+  ``meta`` object.
 
 Sentences are plain token tuples everywhere downstream; punctuation is not
 treated specially and tokens never contain whitespace (they are produced by
@@ -16,6 +17,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import count
+from json.encoder import encode_basestring as _quote
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -54,6 +57,25 @@ def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
         raise DataError(f"not UTF-8 text: {exc.reason}", path=str(path))
 
 
+_scan_json = json.JSONDecoder().scan_once
+
+
+def json_line(line: str):
+    """``json.loads(line)``: the same value, or the same error.
+
+    A line that is one JSON value with no padding is scanned directly,
+    skipping the per-call work of ``json.loads``; anything else, malformed
+    lines included, goes through ``json.loads`` itself.
+    """
+    try:
+        value, end = _scan_json(line, 0)
+        if end == len(line):
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    return json.loads(line)
+
+
 def _infer_format(path: str | Path) -> str:
     suffix = Path(path).suffix.lower()
     if suffix in (".tsv", ".txt"):
@@ -70,7 +92,8 @@ def load_parallel_corpus(path: str | Path, format: str | None = None) -> list[Pa
     suffix. Blank lines are skipped. An empty file yields an empty corpus.
     Malformed records raise :class:`DataError` carrying the 1-based line
     number. Explicit ids must be unique; missing ids are assigned from the
-    record index. Equal tokens share one string object, to save memory.
+    record index, and an integer id is read as its decimal string. Equal
+    tokens share one string object, to save memory.
     """
     fmt = format or _infer_format(path)
     if fmt not in ("tsv", "jsonl"):
@@ -79,7 +102,7 @@ def load_parallel_corpus(path: str | Path, format: str | None = None) -> list[Pa
 
     examples: list[ParallelExample] = []
     seen_ids: set[str] = set()
-    canon: dict[str, str] = {}
+    intern = {}.setdefault  # each token string to the first equal one seen
     for lineno, line in text_lines(path):
         if not line.strip():
             continue
@@ -95,23 +118,30 @@ def load_parallel_corpus(path: str | Path, format: str | None = None) -> list[Pa
             meta: dict = {}
         else:
             try:
-                record = json.loads(line)
+                record = json_line(line)
             except (ValueError, RecursionError) as exc:  # also deep nesting, huge ints
                 raise DataError(f"invalid JSON: {exc}", path=str(path), line=lineno)
             if not isinstance(record, dict):
                 raise DataError("record is not an object", path=str(path), line=lineno)
-            missing = [k for k in ("source", "target") if not isinstance(record.get(k), str)]
-            if missing:
+            src_text, tgt_text = record.get("source"), record.get("target")
+            if not (isinstance(src_text, str) and isinstance(tgt_text, str)):
+                missing = [k for k in SIDES if not isinstance(record.get(k), str)]
                 raise DataError(
                     f"missing or non-string field(s): {', '.join(missing)}",
                     path=str(path), line=lineno,
                 )
-            ex_id = str(record["id"]) if "id" in record else str(len(examples))
-            src_text, tgt_text = record["source"], record["target"]
-            meta = record.get("meta") or {}
+            ex_id = record.get("id", len(examples))
+            if type(ex_id) is not str:
+                if type(ex_id) is not int:  # a bool is not an int here
+                    raise DataError("id must be a string or an integer",
+                                    path=str(path), line=lineno)
+                ex_id = str(ex_id)
+            meta = record.get("meta", {})
+            if type(meta) is not dict:
+                raise DataError("meta must be an object", path=str(path), line=lineno)
         src_toks, tgt_toks = src_text.split(), tgt_text.split()
-        source = tuple(map(canon.setdefault, src_toks, src_toks))
-        target = tuple(map(canon.setdefault, tgt_toks, tgt_toks))
+        source = tuple(map(intern, src_toks, src_toks))
+        target = tuple(map(intern, tgt_toks, tgt_toks))
         if not source or not target:
             raise DataError("source and target must be non-empty", path=str(path), line=lineno)
         if ex_id in seen_ids:
@@ -121,17 +151,27 @@ def load_parallel_corpus(path: str | Path, format: str | None = None) -> list[Pa
     return examples
 
 
+def _jsonl_line(ex: ParallelExample) -> str:
+    """One example as a JSONL line: ``json.dumps(record, sort_keys=True,
+    ensure_ascii=False)`` plus a newline, formatted directly for the common
+    record of a string id and no meta."""
+    if type(ex.id) is str and not ex.meta:
+        # json.dumps escapes strings with encode_basestring when ensure_ascii
+        # is off, and "id" < "source" < "target" is the sort_keys order.
+        return (f'{{"id": {_quote(ex.id)}, "source": {_quote(" ".join(ex.source))}, '
+                f'"target": {_quote(" ".join(ex.target))}}}\n')
+    record = {"id": ex.id, "source": " ".join(ex.source), "target": " ".join(ex.target)}
+    if ex.meta:
+        record["meta"] = ex.meta
+    return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+
+
 def save_corpus_jsonl(examples: Iterable[ParallelExample], path: str | Path) -> int:
     """Write examples as JSONL; returns the number of records written."""
-    n = 0
+    written = count()  # zip draws an example before a count, so this counts examples
     with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            record = {"id": ex.id, "source": " ".join(ex.source), "target": " ".join(ex.target)}
-            if ex.meta:
-                record["meta"] = ex.meta
-            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
-            n += 1
-    return n
+        fh.writelines(_jsonl_line(ex) for ex, _ in zip(examples, written))
+    return next(written)
 
 
 @dataclass

@@ -83,8 +83,8 @@ def write_degree_tsv(
     rows: Iterable[tuple[str, CompositionalDegree]], path: str | Path
 ) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for ex_id, degree in rows:
-            fh.write(f"{ex_id}\t{degree.atom_count}\t{degree.length}\t{degree.value:.10g}\n")
+        fh.writelines(f"{ex_id}\t{degree.atom_count}\t{degree.length}\t{degree.value:.10g}\n"
+                      for ex_id, degree in rows)
 
 
 def read_degree_tsv(path: str | Path) -> dict[str, CompositionalDegree]:

@@ -22,7 +22,6 @@ array operations over the position starts.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -32,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from compforge.corpus import text_lines, tsv_rows
+from compforge.corpus import json_line, text_lines, tsv_rows
 from compforge.errors import ConfigError, DataError
 
 PROB_FLOOR = 1e-10
@@ -158,8 +157,7 @@ def band_select(
 
 def write_uncertainty_tsv(rows: Iterable[tuple[str, float]], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for ex_id, score in rows:
-            fh.write(f"{ex_id}\t{score:.10g}\n")
+        fh.writelines(f"{ex_id}\t{score:.10g}\n" for ex_id, score in rows)
 
 
 def read_uncertainty_tsv(path: str | Path) -> dict[str, float]:
@@ -240,7 +238,7 @@ def read_ensemble_dump(path: str | Path) -> list[EnsembleTokenDistributions]:
         if not line:
             continue
         try:
-            record = json.loads(line)
+            record = json_line(line)
         except (ValueError, RecursionError) as exc:  # also deep nesting, huge ints
             raise DataError(f"invalid JSON: {exc}", path=str(path), line=lineno)
         try:

@@ -522,6 +522,24 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert f"{dump}:2]" in err and "Traceback" not in err
 
+    # String and integer ids and object metas load; any other JSON kind is
+    # rejected rather than turned into an id like "None" or dropped.
+    @pytest.mark.parametrize("field, value", [
+        ("id", None), ("id", True), ("id", 1.5), ("id", [1]), ("id", {"k": 1}),
+        ("meta", "note"), ("meta", 0), ("meta", None), ("meta", [1]),
+    ], ids=["id-null", "id-bool", "id-float", "id-list", "id-object",
+            "meta-string", "meta-zero", "meta-null", "meta-list"])
+    def test_bad_corpus_id_or_meta_exits_3(self, pipeline_inputs, tmp_path, capsys,
+                                           field, value):
+        pool = tmp_path / "pool.jsonl"
+        record = {"id": 7, "source": "w1 w2", "target": "w1 w2", "meta": {"k": 1}}
+        bad = {**record, "id": 8, field: value}
+        pool.write_text(json.dumps(record) + "\n" + json.dumps(bad) + "\n")
+        assert main(["filter-oov", "--train", str(pipeline_inputs["train"]), "--pool", str(pool),
+                     "--out", str(tmp_path / "out.jsonl")]) == 3
+        err = capsys.readouterr().err
+        assert f"{field} must be" in err and f"{pool}:2]" in err and "Traceback" not in err
+
     def test_weights_not_matching_their_config_exit_3(self, sim_weights, tmp_path, capsys):
         cfg = sim_weights["cfg"]
         path = tmp_path / "model.npw"
@@ -594,6 +612,20 @@ class TestMalformedInputs:
         assert main([arg.format(**paths) for arg in command]) == code
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    # json.loads names a leading byte-order mark; a bare JSONDecoder would
+    # report "Expecting value" instead.
+    @pytest.mark.parametrize("kind, command", [
+        ("pool", ["filter-oov", "--train", "{train}", "--pool", "{bom}", "--out", "{out}"]),
+        ("dump", ["uncertainty-score", "--dump", "{bom}", "--out", "{out}"]),
+    ], ids=["corpus", "dump"])
+    def test_byte_order_mark_is_named(self, pipeline_inputs, tmp_path, capsys, kind, command):
+        bom = tmp_path / "bom.jsonl"
+        bom.write_bytes(b"\xef\xbb\xbf" + pipeline_inputs[kind].read_bytes())
+        paths = {"bom": bom, "train": pipeline_inputs["train"], "out": tmp_path / "out"}
+        assert main([arg.format(**paths) for arg in command]) == 3
+        err = capsys.readouterr().err
+        assert "Unexpected UTF-8 BOM" in err and f"{bom}:1]" in err and "Traceback" not in err
 
     # One command per text reader; {bad} is a file holding a non-UTF-8 byte.
     @pytest.mark.parametrize("command", [

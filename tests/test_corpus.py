@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from compforge.corpus import (
     ParallelExample,
     build_vocab_counts,
     filter_oov,
+    json_line,
     load_parallel_corpus,
     save_corpus_jsonl,
     side_tokens,
@@ -58,6 +65,17 @@ class TestLoading:
         with pytest.raises(DataError):
             load_parallel_corpus(path)
 
+    def test_string_and_integer_ids_and_object_meta_load(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "x", "source": "a", "target": "b", "meta": {}}\n'
+                        '{"id": 7, "source": "c", "target": "d", "meta": {"k": [1]}}\n'
+                        '{"source": "e", "target": "f"}\n', encoding="utf-8")
+        assert load_parallel_corpus(path) == [
+            ParallelExample("x", ("a",), ("b",)),
+            ParallelExample("7", ("c",), ("d",), {"k": [1]}),
+            ParallelExample("2", ("e",), ("f",)),
+        ]
+
     def test_jsonl_round_trip(self, tmp_path):
         corpus = make_examples(["a b c", "d e"])
         path = tmp_path / "out.jsonl"
@@ -69,6 +87,118 @@ class TestLoading:
         ex = ParallelExample("0", ("a",), ("b",))
         with pytest.raises(ConfigError):
             side_tokens(ex, "middle")
+
+
+# One corpus in both layouts; each line-handling test rewrites its lines.
+_LINES = {
+    "tsv": ["a b\tx y", "c\tz"],
+    "jsonl": ['{"id": "e0", "source": "a b", "target": "x y"}',
+              '{"id": "e1", "source": "c", "target": "z"}'],
+}
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+class TestLineHandling:
+    def load(self, tmp_path, fmt, raw: bytes) -> list[ParallelExample]:
+        path = tmp_path / f"c.{fmt}"
+        path.write_bytes(raw)
+        return load_parallel_corpus(path)
+
+    def expected(self, fmt) -> list[ParallelExample]:
+        ids = ["0", "1"] if fmt == "tsv" else ["e0", "e1"]
+        return [ParallelExample(ids[0], ("a", "b"), ("x", "y")),
+                ParallelExample(ids[1], ("c",), ("z",))]
+
+    def test_crlf_line_endings(self, tmp_path, fmt):
+        raw = "".join(line + "\r\n" for line in _LINES[fmt]).encode()
+        assert self.load(tmp_path, fmt, raw) == self.expected(fmt)
+
+    @pytest.mark.parametrize("blank", ["", " ", "\t", "\u3000", " \t\u3000\x0b\x0c\xa0"])
+    def test_whitespace_only_lines_are_skipped(self, tmp_path, fmt, blank):
+        first, second = _LINES[fmt]
+        raw = "\n".join([blank, first, blank, blank, second, blank]) + "\n"
+        # Skipped lines take no record index: TSV ids stay 0 and 1.
+        assert self.load(tmp_path, fmt, raw.encode()) == self.expected(fmt)
+
+    def test_last_line_without_newline(self, tmp_path, fmt):
+        raw = "\n".join(_LINES[fmt]).encode()
+        assert self.load(tmp_path, fmt, raw) == self.expected(fmt)
+
+    def test_no_break_space_splits_like_str_split(self, tmp_path, fmt):
+        sentence = "a\xa0b c\u3000d"
+        line = (f"{sentence}\t{sentence}" if fmt == "tsv" else
+                json.dumps({"source": sentence, "target": sentence}, ensure_ascii=False))
+        [example] = self.load(tmp_path, fmt, (line + "\n").encode())
+        assert example.source == example.target == tuple(sentence.split()) == ("a", "b", "c", "d")
+
+
+# Characters a JSON writer must escape or may pass through raw.
+_TRICKY = '"\\\x00\x01\x1f\x7f\x85\u2028\u2029\U0001f600\U00010000éab'
+_tokens = st.lists(st.text(_TRICKY, min_size=1, max_size=4), min_size=1, max_size=4)
+_meta = st.dictionaries(
+    st.text(_TRICKY, max_size=3),
+    st.none() | st.booleans() | st.integers() | st.text(_TRICKY, max_size=3)
+    | st.lists(st.integers(), max_size=2),
+    max_size=2,
+)
+_examples = st.lists(
+    st.builds(ParallelExample, st.text(_TRICKY, max_size=5) | st.integers(), _tokens, _tokens,
+              _meta),
+    max_size=6, unique_by=lambda ex: str(ex.id),
+)
+
+
+def _reference_line(ex: ParallelExample) -> str:
+    """The line `save_corpus_jsonl` must write for `ex`, made with json.dumps."""
+    record = {"id": ex.id, "source": " ".join(ex.source), "target": " ".join(ex.target)}
+    if ex.meta:
+        record["meta"] = ex.meta
+    return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(examples=_examples)
+def test_jsonl_writer_matches_json_dumps_and_round_trips(examples):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.jsonl"
+        assert save_corpus_jsonl(examples, path) == len(examples)
+        assert path.read_text(encoding="utf-8") == "".join(map(_reference_line, examples))
+        # The loader splits on whitespace, which includes \x1f, \x85 and
+        # U+2028; a side left with no tokens cannot be read back.
+        loadable = [ex for ex in examples
+                    if " ".join(ex.source).split() and " ".join(ex.target).split()]
+        save_corpus_jsonl(loadable, path)
+        assert load_parallel_corpus(path) == [
+            ParallelExample(str(ex.id), tuple(" ".join(ex.source).split()),
+                            tuple(" ".join(ex.target).split()), ex.meta)
+            for ex in loadable
+        ]
+
+
+def _parsed(parse, text: str):
+    try:
+        return repr(parse(text))  # repr, so that NaN equals NaN
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(_TRICKY, max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text('{}[]",:0159.eE+-truefalsn \t\r\ufeff\\a', max_size=12)
+       | st.builds(lambda pad, value, end: pad + json.dumps(value) + end,
+                   st.sampled_from(["", " ", "\ufeff", "x"]), _json_values,
+                   st.sampled_from(["", " ", "\t", "\u3000", ",", "}"])))
+@example(text="[" * 100_000)
+@example(text="1" * 5_000)
+def test_json_line_is_json_loads(text):
+    assert _parsed(json_line, text) == _parsed(json.loads, text)
 
 
 class TestVocabCounts:
