@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import count
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -55,25 +54,6 @@ def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 yield lineno, raw.rstrip("\n")
     except UnicodeDecodeError as exc:
         raise DataError(f"not UTF-8 text: {exc.reason}", path=str(path))
-
-
-_scan_json = json.JSONDecoder().scan_once
-
-
-def json_line(line: str):
-    """``json.loads(line)``: the same value, or the same error.
-
-    A line that is one JSON value with no padding is scanned directly,
-    skipping the per-call work of ``json.loads``; anything else, malformed
-    lines included, goes through ``json.loads`` itself.
-    """
-    try:
-        value, end = _scan_json(line, 0)
-        if end == len(line):
-            return value
-    except (StopIteration, ValueError, RecursionError):
-        pass
-    return json.loads(line)
 
 
 def _infer_format(path: str | Path) -> str:
@@ -118,7 +98,7 @@ def load_parallel_corpus(path: str | Path, format: str | None = None) -> list[Pa
             meta: dict = {}
         else:
             try:
-                record = json_line(line)
+                record = json.loads(line)
             except (ValueError, RecursionError) as exc:  # also deep nesting, huge ints
                 raise DataError(f"invalid JSON: {exc}", path=str(path), line=lineno)
             if not isinstance(record, dict):
@@ -168,10 +148,12 @@ def _jsonl_line(ex: ParallelExample) -> str:
 
 def save_corpus_jsonl(examples: Iterable[ParallelExample], path: str | Path) -> int:
     """Write examples as JSONL; returns the number of records written."""
-    written = count()  # zip draws an example before a count, so this counts examples
+    n = 0
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_jsonl_line(ex) for ex, _ in zip(examples, written))
-    return next(written)
+        for ex in examples:
+            fh.write(_jsonl_line(ex))
+            n += 1
+    return n
 
 
 @dataclass

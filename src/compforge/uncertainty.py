@@ -22,6 +22,7 @@ array operations over the position starts.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -31,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from compforge.corpus import json_line, text_lines, tsv_rows
+from compforge.corpus import text_lines, tsv_rows
 from compforge.errors import ConfigError, DataError
 
 PROB_FLOOR = 1e-10
@@ -238,7 +239,7 @@ def read_ensemble_dump(path: str | Path) -> list[EnsembleTokenDistributions]:
         if not line:
             continue
         try:
-            record = json_line(line)
+            record = json.loads(line)
         except (ValueError, RecursionError) as exc:  # also deep nesting, huge ints
             raise DataError(f"invalid JSON: {exc}", path=str(path), line=lineno)
         try:

@@ -8,14 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compforge.corpus import (
     ParallelExample,
     build_vocab_counts,
     filter_oov,
-    json_line,
     load_parallel_corpus,
     save_corpus_jsonl,
     side_tokens,
@@ -173,32 +172,6 @@ def test_jsonl_writer_matches_json_dumps_and_round_trips(examples):
                             tuple(" ".join(ex.target).split()), ex.meta)
             for ex in loadable
         ]
-
-
-def _parsed(parse, text: str):
-    try:
-        return repr(parse(text))  # repr, so that NaN equals NaN
-    except (ValueError, RecursionError) as exc:
-        return type(exc), str(exc)
-
-
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(_TRICKY, max_size=3),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
-                                                                max_size=3),
-    max_leaves=8,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(text=st.text('{}[]",:0159.eE+-truefalsn \t\r\ufeff\\a', max_size=12)
-       | st.builds(lambda pad, value, end: pad + json.dumps(value) + end,
-                   st.sampled_from(["", " ", "\ufeff", "x"]), _json_values,
-                   st.sampled_from(["", " ", "\t", "\u3000", ",", "}"])))
-@example(text="[" * 100_000)
-@example(text="1" * 5_000)
-def test_json_line_is_json_loads(text):
-    assert _parsed(json_line, text) == _parsed(json.loads, text)
 
 
 class TestVocabCounts:
