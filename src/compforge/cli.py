@@ -23,11 +23,11 @@ from compforge.corpus import (
     text_lines,
 )
 from compforge.cover import read_degree_tsv, select_candidate_pool, write_degree_tsv
-from compforge.engine import greedy_decode, load_weights
-from compforge.errors import CompforgeError, ConfigError, DataError, StageError
+from compforge.engine import VARIANTS, greedy_decode, load_weights
+from compforge.errors import CompforgeError, ConfigError, DataError
 from compforge.ngrams import NGramDictionary, build_ngram_dictionary
 from compforge.novelty import benchmark_report, read_tagged_file
-from compforge.pipeline import PipelineConfig, run_pipeline, score_pool
+from compforge.pipeline import PipelineConfig, join_by_id, run_pipeline, score_pool
 from compforge.uncertainty import (
     band_select,
     read_ensemble_dump,
@@ -100,8 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="greedy-decode sources with a saved model")
     p.add_argument("--weights", required=True)
-    p.add_argument("--variant", default=None,
-                   choices=("vanilla", "dangle", "rdangle_shr", "rdangle_sep"))
+    p.add_argument("--variant", default=None, choices=VARIANTS)
     p.add_argument("--interval", default=None, help="re-encoding interval (integer or 'inf')")
     p.add_argument("--input", required=True, help="token-id lines, one source per line")
     p.add_argument("--max-len", type=int, default=32)
@@ -147,11 +146,8 @@ def _cmd_comp_degree(args) -> int:
 
 def _cmd_select_pool(args) -> int:
     pool = load_parallel_corpus(args.pool, args.format)
-    scores = read_degree_tsv(args.scores)
-    missing = [ex.id for ex in pool if ex.id not in scores]
-    if missing:
-        raise DataError(f"{len(missing)} pool examples missing from scores, e.g. {missing[0]!r}")
-    selection = select_candidate_pool([(ex, scores[ex.id]) for ex in pool], args.k, args.side)
+    scored = join_by_id(pool, read_degree_tsv(args.scores), "scores")
+    selection = select_candidate_pool(scored, args.k, args.side)
     if selection.warning:
         print(f"warning: {selection.warning}", file=sys.stderr)
     save_corpus_jsonl(selection.examples, args.out)
@@ -170,11 +166,7 @@ def _cmd_uncertainty_score(args) -> int:
 
 def _cmd_sample_testset(args) -> int:
     pool = load_parallel_corpus(args.pool, args.format)
-    scores = read_uncertainty_tsv(args.scores)
-    missing = [ex.id for ex in pool if ex.id not in scores]
-    if missing:
-        raise DataError(f"{len(missing)} pool examples missing from scores, e.g. {missing[0]!r}")
-    ranked = [(ex, scores[ex.id]) for ex in pool]
+    ranked = join_by_id(pool, read_uncertainty_tsv(args.scores), "scores")
     chosen = band_select(ranked, args.discard_top, args.window, args.sample, args.seed)
     save_corpus_jsonl(chosen, args.out)
     print(f"sampled {len(chosen)} examples -> {args.out}")
@@ -283,18 +275,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except CompforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, StageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CompforgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 def entrypoint() -> None:

@@ -47,10 +47,13 @@ def side_tokens(example: ParallelExample, side: str) -> tuple[str, ...]:
 
 def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield (line number, line without its newline) for each line of a UTF-8
-    text file; bytes that are not UTF-8 raise DataError naming the path."""
+    text file; bytes that are not UTF-8, or a byte-order mark, raise DataError
+    naming the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
+                if lineno == 1 and raw.startswith("\ufeff"):
+                    raise DataError("Unexpected UTF-8 BOM", path=str(path), line=1)
                 yield lineno, raw.rstrip("\n")
     except UnicodeDecodeError as exc:
         raise DataError(f"not UTF-8 text: {exc.reason}", path=str(path))

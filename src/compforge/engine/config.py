@@ -92,10 +92,6 @@ class ModelConfig:
     # -- derived geometry --------------------------------------------------
 
     @property
-    def head_dim(self) -> int:
-        return self.d_model // self.n_heads
-
-    @property
     def ffn_dim(self) -> int:
         return self.d_ff if self.d_ff is not None else 4 * self.d_model
 

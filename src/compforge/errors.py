@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: configuration problems exit
-with 2, data problems with 3.
+Each type carries the process exit code the CLI returns for it:
+configuration problems exit with 2, data and stage problems with 3.
 """
 
 from __future__ import annotations
@@ -10,9 +10,13 @@ from __future__ import annotations
 class CompforgeError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = 3
+
 
 class ConfigError(CompforgeError):
     """Invalid parameters, flags, or run configuration."""
+
+    exit_code = 2
 
 
 class DataError(CompforgeError):

@@ -16,15 +16,15 @@ packs each candidate as ``prefix gram id * vocabulary + next token id``
 tokens in Python and no input shape makes the build cubic.
 
 The table ``dict[tuple[str, ...], int]`` is the dictionary's state:
-`contains`, `count`, `len` and `entries` read it, and pickling sends only
-it. Construction derives one id-level index of the prefix tree from it:
-the sorted tokens (a token's id is its rank) and, per depth n, the sorted
-packed keys ``parent node * tokens + token id`` of the tree's nodes with a
-stored flag each, where a node's number is its rank among the keys of its
-depth. Unstored prefixes (possible in `from_entries` fixtures) are nodes
-too. `stored_starts` walks that index for many token positions at once,
-one `np.searchsorted` per depth; `match_lengths_from` is the same walk
-from one position.
+`contains`, `count`, `len` and `entries` read it. Construction derives
+one id-level index of the prefix tree from it: the sorted tokens (a
+token's id is its rank) and, per depth n, the sorted packed keys
+``parent node * tokens + token id`` of the tree's nodes with a stored flag
+each, where a node's number is its rank among the keys of its depth.
+Unstored prefixes (possible in `from_entries` fixtures) are nodes too.
+`stored_starts` walks that index for many token positions at once, one
+`np.searchsorted` per depth; `match_lengths_from` is the same walk from
+one position.
 
 Serialization is deterministic — the same corpus and flags always produce
 byte-identical index files. The file is a depth-first walk of the prefix
@@ -96,9 +96,6 @@ class NGramDictionary:
             stored = np.fromiter((node in counts for node in nodes), dtype=bool, count=len(nodes))
             self._levels.append((keys, stored))
             rank = {node: i for i, node in enumerate(nodes)}
-
-    def __reduce__(self):
-        return (NGramDictionary, (self._counts, self.min_count, self.max_n))
 
     # -- queries ---------------------------------------------------------
 

@@ -23,7 +23,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from compforge.corpus import (
     ParallelExample,
@@ -48,6 +48,8 @@ from compforge.uncertainty import (
     token_uncertainties,
     write_uncertainty_tsv,
 )
+
+T = TypeVar("T")
 
 
 def _check_workers(workers: int | None) -> None:
@@ -148,6 +150,18 @@ def _sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def join_by_id(
+    examples: Sequence[ParallelExample], table: Mapping[str, T], source: str
+) -> list[tuple[ParallelExample, T]]:
+    """(example, table[example.id]) pairs in example order; DataError if any id is missing."""
+    missing = [ex.id for ex in examples if ex.id not in table]
+    if missing:
+        raise DataError(
+            f"{len(missing)} pool examples missing from {source}, e.g. {missing[0]!r}"
+        )
+    return [(ex, table[ex.id]) for ex in examples]
+
+
 def _write_artifact(out_dir: Path, name: str, writer: Callable[[Path], None]) -> Path:
     """Write via a .partial path, renaming into place only on success."""
     final = out_dir / name
@@ -178,12 +192,13 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
         },
     )
 
-    def record_stage(name: str, in_count: int, out_count: int) -> None:
-        manifest.stages.append({"name": name, "in": in_count, "out": out_count})
-
-    def record_artifact(name: str, path: Path, records: int) -> None:
+    def finish(label: str, filename: str, in_count: int, out_count: int,
+               writer: Callable[[Path], None]) -> None:
+        """Write the current stage's artifact and record the stage and the artifact."""
+        path = _write_artifact(out_dir, filename, writer)
+        manifest.stages.append({"name": stage, "in": in_count, "out": out_count})
         manifest.artifacts.append(
-            {"name": name, "path": path.name, "sha256": _sha256_file(path), "records": records}
+            {"name": label, "path": filename, "sha256": _sha256_file(path), "records": out_count}
         )
 
     stage = "load_inputs"
@@ -194,61 +209,41 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
         stage = "filter_oov"
         counts = build_vocab_counts(train, config.side)
         filtered = filter_oov(pool, counts, config.oov_min_count)
-        path = _write_artifact(
-            out_dir, "pool_filtered.jsonl", lambda p: save_corpus_jsonl(filtered, p)
-        )
-        record_stage(stage, len(pool), len(filtered))
-        record_artifact("filtered_pool", path, len(filtered))
+        finish("filtered_pool", "pool_filtered.jsonl", len(pool), len(filtered),
+               lambda p: save_corpus_jsonl(filtered, p))
 
         stage = "build_dictionary"
         dictionary = build_ngram_dictionary(
             iter_side(train, config.side), config.dict_min_count, config.max_n
         )
-        path = _write_artifact(out_dir, "ngrams.ngix", lambda p: dictionary.save(p))
-        record_stage(stage, len(train), len(dictionary))
-        record_artifact("ngram_index", path, len(dictionary))
+        finish("ngram_index", "ngrams.ngix", len(train), len(dictionary), dictionary.save)
 
         stage = "score_degrees"
         scored = score_pool(filtered, dictionary, config.side)
-        path = _write_artifact(
-            out_dir, "degrees.tsv",
-            lambda p: write_degree_tsv(((ex.id, degree) for ex, degree in scored), p),
-        )
-        record_stage(stage, len(filtered), len(scored))
-        record_artifact("degree_scores", path, len(scored))
+        finish("degree_scores", "degrees.tsv", len(filtered), len(scored),
+               lambda p: write_degree_tsv(((ex.id, degree) for ex, degree in scored), p))
 
         stage = "select_pool"
         selection = select_candidate_pool(scored, config.pool_k, config.side)
         if selection.warning:
             manifest.metadata["warnings"].append(selection.warning)
         candidates = list(selection.examples)
-        path = _write_artifact(
-            out_dir, "candidates.jsonl", lambda p: save_corpus_jsonl(candidates, p)
-        )
-        record_stage(stage, len(scored), len(candidates))
-        record_artifact("candidate_pool", path, len(candidates))
+        finish("candidate_pool", "candidates.jsonl", len(scored), len(candidates),
+               lambda p: save_corpus_jsonl(candidates, p))
 
         stage = "score_uncertainty"
         dump = {d.example_id: d for d in read_ensemble_dump(config.ensemble_dump_path)}
-        ranked: list[tuple[ParallelExample, float]] = []
-        for ex in candidates:
-            if ex.id not in dump:
-                raise DataError(f"candidate {ex.id!r} missing from ensemble dump")
-            ranked.append((ex, token_uncertainties(dump[ex.id]).sequence_score))
-        path = _write_artifact(
-            out_dir, "uncertainty.tsv",
-            lambda p: write_uncertainty_tsv(((ex.id, score) for ex, score in ranked), p),
-        )
-        record_stage(stage, len(candidates), len(ranked))
-        record_artifact("uncertainty_scores", path, len(ranked))
+        ranked = [(ex, token_uncertainties(dist).sequence_score)
+                  for ex, dist in join_by_id(candidates, dump, "ensemble dump")]
+        finish("uncertainty_scores", "uncertainty.tsv", len(candidates), len(ranked),
+               lambda p: write_uncertainty_tsv(((ex.id, score) for ex, score in ranked), p))
 
         stage = "sample_testset"
         chosen = band_select(
             ranked, config.discard_top, config.window, config.sample, config.seed
         )
-        path = _write_artifact(out_dir, "testset.jsonl", lambda p: save_corpus_jsonl(chosen, p))
-        record_stage(stage, len(ranked), len(chosen))
-        record_artifact("testset", path, len(chosen))
+        finish("testset", "testset.jsonl", len(ranked), len(chosen),
+               lambda p: save_corpus_jsonl(chosen, p))
     except (ConfigError, DataError) as exc:
         raise StageError(stage, str(exc)) from exc
 

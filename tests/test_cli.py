@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from compforge.cli import main
 from compforge.corpus import load_parallel_corpus
 from compforge.engine import ModelConfig, init_weights, save_weights
+from compforge.errors import CompforgeError, ConfigError, DataError, StageError
 from compforge.pipeline import run_pipeline
 
 from test_pipeline import make_config
@@ -55,6 +56,23 @@ def shr_only_weights(tmp_path):
     path = tmp_path / "shr.npw"
     save_weights(path, init_weights(cfg, seed=0), cfg)
     return path
+
+
+@pytest.fixture
+def reader_inputs(pipeline_inputs, sim_weights, tmp_path):
+    """A readable file for every input kind in `_READERS`."""
+    paths = dict(pipeline_inputs, weights=sim_weights["path"], dict=tmp_path / "d.ngix",
+                 degrees=tmp_path / "degrees.tsv", uncertainty=tmp_path / "unc.tsv",
+                 tagged=tmp_path / "train.tags", sources=tmp_path / "sources.txt",
+                 config=tmp_path / "pipeline.json")
+    for argv in (["build-dict", "--train", "{train}", "--out", "{dict}"],
+                 ["comp-degree", "--dict", "{dict}", "--pool", "{pool}", "--out", "{degrees}"],
+                 ["uncertainty-score", "--dump", "{dump}", "--out", "{uncertainty}"]):
+        assert _run_quietly([arg.format(**paths) for arg in argv])[0] == 0
+    paths["tagged"].write_text("w1\tTOK\nw2\tTOK\n\n", encoding="utf-8")
+    paths["sources"].write_text("3 5 7\n", encoding="utf-8")
+    paths["config"].write_text(json.dumps(make_config(pipeline_inputs, tmp_path).__dict__))
+    return paths
 
 
 class TestStageCommands:
@@ -406,6 +424,24 @@ class TestExitCodes:
                      "--window", "10", "--sample", "20",
                      "--out", str(tmp_path / "t.jsonl")]) == 2
 
+    # The exit code is carried by the error type; a stage error is a data
+    # error even when a ConfigError caused it.
+    @pytest.mark.parametrize("error, code", [
+        (ConfigError("bad setting"), 2),
+        (DataError("bad record"), 3),
+        (StageError("select_pool", "bad setting"), 3),
+        (CompforgeError("other"), 3),
+    ], ids=["config", "data", "stage", "base"])
+    def test_error_type_sets_exit_code(self, monkeypatch, capsys, error, code):
+        import compforge.cli as cli
+
+        def fail(args):
+            raise error
+
+        monkeypatch.setitem(cli._COMMANDS, "build-dict", fail)
+        assert main(["build-dict", "--train", "x.tsv", "--out", "d.ngix"]) == code
+        assert capsys.readouterr().err == f"error: {error}\n"
+
 
 class TestMalformedScores:
     """Malformed score TSV rows exit 3 and name the offending path:line."""
@@ -613,16 +649,27 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
-    # json.loads names a leading byte-order mark; a bare JSONDecoder would
-    # report "Expecting value" instead.
+    # One command per text reader; {bom} is the row's input with a UTF-8
+    # byte-order mark in front. Every reader names the mark in the words
+    # json.loads uses, where a bare JSONDecoder would report "Expecting value"
+    # and a TSV reader would keep the mark as part of the first token or id.
     @pytest.mark.parametrize("kind, command", [
         ("pool", ["filter-oov", "--train", "{train}", "--pool", "{bom}", "--out", "{out}"]),
         ("dump", ["uncertainty-score", "--dump", "{bom}", "--out", "{out}"]),
-    ], ids=["corpus", "dump"])
-    def test_byte_order_mark_is_named(self, pipeline_inputs, tmp_path, capsys, kind, command):
-        bom = tmp_path / "bom.jsonl"
-        bom.write_bytes(b"\xef\xbb\xbf" + pipeline_inputs[kind].read_bytes())
-        paths = {"bom": bom, "train": pipeline_inputs["train"], "out": tmp_path / "out"}
+        ("train", ["build-dict", "--train", "{bom}", "--out", "{out}"]),
+        ("degrees", ["select-pool", "--pool", "{pool}", "--scores", "{bom}", "--out", "{out}"]),
+        ("uncertainty", ["sample-testset", "--pool", "{pool}", "--scores", "{bom}",
+                         "--out", "{out}"]),
+        ("tagged", ["analyze-novelty", "--train", "{train}", "--test", "{train}",
+                    "--tagged-train", "{bom}", "--tagged-test", "{tagged}", "--dict", "{dict}",
+                    "--out", "{out}"]),
+        ("sources", ["simulate", "--weights", "{weights}", "--input", "{bom}"]),
+    ], ids=["corpus", "dump", "tsv-corpus", "degree-tsv", "uncertainty-tsv", "tagged",
+            "simulate-input"])
+    def test_byte_order_mark_is_named(self, reader_inputs, tmp_path, capsys, kind, command):
+        bom = tmp_path / f"bom{reader_inputs[kind].suffix}"
+        bom.write_bytes(b"\xef\xbb\xbf" + reader_inputs[kind].read_bytes())
+        paths = dict(reader_inputs, bom=bom, out=tmp_path / "out")
         assert main([arg.format(**paths) for arg in command]) == 3
         err = capsys.readouterr().err
         assert "Unexpected UTF-8 BOM" in err and f"{bom}:1]" in err and "Traceback" not in err
@@ -665,31 +712,16 @@ _READ_OPTIONS = [(command, option) for command, options in _READERS.items() for 
 
 
 class TestUnreadablePaths:
-    @pytest.fixture
-    def inputs(self, pipeline_inputs, sim_weights, tmp_path):
-        """A readable file for every input kind in `_READERS`."""
-        paths = dict(pipeline_inputs, weights=sim_weights["path"], dict=tmp_path / "d.ngix",
-                     degrees=tmp_path / "degrees.tsv", uncertainty=tmp_path / "unc.tsv",
-                     tagged=tmp_path / "train.tags", sources=tmp_path / "sources.txt",
-                     config=tmp_path / "pipeline.json")
-        for argv in (["build-dict", "--train", "{train}", "--out", "{dict}"],
-                     ["comp-degree", "--dict", "{dict}", "--pool", "{pool}", "--out", "{degrees}"],
-                     ["uncertainty-score", "--dump", "{dump}", "--out", "{uncertainty}"]):
-            assert _run_quietly([arg.format(**paths) for arg in argv])[0] == 0
-        paths["tagged"].write_text("w1\tTOK\nw2\tTOK\n\n", encoding="utf-8")
-        paths["sources"].write_text("3 5 7\n", encoding="utf-8")
-        paths["config"].write_text(json.dumps(make_config(pipeline_inputs, tmp_path).__dict__))
-        return paths
-
     # A directory, or a path below a regular file, in place of one input file.
     @pytest.mark.parametrize("kind", ["directory", "below-a-file"])
     @pytest.mark.parametrize("command, option", _READ_OPTIONS,
                              ids=[" ".join(pair) for pair in _READ_OPTIONS])
-    def test_unreadable_input_exits_2(self, inputs, tmp_path, capsys, command, option, kind):
-        bad = tmp_path if kind == "directory" else inputs["train"] / "child"
+    def test_unreadable_input_exits_2(self, reader_inputs, tmp_path, capsys, command, option,
+                                      kind):
+        bad = tmp_path if kind == "directory" else reader_inputs["train"] / "child"
         argv = [command]
         for flag, name in _READERS[command].items():
-            argv += [flag, str(bad if flag == option else inputs[name])]
+            argv += [flag, str(bad if flag == option else reader_inputs[name])]
         if command not in ("simulate", "run-pipeline"):
             argv += ["--out", str(tmp_path / "out")]
         assert main(argv) == 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -9,11 +11,12 @@ from pathlib import Path
 import pytest
 
 import compforge.pipeline as pipeline_mod
-from compforge.corpus import load_parallel_corpus
-from compforge.errors import ConfigError, StageError
+from compforge.corpus import ParallelExample, load_parallel_corpus
+from compforge.errors import ConfigError, DataError, StageError
 from compforge.ngrams import NGramDictionary, build_ngram_dictionary
 from compforge.pipeline import (
     PipelineConfig,
+    join_by_id,
     run_pipeline,
     score_pool,
 )
@@ -148,12 +151,41 @@ class TestRunPipeline:
         for digest in manifest.inputs.values():
             assert len(digest) == 64
 
+    def test_each_artifact_belongs_to_its_stage(self, pipeline_inputs, tmp_path):
+        out = tmp_path / "out"
+        manifest = run_pipeline(make_config(pipeline_inputs, out))
+        pairs = list(zip(manifest.stages, manifest.artifacts, strict=True))
+        assert [(stage["name"], artifact["path"]) for stage, artifact in pairs] == list(
+            zip(STAGES, ARTIFACTS)
+        )
+        for stage, artifact in pairs:
+            assert artifact["records"] == stage["out"], stage["name"]
+            blob = (out / artifact["path"]).read_bytes()
+            assert artifact["sha256"] == hashlib.sha256(blob).hexdigest(), stage["name"]
+
     def test_manifest_json_is_stable(self, pipeline_inputs, tmp_path):
         out = tmp_path / "out"
         manifest = run_pipeline(make_config(pipeline_inputs, out))
         on_disk = json.loads((out / "manifest.json").read_text())
         assert on_disk["stages"] == manifest.stages
         assert on_disk["metadata"]["rmi_formula"].startswith("mean over members")
+
+
+def _examples(ids):
+    return [ParallelExample(ex_id, ("a",), ("b",)) for ex_id in ids]
+
+
+class TestJoinById:
+    def test_pairs_follow_example_order(self):
+        examples = _examples(["c", "a", "b"])
+        pairs = join_by_id(examples, {"a": 1, "b": 2, "c": 3, "unused": 4}, "scores")
+        assert [(ex.id, value) for ex, value in pairs] == [("c", 3), ("a", 1), ("b", 2)]
+
+    def test_missing_ids_are_counted_and_the_first_named(self):
+        examples = _examples(["a", "b", "c", "d"])
+        with pytest.raises(DataError) as err:
+            join_by_id(examples, {"a": 1, "c": 3}, "ensemble dump")
+        assert str(err.value) == "2 pool examples missing from ensemble dump, e.g. 'b'"
 
 
 class TestFailureHandling:
@@ -289,8 +321,6 @@ class TestScorePool:
     def build(self):
         sentences = [["a", "b", "c"], ["b", "c"], ["a", "b"], ["c", "a", "b"]] * 3
         dictionary = build_ngram_dictionary(sentences, min_count=2, max_n=3)
-        from compforge.corpus import ParallelExample
-
         pool = [
             ParallelExample(str(i), ("a", "b"), ("a", "b", "c")[: 2 + i % 2])
             for i in range(30)
@@ -307,3 +337,12 @@ class TestScorePool:
         pool, dictionary = self.build()
         with pytest.raises(ConfigError, match="workers"):
             score_pool(pool, dictionary, workers=workers)
+
+
+def test_tracer_targets_exist(monkeypatch):
+    # perfbench/tracing.py wraps module-level names of the pipeline and the
+    # engine; a rename breaks `perfbench/run.py --trace 1` and must fail here.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    for owner, attr, name, _ in tracing.PIPELINE_TARGETS + tracing.ENGINE_TARGETS:
+        assert callable(getattr(owner, attr, None)), name
