@@ -11,6 +11,7 @@ import tempfile
 from pathlib import Path
 
 from compforge.corpus import ParallelExample, build_vocab_counts, filter_oov
+from compforge.cover import min_cover
 from compforge.ngrams import NGramDictionary, build_ngram_dictionary
 
 TRAIN = [
@@ -58,8 +59,7 @@ def main() -> None:
         print(f"  {' '.join(gram):<16} {count}")
 
     probe = "the dog sleeps".split()
-    print(f"\nmatch lengths from position 0 of {probe!r}: "
-          f"{dictionary.match_lengths_from(probe, 0)}")
+    print(f"\nminimum cover of {probe!r}: {min_cover(probe, dictionary).atoms}")
     print(f"contains ('the', 'dog') -> {dictionary.contains(['the', 'dog'])}")
     print(f"count    ('the', 'cat') -> {dictionary.count(['the', 'cat'])}")
 

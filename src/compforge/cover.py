@@ -15,8 +15,8 @@ where "admissible" means the span is a dictionary member, or has length 1
 (the fallback for uncovered tokens).
 
 `score_degrees` is the one degree scorer. It takes the sentences in chunks
-of `_CHUNK`, maps their tokens to the dictionary's ids and finds every
-stored n-gram of two or more tokens with `NGramDictionary.stored_starts`.
+of `_CHUNK` and hands each chunk's tokens to `NGramDictionary.stored_starts`,
+which maps them to the dictionary's ids and finds every stored n-gram.
 It then runs the DP for the whole chunk at once, one vectorised step per
 end position i: for every sentence at least i tokens long, the fallback
 ``f[i - 1] + 1`` lowered by a scatter-min over every stored n-gram that
@@ -41,7 +41,7 @@ import numpy as np
 
 from compforge.corpus import ParallelExample, side_tokens, tsv_rows
 from compforge.errors import ConfigError, DataError
-from compforge.ngrams import NGramDictionary, room_to_end
+from compforge.ngrams import NGramDictionary
 
 # Sentences scored together: bounds the span arrays and the DP table, so
 # scoring memory does not grow with the pool.
@@ -120,8 +120,7 @@ def min_cover(sentence: Sequence[str], dictionary: NGramDictionary) -> CoverResu
     if n == 0:
         raise ConfigError("cannot cover an empty sentence")
     lengths_from: list[set[int]] = [{1} for _ in range(n)]
-    room = room_to_end(np.array([n]))
-    for length, starts in dictionary.stored_starts(dictionary.token_ids(sentence), room):
+    for length, starts in dictionary.stored_starts(sentence, np.array([n])):
         for j in starts.tolist():
             lengths_from[j].add(length)
 
@@ -141,31 +140,28 @@ def min_cover(sentence: Sequence[str], dictionary: NGramDictionary) -> CoverResu
     i = n
     while i > 0:
         j = back[i]
-        atom = tuple(sentence[j:i])
-        atoms.append(atom)
-        is_member = dictionary.contains(atom)
-        for k in range(j, i):
-            covered[k] = is_member
+        atoms.append(tuple(sentence[j:i]))
+        covered[j:i] = [dictionary.contains(atoms[-1])] * (i - j)
         i = j
     atoms.reverse()
     return CoverResult(atoms=tuple(atoms), covered=tuple(covered))
 
 
 def _min_atom_counts(
-    ids: np.ndarray, lengths: np.ndarray, dictionary: NGramDictionary
+    tokens: Iterable[str], lengths: np.ndarray, dictionary: NGramDictionary
 ) -> np.ndarray:
-    """Fewest atoms covering each sentence, for sentences laid end to end in `ids`."""
+    """Fewest atoms covering each sentence of `lengths`, laid end to end in `tokens`."""
     rows = len(lengths)
     offsets = np.cumsum(lengths) - lengths
     row = np.repeat(np.arange(rows), lengths)
-    column = np.arange(len(ids)) - offsets[row]
+    column = np.arange(len(row)) - offsets[row]
     # Sentence r owns cells first[r] .. first[r] + lengths[r] of `best`; cell
     # first[r] + i holds the fewest atoms covering its first i tokens, so the
     # boundary before token p is cell p + row[p].
     first = offsets + np.arange(rows)
     none = np.zeros(0, dtype=np.int64)
     ends, sources, targets = [none], [none], [none]
-    for n, starts in dictionary.stored_starts(ids, room_to_end(lengths)):
+    for n, starts in dictionary.stored_starts(tokens, lengths):
         if n > 1:  # a stored unigram costs what the singleton fallback costs
             ends.append(column[starts] + n)
             sources.append(starts + row[starts])
@@ -181,7 +177,7 @@ def _min_atom_counts(
     first_by_length = first[by_length]
     open_at = np.searchsorted(-lengths[by_length], -np.arange(width + 1), side="right").tolist()
 
-    best = np.zeros(len(ids) + rows, dtype=np.int32)
+    best = np.zeros(len(row) + rows, dtype=np.int32)
     for i in range(1, width + 1):
         at = first_by_length[: open_at[i]] + i
         best[at] = best[at - 1] + 1
@@ -202,8 +198,7 @@ def score_degrees(
         if not lengths.all():
             empty = len(degrees) + int(np.argmin(lengths))
             raise ConfigError(f"cannot cover an empty sentence (sentence {empty})")
-        ids = dictionary.token_ids(itertools.chain.from_iterable(chunk))
-        atoms = _min_atom_counts(ids, lengths, dictionary)
+        atoms = _min_atom_counts(itertools.chain.from_iterable(chunk), lengths, dictionary)
         degrees += map(CompositionalDegree, atoms.tolist(), lengths.tolist())
     return degrees
 

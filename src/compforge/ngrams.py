@@ -22,9 +22,8 @@ token's id is its rank) and, per depth n, the sorted packed keys
 ``parent node * tokens + token id`` of the tree's nodes with a stored flag
 each, where a node's number is its rank among the keys of its depth.
 Unstored prefixes (possible in `from_entries` fixtures) are nodes too.
-`stored_starts` walks that index for many token positions at once, one
-`np.searchsorted` per depth; `match_lengths_from` is the same walk from
-one position.
+`stored_starts` maps a batch of sentences to those ids and walks the index
+for all their token positions at once, one `np.searchsorted` per depth.
 
 Serialization is deterministic — the same corpus and flags always produce
 byte-identical index files. The file is a depth-first walk of the prefix
@@ -52,7 +51,7 @@ _NODE = struct.Struct("<IQBI")
 _U32 = struct.Struct("<I")
 
 
-def room_to_end(lengths: np.ndarray) -> np.ndarray:
+def _room_to_end(lengths: np.ndarray) -> np.ndarray:
     """For sentences of `lengths` laid end to end: tokens from each position to its sentence end."""
     ends = np.cumsum(lengths)
     return np.repeat(ends, lengths) - np.arange(ends[-1] if len(ends) else 0)
@@ -118,21 +117,21 @@ class NGramDictionary:
         """Corpus count of a stored n-gram; 0 when not stored."""
         return self._counts.get(tuple(span), 0)
 
-    def token_ids(self, tokens: Iterable[str]) -> np.ndarray:
-        """The index's int64 id of each token; -1 for a token no n-gram holds."""
-        return np.fromiter(map(self._token_ids.get, tokens, itertools.repeat(-1)), dtype=np.int64)
+    def stored_starts(
+        self, tokens: Iterable[str], lengths: np.ndarray
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (n, positions p where tokens[p:p+n] is a stored n-gram) for n = 1, 2, ...
 
-    def stored_starts(self, ids: np.ndarray, room: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield (n, positions p where ids[p:p+n] is a stored n-gram) for n = 1, 2, ...
-
-        `ids` come from `token_ids`; room[p] is how many tokens p's sentence
-        has from p on, so no n-gram crosses a sentence end. Depth n looks up
-        only the positions whose (n-1)-token prefix is a node of the tree, and
-        the walk stops when none is left or at `max_n`.
+        `tokens` are sentences of `lengths` laid end to end; no n-gram crosses
+        a sentence end, and a token no n-gram holds gets id -1, which matches
+        no key. Depth n looks up only the positions whose (n-1)-token prefix is
+        a node of the tree, and the walk stops when none is left or at `max_n`.
         """
+        ids = np.fromiter(map(self._token_ids.get, tokens, itertools.repeat(-1)), dtype=np.int64)
+        room = _room_to_end(lengths)
         width = len(self._tokens)
         levels = self._levels if self.max_n is None else self._levels[: self.max_n]
-        pos = np.flatnonzero(room > 0)
+        pos = np.arange(len(ids))
         node = np.zeros(len(pos), dtype=np.int64)
         for n, (keys, stored) in enumerate(levels, start=1):
             inside = room[pos] >= n
@@ -148,15 +147,6 @@ class NGramDictionary:
             if not len(pos):
                 return
             yield n, pos[stored[node]]
-
-    def match_lengths_from(self, sentence: Sequence[str], start: int) -> list[int]:
-        """Ascending lengths L such that sentence[start:start+L] is stored."""
-        if not 0 <= start < len(sentence):
-            raise ConfigError(f"start {start} out of range for sentence of length {len(sentence)}")
-        ids = self.token_ids(sentence[start : start + len(self._levels)])
-        room = np.zeros(len(ids), dtype=np.int64)
-        room[:1] = len(ids)
-        return [n for n, starts in self.stored_starts(ids, room) if len(starts)]
 
     def entries(self) -> list[tuple[tuple[str, ...], int]]:
         """All stored (n-gram, count) pairs in lexicographic order."""
@@ -292,7 +282,7 @@ def build_ngram_dictionary(
     words = list(dict.fromkeys(tokens))  # id -> token, in first-occurrence order
     word_ids = {word: i for i, word in enumerate(words)}
     ids = np.fromiter(map(word_ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-    room = room_to_end(np.array(lengths, dtype=np.int64))
+    room = _room_to_end(np.array(lengths, dtype=np.int64))
     width = len(words)
 
     counts = np.bincount(ids, minlength=width)

@@ -27,6 +27,7 @@ from typing import Callable, Mapping, Sequence, TypeVar
 
 from compforge.corpus import (
     ParallelExample,
+    _infer_format,
     build_vocab_counts,
     filter_oov,
     iter_side,
@@ -103,6 +104,8 @@ class PipelineConfig:
             raise ConfigError("max_n must be at least 1 (or None for unbounded)")
         if self.side not in ("source", "target"):
             raise ConfigError(f"side must be source or target, got {self.side!r}")
+        if self.corpus_format not in (None, "tsv", "jsonl"):
+            raise ConfigError(f"corpus_format must be null, tsv or jsonl: {self.corpus_format!r}")
         _check_workers(self.workers)
         for name in ("train_path", "pool_path", "ensemble_dump_path", "out_dir"):
             path = getattr(self, name)
@@ -110,6 +113,8 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be a path string, got {path!r}")
             if name != "out_dir" and not Path(path).is_file():
                 raise ConfigError(f"{name} does not exist: {path}")
+            if name in ("train_path", "pool_path") and self.corpus_format is None:
+                _infer_format(path)
 
     @classmethod
     def from_json(cls, path: str | Path, **overrides) -> "PipelineConfig":

@@ -232,6 +232,24 @@ class TestRunPipelineCommand:
         err = capsys.readouterr().err
         assert next(iter(changes)) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("changes", [{"corpus_format": "csv"}, {"train_path": "t.csv"}],
+                             ids=["unknown-format", "uninferable-suffix"])
+    def test_bad_corpus_format_exits_2(self, pipeline_inputs, tmp_path, capsys, changes):
+        (tmp_path / "t.csv").write_bytes(pipeline_inputs["train"].read_bytes())
+        if "train_path" in changes:
+            changes = {"train_path": str(tmp_path / "t.csv")}
+        blob = self.write_config(pipeline_inputs, tmp_path / "out", tmp_path, **changes)
+        assert main(["run-pipeline", "--config", str(blob)]) == 2
+        err = capsys.readouterr().err
+        assert "format" in err and "csv" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_pool_k_above_pool_warns(self, pipeline_inputs, tmp_path, capsys):
+        blob = self.write_config(pipeline_inputs, tmp_path / "out", tmp_path, pool_k=500)
+        assert main(["run-pipeline", "--config", str(blob)]) == 0
+        assert ("warning: requested k=500 but only 51 deduplicated examples available"
+                in capsys.readouterr().err)
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run-pipeline", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -546,8 +564,13 @@ class TestMalformedInputs:
         {"support": ["xy", "z"], "probs": [[[0.5, 0.5], [1.0]], [[0.25, 0.75], [1.0]]]},
         {"support": [{"x": 1, "y": 2}]},
         {"probs": [[[True, False]], [[0.25, 0.75]]]},
+        {"support": "ab"},
+        {"probs": []},
+        {"support": [], "probs": [[], []]},
+        {"probs": [[[10 ** 400, 0.5]], [[0.25, 0.75]]]},
     ], ids=["non-numeric-probability", "tokens-not-a-list", "positions-not-a-list",
-            "support-of-strings", "support-object", "boolean-probability"])
+            "support-of-strings", "support-object", "boolean-probability",
+            "support-not-a-list", "no-members", "no-positions", "overflowing-integer"])
     def test_bad_dump_value_exits_3(self, tmp_path, capsys, changes):
         dump = tmp_path / "dump.jsonl"
         record = {"id": "p0", "tokens": ["a"], "support": [["a", "b"]],

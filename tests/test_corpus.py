@@ -54,6 +54,13 @@ class TestLoading:
             load_parallel_corpus(path)
         assert err.value.line == 2
 
+    def test_jsonl_record_not_an_object_reports_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"source": "a", "target": "b"}\n[1, 2]\n', encoding="utf-8")
+        with pytest.raises(DataError, match="record is not an object") as err:
+            load_parallel_corpus(path)
+        assert err.value.line == 2
+
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(

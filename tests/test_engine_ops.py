@@ -8,6 +8,7 @@ tolerances is evidence the vectorized math is right.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import tracemalloc
 
@@ -21,6 +22,7 @@ from compforge.engine import (
     cross_attention,
     encode,
     encoding_hash,
+    greedy_decode,
     init_weights,
     layer_norm,
     load_weights,
@@ -373,6 +375,25 @@ class TestWeights:
         save_weights(path, w)
         _, loaded_cfg = load_weights(path)
         assert loaded_cfg is None
+
+    def test_infinite_interval_saved_as_inf(self, tmp_path):
+        cfg = small_config(variant="rdangle_sep", interval=math.inf)
+        w = init_weights(cfg, seed=5)
+        path = tmp_path / "inf.npw"
+        save_weights(path, w, cfg)
+        raw = path.read_bytes()
+        (size,) = struct.unpack("<I", raw[:4])
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        header = json.loads(raw[4 : 4 + size], parse_constant=reject)
+        assert header["config"]["interval"] == "inf"
+        loaded, loaded_cfg = load_weights(path)
+        assert loaded_cfg.interval == math.inf and loaded_cfg == cfg
+        src = [2, 4, 6, 8, 3]
+        assert (greedy_decode(src, loaded, loaded_cfg, max_len=10).tokens
+                == greedy_decode(src, w, cfg, max_len=10).tokens)
 
     @pytest.mark.parametrize("header", [
         [],                                                   # not an object

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compforge.cover import degree_of, min_cover
 from compforge.errors import ConfigError, DataError
 from compforge.ngrams import NGramDictionary, build_ngram_dictionary
 
@@ -99,23 +100,44 @@ class TestQueries:
 
     def test_match_lengths_simple(self):
         d = self.fixture()
-        assert d.match_lengths_from(["a", "b", "x"], 0) == [1, 2]
-        assert d.match_lengths_from(["z", "a"], 0) == []
+
+        def starts(*sentences):
+            tokens = [tok for sentence in sentences for tok in sentence.split()]
+            lengths = np.array([len(sentence.split()) for sentence in sentences], dtype=np.int64)
+            return {n: found.tolist() for n, found in d.stored_starts(tokens, lengths)}
+
+        # "z" is in no n-gram, and "a z" / "a b" would cross a sentence end.
+        assert starts("a b x", "z a") == {1: [0, 1, 4], 2: [0]}
+        assert starts("a", "b") == {1: [0, 1]}
+        # "b c" is a node of the tree but not stored.
+        assert starts("b c d") == {1: [0], 2: [], 3: [0]}
+        assert starts("z") == {}
+        assert starts() == {}
 
     def test_match_lengths_agree_with_contains(self):
         rng = np.random.default_rng(3)
         corpus = random_corpus(rng)
-        d = build_ngram_dictionary(corpus, min_count=2, max_n=4)
-        for _ in range(200):
-            sent = corpus[int(rng.integers(len(corpus)))]
-            start = int(rng.integers(len(sent)))
-            lengths = set(d.match_lengths_from(sent, start))
-            for L in range(1, min(4, len(sent) - start) + 1):
-                assert (L in lengths) == d.contains(sent[start : start + L])
-
-    def test_start_out_of_range(self):
-        with pytest.raises(ConfigError):
-            self.fixture().match_lengths_from(["a"], 5)
+        # Probes draw on one letter the corpus never uses.
+        probes = random_corpus(rng, n_sentences=100, alphabet=7, low=1)
+        tokens = [tok for sentence in probes for tok in sentence]
+        lengths = np.array([len(sentence) for sentence in probes])
+        offsets = (np.cumsum(lengths) - lengths).tolist()
+        longest = {}
+        for max_n in (3, None):
+            d = build_ngram_dictionary(corpus, min_count=2, max_n=max_n)
+            yielded = {
+                (n, p) for n, found in d.stored_starts(tokens, lengths) for p in found.tolist()
+            }
+            contained = {
+                (n, offset + start)
+                for sentence, offset in zip(probes, offsets)
+                for start in range(len(sentence))
+                for n in range(1, len(sentence) - start + 1)
+                if d.contains(sentence[start : start + n])
+            }
+            assert yielded == contained
+            longest[max_n] = max(n for n, _ in yielded)
+        assert longest[3] == 3 < longest[None]
 
 
 class TestSerialization:
@@ -150,7 +172,8 @@ class TestSerialization:
         loaded = NGramDictionary.load(path)
         assert loaded.entries() == d.entries()
         assert not loaded.contains(["b", "c"])
-        assert loaded.match_lengths_from(["b", "c", "d"], 0) == [1, 3]
+        assert min_cover(["b", "c", "d"], loaded).atoms == (("b", "c", "d"),)
+        assert min_cover(["b", "c"], loaded).atom_count == 2
         loaded.save(tmp_path / "again.ngix")
         assert (tmp_path / "again.ngix").read_bytes() == path.read_bytes()
 
@@ -177,14 +200,15 @@ class TestDeepEntry:
         d = NGramDictionary.from_entries([tokens, tokens[:1]])
         assert len(d) == 2
         assert d.entries() == [((tokens[0],), 1), (tuple(tokens), 1)]
-        assert d.match_lengths_from(tokens, 0) == [1, 1500]
+        assert degree_of(tokens, d).atom_count == 1
         path = tmp_path / "deep.ngix"
         d.save(path)
         loaded = NGramDictionary.load(path)
         assert loaded.entries() == d.entries() and loaded.max_n == 1500
+        assert degree_of(tokens, loaded).atom_count == 1
         copy = pickle.loads(pickle.dumps(d))
         assert copy.entries() == d.entries()
-        assert copy.match_lengths_from(tokens, 0) == [1, 1500]
+        assert degree_of(tokens, copy).atom_count == 1
 
 
 _NODE_SIZE = struct.calcsize("<IQBI")

@@ -8,6 +8,7 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import compforge.pipeline as pipeline_mod
@@ -20,6 +21,8 @@ from compforge.pipeline import (
     run_pipeline,
     score_pool,
 )
+
+from conftest import random_sentence
 
 ARTIFACTS = [
     "pool_filtered.jsonl",
@@ -169,6 +172,55 @@ class TestRunPipeline:
         on_disk = json.loads((out / "manifest.json").read_text())
         assert on_disk["stages"] == manifest.stages
         assert on_disk["metadata"]["rmi_formula"].startswith("mean over members")
+
+
+def _two_sided_inputs(tmp_path, swap: bool) -> dict:
+    """Train/pool/dump whose source and target sides differ; `swap` exchanges the sides."""
+    rng = np.random.default_rng(77)
+    source_vocab = [f"s{i}" for i in range(8)]
+    pairs = [(" ".join(rng.choice(source_vocab, size=int(rng.integers(2, 7)))),
+              random_sentence(rng)) for _ in range(360)]
+    train, pool = pairs[:300], pairs[300:]
+    for i in range(0, 60, 7):  # a token each side's training half never saw
+        pool[i] = (pool[i][0] + " s99", pool[i][1]) if i % 2 else (pool[i][0], pool[i][1] + " zzz")
+    for i in range(5, 60, 11):  # a duplicate on one side only
+        pool[i] = (pool[i - 1][0], pool[i][1]) if i % 2 else (pool[i][0], pool[i - 1][1])
+    if swap:
+        train = [(tgt, src) for src, tgt in train]
+        pool = [(tgt, src) for src, tgt in pool]
+    tmp_path.mkdir()
+    paths = {name: tmp_path / f"{name}.{'tsv' if name == 'train' else 'jsonl'}"
+             for name in ("train", "pool", "dump")}
+    paths["train"].write_text("".join(f"{src}\t{tgt}\n" for src, tgt in train), encoding="utf-8")
+    paths["pool"].write_text("".join(
+        json.dumps({"id": f"p{i}", "source": src, "target": tgt}) + "\n"
+        for i, (src, tgt) in enumerate(pool)), encoding="utf-8")
+    probs = [[[0.5, 0.5]] * 2, [[0.9, 0.1]] * 2]
+    paths["dump"].write_text("".join(
+        json.dumps({"id": f"p{i}", "support": [["A", "B"]] * 2,
+                    "probs": [[[1 - (i % 9 + 1) / 20, (i % 9 + 1) / 20]] * 2] + probs}) + "\n"
+        for i in range(len(pool))), encoding="utf-8")
+    return paths
+
+
+class TestScoredSide:
+    def test_source_side_equals_target_side_of_swapped_corpora(self, tmp_path):
+        target_out, source_out, other_out = tmp_path / "t", tmp_path / "s", tmp_path / "o"
+        inputs = _two_sided_inputs(tmp_path / "in", swap=False)
+        swapped = _two_sided_inputs(tmp_path / "swapped", swap=True)
+        by_target = run_pipeline(make_config(inputs, target_out, side="target"))
+        by_source = run_pipeline(make_config(swapped, source_out, side="source"))
+        for name in ("ngrams.ngix", "degrees.tsv", "uncertainty.tsv"):
+            assert (target_out / name).read_bytes() == (source_out / name).read_bytes(), name
+        for name in ("pool_filtered.jsonl", "candidates.jsonl", "testset.jsonl"):
+            swapped_back = [replace(ex, source=ex.target, target=ex.source)
+                            for ex in load_parallel_corpus(source_out / name)]
+            assert load_parallel_corpus(target_out / name) == swapped_back, name
+        assert by_target.stages == by_source.stages
+        # Not vacuous: scoring the other side of the same corpora changes the result.
+        by_other = run_pipeline(make_config(inputs, other_out, side="source"))
+        assert by_other.stages != by_target.stages
+        assert (other_out / "degrees.tsv").read_bytes() != (target_out / "degrees.tsv").read_bytes()
 
 
 def _examples(ids):
