@@ -119,10 +119,11 @@ def min_cover(sentence: Sequence[str], dictionary: NGramDictionary) -> CoverResu
     n = len(sentence)
     if n == 0:
         raise ConfigError("cannot cover an empty sentence")
-    lengths_from: list[set[int]] = [{1} for _ in range(n)]
+    # lengths_from[j][length]: whether that atom from j is stored; a singleton is always there.
+    lengths_from: list[dict[int, bool]] = [{1: False} for _ in range(n)]
     for length, starts in dictionary.stored_starts(sentence, np.array([n])):
         for j in starts.tolist():
-            lengths_from[j].add(length)
+            lengths_from[j][length] = True
 
     best = [n + 1] * (n + 1)
     best[0] = 0
@@ -141,7 +142,7 @@ def min_cover(sentence: Sequence[str], dictionary: NGramDictionary) -> CoverResu
     while i > 0:
         j = back[i]
         atoms.append(tuple(sentence[j:i]))
-        covered[j:i] = [dictionary.contains(atoms[-1])] * (i - j)
+        covered[j:i] = [lengths_from[j][i - j]] * (i - j)
         i = j
     atoms.reverse()
     return CoverResult(atoms=tuple(atoms), covered=tuple(covered))

@@ -1,4 +1,4 @@
-"""Frequent n-gram dictionary: one table from stored n-gram to count.
+"""Frequent n-gram dictionary: an id-level prefix tree with counts.
 
 The dictionary stores every n-gram (up to `max_n` tokens) that occurs
 strictly more than `min_count` times in a corpus, together with its count.
@@ -8,28 +8,26 @@ the level-wise Apriori build below sound: an n-gram can only pass the
 threshold if its (n-1)-token prefix and suffix already did, so only those
 candidates are ever counted.
 
-The build works on integer token ids. The corpus side becomes one flat id
-array with, per position, the number of tokens left in its sentence. Level
-n extends only the positions whose (n-1)-gram prefix and suffix survived,
-packs each candidate as ``prefix gram id * vocabulary + next token id``
-(int64) and counts the keys with one `np.unique`, so no level loops over
-tokens in Python and no input shape makes the build cubic.
+The prefix tree is the dictionary's only state: the sorted tokens (a
+token's id is its rank) and, per depth, the sorted packed keys
+``parent node * tokens + token id`` of the tree's nodes, where a node's
+number is its rank among its depth's keys, with an int64 count each. A
+count of 0 marks a prefix that is only on the way to a stored n-gram
+(possible in `from_entries` fixtures). `stored_starts` walks the tree for
+a whole batch of token positions, one `np.searchsorted` per depth;
+`contains` and `count` walk it for one span.
 
-The table ``dict[tuple[str, ...], int]`` is the dictionary's state:
-`contains`, `count`, `len` and `entries` read it. Construction derives
-one id-level index of the prefix tree from it: the sorted tokens (a
-token's id is its rank) and, per depth n, the sorted packed keys
-``parent node * tokens + token id`` of the tree's nodes with a stored flag
-each, where a node's number is its rank among the keys of its depth.
-Unstored prefixes (possible in `from_entries` fixtures) are nodes too.
-`stored_starts` maps a batch of sentences to those ids and walks the index
-for all their token positions at once, one `np.searchsorted` per depth.
+The build ranks the kept unigrams by token and lays the corpus side out as
+one flat id array. Level n extends only the positions whose (n-1)-gram
+prefix and suffix survived, and one `np.unique` over their packed
+candidate keys gives that depth's sorted keys and counts, so no level
+loops over tokens in Python and no input shape makes the build cubic.
 
 Serialization is deterministic — the same corpus and flags always produce
-byte-identical index files. The file is a depth-first walk of the prefix
-tree with children in token order, which is the sorted order of the tree's
-n-grams: `save` writes them in one loop and `load` reads them back with an
-explicit stack, so neither recurses (the layout is in the README).
+byte-identical index files. The file is a depth-first walk of the tree
+with children in token order. `save` places each node in it from subtree
+sizes and `load` hangs each node under the latest node one depth up, so
+neither recurses (the layout is in the README).
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from __future__ import annotations
 import itertools
 import json
 import struct
-from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -47,8 +44,11 @@ from compforge.errors import ConfigError, DataError
 
 _MAGIC = b"NGIX1"
 # One node: token id, count, stored flag, then the node's child count.
-_NODE = struct.Struct("<IQBI")
+_NODE = np.dtype([("token", "<u4"), ("count", "<u8"), ("stored", "u1"), ("children", "<u4")])
 _U32 = struct.Struct("<I")
+
+# Per depth of the prefix tree: sorted node keys and each node's count (0: not stored).
+Levels = list[tuple[np.ndarray, np.ndarray]]
 
 
 def _room_to_end(lengths: np.ndarray) -> np.ndarray:
@@ -57,65 +57,60 @@ def _room_to_end(lengths: np.ndarray) -> np.ndarray:
     return np.repeat(ends, lengths) - np.arange(ends[-1] if len(ends) else 0)
 
 
-def _prefix_nodes(counts: dict[tuple[str, ...], int]) -> set[tuple[str, ...]]:
-    """Every prefix of every stored n-gram: the nodes of the prefix tree.
+def _levels(depth: np.ndarray, token: np.ndarray, count: np.ndarray, width: int) -> Levels:
+    """The levels of the tree whose depth-first walk has these nodes' depths, token ids and counts.
 
-    A built table is prefix-closed, so only fixtures add unstored prefixes.
+    Each node hangs under the latest node one depth up, so with children in
+    token order every depth's keys come out sorted.
     """
-    nodes = set(counts)
-    for gram in counts:
-        if gram[:-1] not in counts:
-            nodes.update(gram[:cut] for cut in range(1, len(gram)))
-    return nodes
+    by_depth = np.argsort(depth, kind="stable")
+    bounds = np.searchsorted(depth[by_depth], np.arange(1, depth.max(initial=0) + 2)).tolist()
+    levels, above = [], np.array([-1])  # the root precedes every node
+    for lo, hi in zip(bounds, bounds[1:]):
+        walk = by_depth[lo:hi]  # walk positions of this depth's nodes
+        parent = np.searchsorted(above, walk) - 1
+        levels.append((parent * width + token[walk], count[walk]))
+        above = walk
+    return levels
 
 
 class NGramDictionary:
     """Immutable-by-convention n-gram membership index with counts."""
 
-    def __init__(self, counts: dict[tuple[str, ...], int], min_count: int, max_n: int | None):
-        self._counts = counts
+    def __init__(self, tokens: list[str], levels: Levels, min_count: int, max_n: int | None):
+        self._tokens = tokens
+        self._token_ids = {tok: i for i, tok in enumerate(tokens)}
+        self._levels = levels
         self.min_count = min_count
         self.max_n = max_n
-        self._tokens = sorted({tok for gram in counts for tok in gram})
-        self._token_ids = {tok: i for i, tok in enumerate(self._tokens)}
-        by_depth: dict[int, list[tuple[str, ...]]] = {}
-        for node in _prefix_nodes(counts):
-            by_depth.setdefault(len(node), []).append(node)
-        # Same-length n-grams sort like (parent rank, token id), so each depth's
-        # keys come out sorted and a node's rank is its number.
-        width = len(self._tokens)
-        rank: dict[tuple[str, ...], int] = {(): 0}
-        self._levels: list[tuple[np.ndarray, np.ndarray]] = []
-        for depth in range(1, len(by_depth) + 1):
-            nodes = sorted(by_depth[depth])
-            keys = np.fromiter(
-                (rank[node[:-1]] * width + self._token_ids[node[-1]] for node in nodes),
-                dtype=np.int64, count=len(nodes),
-            )
-            stored = np.fromiter((node in counts for node in nodes), dtype=bool, count=len(nodes))
-            self._levels.append((keys, stored))
-            rank = {node: i for i, node in enumerate(nodes)}
 
     # -- queries ---------------------------------------------------------
 
     @property
     def vocab_size(self) -> int:
         """Number of distinct unigram entries."""
-        return sum(1 for gram in self._counts if len(gram) == 1)
+        return int(np.count_nonzero(self._levels[0][1])) if self._levels else 0
 
     def __len__(self) -> int:
         """Total number of stored n-grams."""
-        return len(self._counts)
+        return sum(int(np.count_nonzero(counts)) for _, counts in self._levels)
 
     def contains(self, span: Sequence[str]) -> bool:
         """True iff `span` (a token sequence) is a stored n-gram."""
-        if self.max_n is not None and len(span) > self.max_n:
-            return False
-        return tuple(span) in self._counts
+        return (self.max_n is None or len(span) <= self.max_n) and self.count(span) > 0
 
     def count(self, span: Sequence[str]) -> int:
         """Corpus count of a stored n-gram; 0 when not stored."""
-        return self._counts.get(tuple(span), 0)
+        ids = [self._token_ids.get(tok, -1) for tok in span]
+        if not ids or len(ids) > len(self._levels) or min(ids) < 0:
+            return 0
+        node, width = 0, len(self._tokens)
+        for (keys, counts), token in zip(self._levels, ids):
+            key = node * width + token
+            node = int(np.searchsorted(keys, key))
+            if node == len(keys) or keys[node] != key:
+                return 0
+        return int(counts[node])
 
     def stored_starts(
         self, tokens: Iterable[str], lengths: np.ndarray
@@ -133,7 +128,7 @@ class NGramDictionary:
         levels = self._levels if self.max_n is None else self._levels[: self.max_n]
         pos = np.arange(len(ids))
         node = np.zeros(len(pos), dtype=np.int64)
-        for n, (keys, stored) in enumerate(levels, start=1):
+        for n, (keys, counts) in enumerate(levels, start=1):
             inside = room[pos] >= n
             pos, node = pos[inside], node[inside]
             token = ids[pos + (n - 1)]
@@ -146,11 +141,15 @@ class NGramDictionary:
             pos, node = pos[found], at[found]
             if not len(pos):
                 return
-            yield n, pos[stored[node]]
+            yield n, pos[counts[node] > 0]
 
     def entries(self) -> list[tuple[tuple[str, ...], int]]:
         """All stored (n-gram, count) pairs in lexicographic order."""
-        return sorted(self._counts.items())
+        width, grams, stored = len(self._tokens), [()], []
+        for keys, counts in self._levels:
+            grams = [grams[key // width] + (self._tokens[key % width],) for key in keys.tolist()]
+            stored += [(gram, count) for gram, count in zip(grams, counts.tolist()) if count]
+        return sorted(stored)
 
     # -- construction ----------------------------------------------------
 
@@ -166,35 +165,54 @@ class NGramDictionary:
         Every entry is stored as a member with a synthetic count of
         ``min_count + 1``; `max_n` defaults to the longest entry.
         """
-        counts: dict[tuple[str, ...], int] = {}
-        for entry in entries:
-            gram = tuple(entry)
-            if not gram:
-                raise ConfigError("dictionary entries must be non-empty")
-            counts[gram] = min_count + 1
-        longest = max(map(len, counts), default=1)
-        return cls(counts, min_count, max_n if max_n is not None else longest)
+        if not 0 <= min_count < 2**63 - 1:  # a stored node's count must fit in (0, 2**63)
+            raise ConfigError(f"min_count must be in [0, 2**63 - 1), got {min_count}")
+        stored = {tuple(entry) for entry in entries}
+        if () in stored:
+            raise ConfigError("dictionary entries must be non-empty")
+        # Sorted n-grams are the depth-first walk of their tree, children in token order.
+        nodes = sorted({gram[:cut] for gram in stored for cut in range(1, len(gram) + 1)})
+        tokens = sorted({gram[-1] for gram in nodes})
+        token_ids = {tok: i for i, tok in enumerate(tokens)}
+        levels = _levels(
+            np.array([len(node) for node in nodes], dtype=np.int64),
+            np.array([token_ids[node[-1]] for node in nodes], dtype=np.int64),
+            np.array([min_count + 1 if node in stored else 0 for node in nodes], dtype=np.int64),
+            len(tokens),
+        )
+        longest = max(map(len, stored), default=1)
+        return cls(tokens, levels, min_count, max_n if max_n is not None else longest)
 
     # -- serialization ---------------------------------------------------
 
     def save(self, path: str | Path) -> None:
         """Write the index; same dictionary always gives identical bytes."""
-        counts, tokens, token_ids = self._counts, self._tokens, self._token_ids
-        nodes = sorted(_prefix_nodes(counts))
-        child_counts = Counter(node[:-1] for node in nodes)
+        tokens, levels = self._tokens, self._levels
+        width = len(tokens)
         header = json.dumps(
-            {"min_count": self.min_count, "max_n": self.max_n, "tokens": len(tokens)},
+            {"min_count": self.min_count, "max_n": self.max_n, "tokens": width},
             sort_keys=True,
         ).encode("utf-8")
         parts = [_MAGIC, _U32.pack(len(header)), header]
         for tok in tokens:
             raw = tok.encode("utf-8")
             parts += (_U32.pack(len(raw)), raw)
-        parts.append(_U32.pack(child_counts[()]))
-        parts += (
-            _NODE.pack(token_ids[node[-1]], counts.get(node, 0), node in counts, child_counts[node])
-            for node in nodes
-        )
+        # A node's place in the depth-first walk is its parent's place + 1 + the subtree
+        # sizes of its earlier siblings, so the walk needs neither a stack nor recursion.
+        parents = [keys // width for keys, _ in levels] + [np.zeros(0, dtype=np.int64)]
+        sizes = [np.ones(len(keys), dtype=np.int64) for keys, _ in levels]
+        for depth in range(len(levels) - 1, 0, -1):
+            np.add.at(sizes[depth - 1], parents[depth], sizes[depth])
+        walk = np.zeros(sum(map(len, sizes)), dtype=_NODE)
+        place = np.array([-1])  # the root's
+        for depth, (keys, counts) in enumerate(levels):
+            parent, size = parents[depth], sizes[depth]
+            before = np.cumsum(size) - size
+            place = place[parent] + 1 + before - before[np.searchsorted(parent, parent)]
+            walk["token"][place], walk["count"][place] = keys % width, counts
+            walk["stored"][place] = counts > 0
+            walk["children"][place] = np.bincount(parents[depth + 1], minlength=len(keys))
+        parts += (_U32.pack(len(levels[0][0]) if levels else 0), walk.tobytes())
         Path(path).write_bytes(b"".join(parts))
 
     @classmethod
@@ -230,31 +248,39 @@ class NGramDictionary:
                 tokens.append(take(tok_len).decode("utf-8"))
             except UnicodeDecodeError:
                 raise DataError(f"token {len(tokens)} is not UTF-8", path=str(path))
+        if any(a >= b for a, b in zip(tokens, tokens[1:])):
+            raise DataError("token table is not sorted or repeats a token", path=str(path))
 
-        counts: dict[tuple[str, ...], int] = {}
-        # Each entry: the n-gram of an open node and how many children remain to read.
         (root_children,) = _U32.unpack(take(_U32.size))
-        stack: list[tuple[tuple[str, ...], int]] = [((), root_children)]
-        while stack:
-            prefix, remaining = stack[-1]
-            if not remaining:
+        nodes = np.frombuffer(data, _NODE, (len(data) - offset) // _NODE.itemsize, offset)
+        # Walk the child counts with one stack entry per open node: its children still to read.
+        depths: list[int] = []
+        stack = [root_children]
+        for n_children in nodes["children"].tolist():
+            while stack and not stack[-1]:
                 stack.pop()
-                continue
-            stack[-1] = (prefix, remaining - 1)
-            token_id, count, stored, n_children = _NODE.unpack(take(_NODE.size))
-            if token_id >= len(tokens):
-                raise DataError(
-                    f"token id {token_id} out of range for {len(tokens)} tokens", path=str(path)
-                )
-            gram = prefix + (tokens[token_id],)
-            if stored:
-                counts[gram] = count
-            stack.append((gram, n_children))
-        if offset != len(data):
-            raise DataError(
-                f"{len(data) - offset} trailing bytes after the last node", path=str(path)
-            )
-        return cls(counts, min_count, max_n)
+            if not stack:
+                break
+            stack[-1] -= 1
+            depths.append(len(stack))
+            stack.append(n_children)
+        if any(stack):
+            raise DataError("truncated n-gram index", path=str(path))
+        nodes = nodes[: len(depths)]
+        if offset + nodes.nbytes != len(data):
+            raise DataError(f"{len(data) - offset - nodes.nbytes} trailing bytes after the "
+                            "last node", path=str(path))
+        token_ids, counts = nodes["token"].astype(np.int64), nodes["count"]
+        if len(nodes) and token_ids.max() >= len(tokens):
+            raise DataError(f"token id {token_ids.max()} out of range for {len(tokens)} tokens",
+                            path=str(path))
+        if (nodes["stored"] != ((counts > 0) & (counts < 2**63))).any():
+            raise DataError("a stored flag disagrees with its node's count", path=str(path))
+        levels = _levels(np.array(depths, dtype=np.int64), token_ids, counts.astype(np.int64),
+                         len(tokens))
+        if any((np.diff(keys) <= 0).any() for keys, _ in levels):
+            raise DataError("children out of token order or repeated", path=str(path))
+        return cls(tokens, levels, min_count, max_n)
 
 
 def build_ngram_dictionary(
@@ -279,38 +305,38 @@ def build_ngram_dictionary(
         before = len(tokens)
         tokens.extend(sentence)
         lengths.append(len(tokens) - before)
-    words = list(dict.fromkeys(tokens))  # id -> token, in first-occurrence order
+    words = sorted(set(tokens))
     word_ids = {word: i for i, word in enumerate(words)}
     ids = np.fromiter(map(word_ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
     room = _room_to_end(np.array(lengths, dtype=np.int64))
-    width = len(words)
 
-    counts = np.bincount(ids, minlength=width)
-    keep = counts > min_count
-    # gram_ids[p]: id of the surviving current-level n-gram starting at p, else -1.
-    gram_ids = np.where(keep, np.cumsum(keep) - 1, -1)[ids]
-    grams = [(words[t],) for t in np.flatnonzero(keep).tolist()]
-    survivors = dict(zip(grams, counts[keep].tolist()))
+    counts = np.bincount(ids, minlength=len(words))
+    # The tree's tokens are the kept words, in order; a dropped word's id becomes -1.
+    kept = counts > min_count
+    ids = np.where(kept, np.cumsum(kept) - 1, -1)[ids]
+    vocab = [word for word, keep in zip(words, kept.tolist()) if keep]
+    width = len(vocab)
+    levels = [(np.arange(width, dtype=np.int64), counts[kept])] if vocab else []
+    # gram_ids[p]: node of the surviving current-depth n-gram starting at p, else -1.
+    gram_ids = ids
     pos = np.flatnonzero(gram_ids >= 0)
 
     n = 2
-    while grams and (max_n is None or n <= max_n):
+    while levels and (max_n is None or n <= max_n):
         # A candidate's (n-1)-token prefix starts at p and its suffix at p + 1.
         pos = pos[room[pos] >= n]
         pos = pos[gram_ids[pos + 1] >= 0]
+        # Sorted unique (prefix node, token id) keys are this depth's keys.
         keys = gram_ids[pos] * width + ids[pos + (n - 1)]
         unique, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
         keep = counts > min_count
+        if not keep.any():
+            break
+        levels.append((unique[keep], counts[keep]))
         level_ids = np.where(keep, np.cumsum(keep) - 1, -1)[inverse]
-        gram_ids.fill(-1)
+        gram_ids = np.full_like(ids, -1)
         gram_ids[pos] = level_ids
         pos = pos[level_ids >= 0]
-        kept = unique[keep]
-        grams = [
-            grams[prefix] + (words[last],)
-            for prefix, last in zip((kept // width).tolist(), (kept % width).tolist())
-        ]
-        survivors.update(zip(grams, counts[keep].tolist()))
         n += 1
 
-    return NGramDictionary(survivors, min_count, max_n)
+    return NGramDictionary(vocab, levels, min_count, max_n)

@@ -547,6 +547,20 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert "header" in err and "Traceback" not in err
 
+    def test_dictionary_stored_flag_without_count_exits_3(self, pipeline_inputs, tmp_path, capsys):
+        index = tmp_path / "d.ngix"
+        assert main(["build-dict", "--train", str(pipeline_inputs["train"]),
+                     "--out", str(index)]) == 0
+        data = index.read_bytes()
+        flag = len(data) - 5  # the last node's stored flag, before its u32 child count
+        index.write_bytes(data[:flag] + b"\x00" + data[flag + 1 :])
+        capsys.readouterr()
+        assert main(["comp-degree", "--dict", str(index),
+                     "--pool", str(pipeline_inputs["pool"]),
+                     "--out", str(tmp_path / "deg.tsv")]) == 3
+        err = capsys.readouterr().err
+        assert "stored flag" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_probability_exits_3(self, tmp_path, capsys, bad):
         dump = tmp_path / "dump.jsonl"

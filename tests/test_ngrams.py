@@ -7,6 +7,7 @@ import json
 import pickle
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,12 @@ class TestBuild:
     def test_negative_min_count_rejected(self):
         with pytest.raises(ConfigError):
             build_ngram_dictionary([("a",)], min_count=-1)
+
+    @pytest.mark.parametrize("min_count", [-1, 2**63 - 1])
+    def test_from_entries_count_must_fit_a_stored_node(self, min_count):
+        # A stored node's count, min_count + 1, must lie in (0, 2**63).
+        with pytest.raises(ConfigError, match="min_count"):
+            NGramDictionary.from_entries([["a"]], min_count=min_count)
 
 
 @settings(max_examples=200, deadline=None)
@@ -211,6 +218,52 @@ class TestDeepEntry:
         assert degree_of(tokens, copy).atom_count == 1
 
 
+def test_long_sentence_of_distinct_tokens_stays_small(tmp_path):
+    """All L(L+1)/2 n-grams of a 600-token sentence, without one string tuple per n-gram."""
+    sentence = [f"t{i}" for i in range(600)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        built = build_ngram_dictionary([sentence] * 4, min_count=3, max_n=None)
+        built.save(tmp_path / "d.ngix")
+        loaded = NGramDictionary.load(tmp_path / "d.ngix")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(built) == len(loaded) == 180300
+    assert loaded.count(sentence) == 4 and loaded.vocab_size == 600
+    assert peak < 100e6, f"peak {peak / 1e6:.0f} MB"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    entries=st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=6), max_size=12),
+    probes=st.lists(st.lists(st.sampled_from("abcde"), max_size=7), max_size=10),
+    min_count=st.integers(0, 3),
+    max_n=st.one_of(st.none(), st.integers(1, 6)),
+)
+def test_from_entries_matches_set_oracle(entries, probes, min_count, max_n):
+    """Fixtures need not be prefix-closed, and `max_n` may cut entries off."""
+    oracle = {tuple(entry) for entry in entries}
+    d = NGramDictionary.from_entries(entries, min_count=min_count, max_n=max_n)
+    limit = max(map(len, oracle), default=1) if max_n is None else max_n
+    assert len(d) == len(oracle)
+    assert d.vocab_size == sum(len(gram) == 1 for gram in oracle)
+    assert d.entries() == sorted((gram, min_count + 1) for gram in oracle)
+    prefixes = {gram[:cut] for gram in oracle for cut in range(len(gram) + 1)}
+    for span in prefixes | {tuple(probe) for probe in probes}:
+        assert d.count(span) == (min_count + 1 if span in oracle else 0), span
+        assert d.contains(span) == (span in oracle and len(span) <= limit), span
+    with tempfile.TemporaryDirectory() as tmp:
+        first, again = Path(tmp) / "first.ngix", Path(tmp) / "again.ngix"
+        d.save(first)
+        loaded = NGramDictionary.load(first)
+        loaded.save(again)
+        assert loaded.entries() == d.entries() and loaded.max_n == d.max_n
+        assert again.read_bytes() == first.read_bytes()
+
+
 _NODE_SIZE = struct.calcsize("<IQBI")
 _DROP = "<drop>"  # header value meaning "remove this key"
 
@@ -228,6 +281,15 @@ def _index_bytes(tmp_path, **header_changes) -> bytes:
     header = {k: v for k, v in header.items() if v != _DROP}
     raw = json.dumps(header).encode()
     return data[:5] + struct.pack("<I", len(raw)) + raw + data[9 + size :]
+
+
+def _with_nodes(data: bytes, nodes: dict[int, tuple[int, int, int, int]]) -> bytes:
+    """`data` with the node records at the given walk positions replaced."""
+    first = len(data) - 3 * _NODE_SIZE  # _index_bytes holds three nodes: a, a b, c
+    for index, fields in nodes.items():
+        at = first + index * _NODE_SIZE
+        data = data[:at] + struct.pack("<IQBI", *fields) + data[at + _NODE_SIZE :]
+    return data
 
 
 class TestMalformedIndex:
@@ -264,6 +326,28 @@ class TestMalformedIndex:
         bad = data[:last] + struct.pack("<IQBI", 3, count, stored, children)
         with pytest.raises(DataError, match="out of range"):
             self.load_bytes(tmp_path, bad)
+
+    @pytest.mark.parametrize("nodes", [
+        {0: (2, 2, 1, 1)},                    # a -> c: c twice under the root
+        {0: (1, 2, 1, 1), 2: (0, 2, 1, 0)},   # a -> b, c -> a: b before a under the root
+    ])
+    def test_children_out_of_token_order(self, tmp_path, nodes):
+        with pytest.raises(DataError, match="out of token order"):
+            self.load_bytes(tmp_path, _with_nodes(_index_bytes(tmp_path), nodes))
+
+    def test_repeated_token_in_table(self, tmp_path):
+        data = _index_bytes(tmp_path).replace(struct.pack("<I", 1) + b"b",
+                                              struct.pack("<I", 1) + b"a")
+        with pytest.raises(DataError, match="token table"):
+            self.load_bytes(tmp_path, data)
+
+    @pytest.mark.parametrize("count, stored", [
+        (0, 1), (2, 0), (2, 2), (2**63, 1), (2**64 - 1, 1),
+    ])
+    def test_stored_flag_disagrees_with_count(self, tmp_path, count, stored):
+        data = _with_nodes(_index_bytes(tmp_path), {2: (2, count, stored, 0)})
+        with pytest.raises(DataError, match="stored flag"):
+            self.load_bytes(tmp_path, data)
 
     def test_trailing_bytes(self, tmp_path):
         with pytest.raises(DataError, match="trailing"):
