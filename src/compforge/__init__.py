@@ -7,74 +7,8 @@ Two halves that share only corpus conventions:
   orchestrated by :func:`compforge.pipeline.run_pipeline`;
 * engine — a deterministic numpy transformer forward pass with adaptive
   interval re-encoding, in :mod:`compforge.engine`.
+
+The API is imported from these submodules; the package root re-exports nothing.
 """
 
-from compforge.corpus import (
-    ParallelExample,
-    VocabCounts,
-    build_vocab_counts,
-    filter_oov,
-    load_parallel_corpus,
-    side_tokens,
-)
-from compforge.cover import (
-    CompositionalDegree,
-    CoverResult,
-    PoolSelection,
-    degree_of,
-    min_cover,
-    score_degrees,
-    select_candidate_pool,
-)
-from compforge.errors import CompforgeError, ConfigError, DataError, StageError
-from compforge.ngrams import NGramDictionary, build_ngram_dictionary
-from compforge.novelty import (
-    NoveltyReport,
-    TaggedSentence,
-    benchmark_report,
-    novel_ngram_count,
-)
-from compforge.pipeline import PipelineConfig, PipelineManifest, run_pipeline, score_pool
-from compforge.uncertainty import (
-    EnsembleTokenDistributions,
-    UncertaintyScore,
-    band_select,
-    token_uncertainties,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ParallelExample",
-    "VocabCounts",
-    "build_vocab_counts",
-    "filter_oov",
-    "load_parallel_corpus",
-    "side_tokens",
-    "CompositionalDegree",
-    "CoverResult",
-    "PoolSelection",
-    "degree_of",
-    "min_cover",
-    "score_degrees",
-    "select_candidate_pool",
-    "CompforgeError",
-    "ConfigError",
-    "DataError",
-    "StageError",
-    "NGramDictionary",
-    "build_ngram_dictionary",
-    "NoveltyReport",
-    "TaggedSentence",
-    "benchmark_report",
-    "novel_ngram_count",
-    "PipelineConfig",
-    "PipelineManifest",
-    "run_pipeline",
-    "score_pool",
-    "EnsembleTokenDistributions",
-    "UncertaintyScore",
-    "band_select",
-    "token_uncertainties",
-    "__version__",
-]

@@ -18,10 +18,11 @@ a whole batch of token positions, one `np.searchsorted` per depth;
 `contains` and `count` walk it for one span.
 
 The build ranks the kept unigrams by token and lays the corpus side out as
-one flat id array. Level n extends only the positions whose (n-1)-gram
-prefix and suffix survived, and one `np.unique` over their packed
-candidate keys gives that depth's sorted keys and counts, so no level
-loops over tokens in Python and no input shape makes the build cubic.
+one flat id array with a -1 after each sentence. Level n extends only the
+positions whose (n-1)-gram prefix and suffix survived, so no n-gram spans a
+separator, and one `np.unique` over their packed candidate keys gives that
+depth's sorted keys and counts, so no level loops over tokens in Python and
+no input shape makes the build cubic.
 
 Serialization is deterministic — the same corpus and flags always produce
 byte-identical index files. The file is a depth-first walk of the tree
@@ -299,21 +300,21 @@ def build_ngram_dictionary(
     if max_n is not None and max_n < 1:
         raise ConfigError(f"max_n must be at least 1, got {max_n}")
 
-    tokens: list[str] = []
-    lengths: list[int] = []
+    # Each sentence is followed by one separator (None), whose id becomes -1.
+    tokens: list[str | None] = []
     for sentence in sentences:
-        before = len(tokens)
         tokens.extend(sentence)
-        lengths.append(len(tokens) - before)
-    words = sorted(set(tokens))
+        tokens.append(None)
+    words = sorted(set(tokens).difference([None]))
     word_ids = {word: i for i, word in enumerate(words)}
+    word_ids[None] = len(words)
     ids = np.fromiter(map(word_ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-    room = _room_to_end(np.array(lengths, dtype=np.int64))
+    del tokens, word_ids
 
-    counts = np.bincount(ids, minlength=len(words))
+    counts = np.bincount(ids, minlength=len(words) + 1)[:-1]
     # The tree's tokens are the kept words, in order; a dropped word's id becomes -1.
     kept = counts > min_count
-    ids = np.where(kept, np.cumsum(kept) - 1, -1)[ids]
+    ids = np.append(np.where(kept, np.cumsum(kept) - 1, -1), -1)[ids]
     vocab = [word for word, keep in zip(words, kept.tolist()) if keep]
     width = len(vocab)
     levels = [(np.arange(width, dtype=np.int64), counts[kept])] if vocab else []
@@ -323,17 +324,19 @@ def build_ngram_dictionary(
 
     n = 2
     while levels and (max_n is None or n <= max_n):
-        # A candidate's (n-1)-token prefix starts at p and its suffix at p + 1.
-        pos = pos[room[pos] >= n]
+        # A candidate's (n-1)-token prefix starts at p and its suffix at p + 1; no
+        # surviving n-gram holds a separator, so neither crosses a sentence end.
         pos = pos[gram_ids[pos + 1] >= 0]
         # Sorted unique (prefix node, token id) keys are this depth's keys.
         keys = gram_ids[pos] * width + ids[pos + (n - 1)]
         unique, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        del keys
         keep = counts > min_count
         if not keep.any():
             break
         levels.append((unique[keep], counts[keep]))
         level_ids = np.where(keep, np.cumsum(keep) - 1, -1)[inverse]
+        del inverse
         gram_ids = np.full_like(ids, -1)
         gram_ids[pos] = level_ids
         pos = pos[level_ids >= 0]

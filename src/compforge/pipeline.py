@@ -93,7 +93,8 @@ class PipelineConfig:
             require_int(name, getattr(self, name))
         require_int("max_n", self.max_n, optional=True)
         require_int("workers", self.workers, optional=True)
-        for name in ("oov_min_count", "dict_min_count", "discard_top", "window", "sample"):
+        for name in ("oov_min_count", "dict_min_count", "discard_top", "window", "sample",
+                     "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         if self.pool_k < 1:
@@ -206,22 +207,33 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
             {"name": label, "path": filename, "sha256": _sha256_file(path), "records": out_count}
         )
 
+    # Each corpus is held only while its stages need it: train until its vocabulary
+    # and n-gram index exist, the unfiltered pool until the OOV filter has run, the
+    # filtered pool until the candidates are chosen. So the work runs in a different
+    # order from the stages, whose artifacts and manifest entries keep stage order.
     stage = "load_inputs"
     try:
         train = load_parallel_corpus(config.train_path, config.corpus_format)
-        pool = load_parallel_corpus(config.pool_path, config.corpus_format)
-
+        train_size = len(train)
         stage = "filter_oov"
         counts = build_vocab_counts(train, config.side)
-        filtered = filter_oov(pool, counts, config.oov_min_count)
-        finish("filtered_pool", "pool_filtered.jsonl", len(pool), len(filtered),
-               lambda p: save_corpus_jsonl(filtered, p))
-
         stage = "build_dictionary"
         dictionary = build_ngram_dictionary(
             iter_side(train, config.side), config.dict_min_count, config.max_n
         )
-        finish("ngram_index", "ngrams.ngix", len(train), len(dictionary), dictionary.save)
+        del train
+
+        stage = "load_inputs"
+        pool = load_parallel_corpus(config.pool_path, config.corpus_format)
+        stage = "filter_oov"
+        filtered = filter_oov(pool, counts, config.oov_min_count)
+        pool_size = len(pool)
+        del pool, counts
+        finish("filtered_pool", "pool_filtered.jsonl", pool_size, len(filtered),
+               lambda p: save_corpus_jsonl(filtered, p))
+
+        stage = "build_dictionary"
+        finish("ngram_index", "ngrams.ngix", train_size, len(dictionary), dictionary.save)
 
         stage = "score_degrees"
         scored = score_pool(filtered, dictionary, config.side)
@@ -235,6 +247,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
         candidates = list(selection.examples)
         finish("candidate_pool", "candidates.jsonl", len(scored), len(candidates),
                lambda p: save_corpus_jsonl(candidates, p))
+        del dictionary, filtered, scored
 
         stage = "score_uncertainty"
         dump = {d.example_id: d for d in read_ensemble_dump(config.ensemble_dump_path)}

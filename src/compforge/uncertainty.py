@@ -131,8 +131,8 @@ def band_select(
     items are drawn uniformly without replacement from the next `window`.
     The draw is deterministic given `seed`; results come back in rank order.
     """
-    if min(discard_top, window, sample) < 0:
-        raise ConfigError("discard_top, window, and sample must be non-negative")
+    if min(discard_top, window, sample, seed) < 0:
+        raise ConfigError("discard_top, window, sample and seed must be non-negative")
     if sample > window:
         raise ConfigError(f"sample {sample} exceeds window {window}")
     if len(ranked) < discard_top + window:

@@ -244,6 +244,17 @@ class TestRunPipelineCommand:
         assert "format" in err and "csv" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_exits_2(self, pipeline_inputs, tmp_path, capsys, where):
+        out = tmp_path / "out"
+        blob = self.write_config(pipeline_inputs, out, tmp_path,
+                                 seed=-1 if where == "config" else 0)
+        flag = ["--seed", "-1"] if where == "flag" else []
+        assert main(["run-pipeline", "--config", str(blob), *flag]) == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_pool_k_above_pool_warns(self, pipeline_inputs, tmp_path, capsys):
         blob = self.write_config(pipeline_inputs, tmp_path / "out", tmp_path, pool_k=500)
         assert main(["run-pipeline", "--config", str(blob)]) == 0
@@ -352,6 +363,18 @@ class TestSimulate:
         assert main(["simulate", "--weights", str(padded), "--input", str(src)]) == 3
         assert "header and blobs span" in capsys.readouterr().err
 
+    def test_non_finite_logits_exit_3(self, sim_weights, tmp_path, capsys):
+        # load_weights does not check values; the decoder's output check does.
+        weights = init_weights(sim_weights["cfg"], seed=0)
+        weights.data["out_b"][0] = math.nan
+        poisoned = tmp_path / "nan.npw"
+        save_weights(poisoned, weights, sim_weights["cfg"])
+        src = self.write_sources(tmp_path)
+        assert main(["simulate", "--weights", str(poisoned), "--input", str(src),
+                     "--max-len", "6"]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite logits in decoder output" in err and "Traceback" not in err
+
     def test_non_integer_tokens_exit_3(self, sim_weights, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("3 five 7\n")
@@ -441,6 +464,17 @@ class TestExitCodes:
                      "--scores", str(scores), "--discard-top", "0",
                      "--window", "10", "--sample", "20",
                      "--out", str(tmp_path / "t.jsonl")]) == 2
+
+    def test_negative_sample_seed_exits_2(self, pipeline_inputs, tmp_path, capsys):
+        scores = tmp_path / "u.tsv"
+        scores.write_text("".join(f"p{i}\t0.5\n" for i in range(60)))
+        out = tmp_path / "t.jsonl"
+        assert main(["sample-testset", "--pool", str(pipeline_inputs["pool"]),
+                     "--scores", str(scores), "--discard-top", "0", "--window", "10",
+                     "--sample", "5", "--seed", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+        assert not out.exists()
 
     # The exit code is carried by the error type; a stage error is a data
     # error even when a ConfigError caused it.

@@ -89,6 +89,12 @@ class TestLoading:
         again = load_parallel_corpus(path)
         assert again == corpus
 
+    def test_unknown_format_rejected(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("a\tb\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="unknown corpus format 'csv'"):
+            load_parallel_corpus(path, "csv")
+
     def test_unknown_side_rejected(self):
         ex = ParallelExample("0", ("a",), ("b",))
         with pytest.raises(ConfigError):

@@ -193,6 +193,9 @@ class TestIncrementalDecode:
         wrong_depth = TargetMemory(keys=empty, values=empty)
         with pytest.raises(ConfigError):
             kv_decode_step(1, wrong_depth, enc, enc, w, cfg)
+        narrow = (np.zeros((1, cfg.d_model - 1), np.float32),) * cfg.decoder_layers
+        with pytest.raises(ConfigError, match="memory width"):
+            kv_decode_step(1, TargetMemory(keys=narrow, values=narrow), enc, enc, w, cfg)
 
     def test_prefix_length_capped(self):
         cfg = small_config(max_tgt_positions=3)

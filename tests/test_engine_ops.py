@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -440,6 +443,21 @@ class TestWeights:
         with pytest.raises(ConfigError, match="n_heads"):
             small_config(n_heads=0)
 
+    @pytest.mark.parametrize("overrides, match", [
+        ({"variant": "beam"}, "unknown variant"),
+        ({"d_model": 18}, "multiple of n_heads"),
+        ({"tgt_vocab": 2}, "at least 3 entries"),
+        ({"encoder_layers": 0}, "encoder_layers"),
+        ({"decoder_layers": 0}, "decoder_layers"),
+        ({"k1": 0, "k2": 0}, "k1 \\+ k2 >= 1"),
+        ({"bos_id": 9}, "bos_id/eos_id"),
+        ({"eos_id": -1}, "bos_id/eos_id"),
+        ({"share_adaptive_encoder": True, "encoder_layers": 3}, "encoder_layers == k1 \\+ k2"),
+    ], ids=["variant", "d_model", "vocab", "encoder", "decoder", "k1k2", "bos", "eos", "shared"])
+    def test_invalid_geometry_rejected(self, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            small_config(**overrides)
+
     @pytest.mark.parametrize("field, value", [
         ("d_model", 16.0), ("n_heads", True), ("k1", "1"), ("src_vocab", None),
         ("d_ff", 32.0), ("share_adaptive_encoder", 1), ("fusion_enabled", None),
@@ -536,3 +554,13 @@ class TestNumericalRobustness:
         assert "a" in w
         assert "b" not in w
         assert w.names() == ["a"]
+
+
+def test_engine_import_leaves_detection_unloaded():
+    # The package root re-exports nothing, so the engine loads alone.
+    code = "import json, sys, compforge.engine; print(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    detection = {f"compforge.{name}" for name in
+                 ("corpus", "cover", "ngrams", "novelty", "pipeline", "uncertainty")}
+    assert detection.isdisjoint(json.loads(out.stdout))

@@ -70,6 +70,14 @@ class TestBuild:
         with pytest.raises(ConfigError):
             build_ngram_dictionary([("a",)], min_count=-1)
 
+    @pytest.mark.parametrize("build, match", [
+        (lambda: build_ngram_dictionary([("a",)], max_n=0), "max_n"),
+        (lambda: NGramDictionary.from_entries([[]]), "non-empty"),
+    ], ids=["build-max_n-0", "empty-entry"])
+    def test_invalid_arguments_rejected(self, build, match):
+        with pytest.raises(ConfigError, match=match):
+            build()
+
     @pytest.mark.parametrize("min_count", [-1, 2**63 - 1])
     def test_from_entries_count_must_fit_a_stored_node(self, min_count):
         # A stored node's count, min_count + 1, must lie in (0, 2**63).
@@ -352,6 +360,9 @@ class TestMalformedIndex:
     def test_trailing_bytes(self, tmp_path):
         with pytest.raises(DataError, match="trailing"):
             self.load_bytes(tmp_path, _index_bytes(tmp_path) + b"\x00")
+        # A whole extra node record is read, then found to hang under no node.
+        with pytest.raises(DataError, match="^17 trailing bytes after the last node"):
+            self.load_bytes(tmp_path, _index_bytes(tmp_path) + bytes(17))
 
     def test_truncated(self, tmp_path):
         with pytest.raises(DataError, match="truncated"):

@@ -131,6 +131,11 @@ class TestBenchmarkReport:
         assert report.novel_word_ngrams == base.novel_word_ngrams
         assert report.mean_degree == base.mean_degree
 
+    def test_empty_test_set_rejected(self):
+        train, _, tg_train, _, d = self.make_inputs()
+        with pytest.raises(ConfigError, match="test set is empty"):
+            benchmark_report(train, [], tg_train, [], d)
+
     def test_alignment_mismatch_rejected(self):
         train, test, tg_train, tg_test, d = self.make_inputs()
         with pytest.raises(DataError):

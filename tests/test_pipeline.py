@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -281,6 +282,17 @@ class TestFailureHandling:
         assert not (out / "pool_filtered.jsonl").exists()
         monkeypatch.setattr(pipeline_mod, "save_corpus_jsonl", real_writer)
 
+    def test_malformed_pool_fails_before_any_artifact(self, pipeline_inputs, tmp_path):
+        # The pool is loaded after the n-gram index is built, but still in
+        # load_inputs and before the first artifact is written.
+        with open(pipeline_inputs["pool"], "a", encoding="utf-8") as fh:
+            fh.write("{broken\n")
+        out = tmp_path / "out"
+        with pytest.raises(StageError) as err:
+            run_pipeline(make_config(pipeline_inputs, out))
+        assert err.value.stage == "load_inputs"
+        assert list(out.iterdir()) == []
+
     def test_stage_error_preserves_cause(self, pipeline_inputs, tmp_path):
         pipeline_inputs["dump"].write_text("not json\n")
         with pytest.raises(StageError) as err:
@@ -318,6 +330,11 @@ class TestPipelineConfig:
         ("max_n", 4.0), ("workers", True), ("train_path", 5), ("out_dir", None),
     ])
     def test_wrongly_typed_field_rejected(self, pipeline_inputs, tmp_path, field, value):
+        with pytest.raises(ConfigError, match=field):
+            replace(make_config(pipeline_inputs, tmp_path), **{field: value}).validate()
+
+    @pytest.mark.parametrize("field, value", [("max_n", 0), ("seed", -1)])
+    def test_out_of_range_field_rejected(self, pipeline_inputs, tmp_path, field, value):
         with pytest.raises(ConfigError, match=field):
             replace(make_config(pipeline_inputs, tmp_path), **{field: value}).validate()
 
@@ -367,6 +384,50 @@ class TestPipelineConfig:
         blob.write_text("[1, 2]")
         with pytest.raises(ConfigError):
             PipelineConfig.from_json(blob)
+
+
+class TestCorpusLifetimes:
+    def test_each_corpus_is_freed_once_its_stages_are_done(
+        self, pipeline_inputs, tmp_path, monkeypatch
+    ):
+        # Train is held only until its n-gram index is built, and the pool is
+        # loaded only after that; degree scoring sees neither train nor the
+        # pool examples the OOV filter dropped, and only the candidates are
+        # left when the ensemble dump is read.
+        loaded: list[list[weakref.ref]] = []  # per load, weak refs to its examples
+        real_load = pipeline_mod.load_parallel_corpus
+        real_build = pipeline_mod.build_ngram_dictionary
+        real_score = pipeline_mod.score_pool
+        real_read_dump = pipeline_mod.read_ensemble_dump
+        out = tmp_path / "out"
+
+        def load(path, format=None):
+            examples = real_load(path, format)
+            loaded.append([weakref.ref(ex) for ex in examples])
+            return examples
+
+        def build(*args):
+            assert len(loaded) == 1, "the pool was loaded before the n-gram index was built"
+            return real_build(*args)
+
+        def score(pool, dictionary, side):
+            train_refs, pool_refs = loaded
+            assert train_refs and all(ref() is None for ref in train_refs)
+            alive = sum(ref() is not None for ref in pool_refs)
+            assert len(pool) < len(pool_refs) and alive == len(pool)
+            return real_score(pool, dictionary, side)
+
+        def read_dump(path):
+            candidates = len((out / "candidates.jsonl").read_text().splitlines())
+            assert sum(ref() is not None for ref in loaded[1]) == candidates
+            return real_read_dump(path)
+
+        monkeypatch.setattr(pipeline_mod, "load_parallel_corpus", load)
+        monkeypatch.setattr(pipeline_mod, "build_ngram_dictionary", build)
+        monkeypatch.setattr(pipeline_mod, "score_pool", score)
+        monkeypatch.setattr(pipeline_mod, "read_ensemble_dump", read_dump)
+        manifest = run_pipeline(make_config(pipeline_inputs, out))
+        assert len(loaded) == 2 and manifest.stages[0]["name"] == "filter_oov"
 
 
 class TestScorePool:

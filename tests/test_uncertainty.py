@@ -231,6 +231,12 @@ class TestBandSelect:
         with pytest.raises(ConfigError):
             band_select(self.ranked(200), 10, 50, 51, seed=0)
 
+    @pytest.mark.parametrize("argument", ["discard_top", "window", "sample", "seed"])
+    def test_negative_argument_rejected(self, argument):
+        kwargs = {"discard_top": 10, "window": 50, "sample": 5, "seed": 0, argument: -1}
+        with pytest.raises(ConfigError, match="non-negative"):
+            band_select(self.ranked(100), **kwargs)
+
     def test_too_few_ranked_rejected(self):
         with pytest.raises(ConfigError):
             band_select(self.ranked(100), 50, 60, 10, seed=0)
