@@ -37,10 +37,11 @@ from compforge.uncertainty import (
 )
 
 
-def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
+def _add_corpus_flags(parser: argparse.ArgumentParser, side: bool = True) -> None:
     parser.add_argument("--format", choices=("tsv", "jsonl"), default=None,
                         help="corpus format (default: inferred from suffix)")
-    parser.add_argument("--side", choices=("source", "target"), default="target")
+    if side:
+        parser.add_argument("--side", choices=("source", "target"), default="target")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=3_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    _add_corpus_flags(p)
+    _add_corpus_flags(p, side=False)
 
     p = sub.add_parser("analyze-novelty", help="novel n-gram / degree report")
     p.add_argument("--train", required=True)

@@ -19,11 +19,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from compforge.errors import ConfigError, DataError
 
 SIDES = ("source", "target")
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -68,70 +70,92 @@ def _infer_format(path: str | Path) -> str:
     raise ConfigError(f"cannot infer corpus format from {path!r}; pass format explicitly")
 
 
+def json_line(line: str):
+    """`line` parsed as JSON; DataError("invalid JSON: ...") if it is not JSON."""
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError) as exc:  # also deep nesting, huge ints
+        raise DataError(f"invalid JSON: {exc}")
+
+
+def tsv_fields(line: str, fields: int, layout: str) -> list[str]:
+    """The tab-separated columns of `line`; DataError("expected `layout`")
+    unless there are exactly `fields`."""
+    parts = line.split("\t")
+    if len(parts) != fields:
+        raise DataError(f"expected {layout}")
+    return parts
+
+
+def id_records(
+    path: str | Path, parse: Callable[[str, int], tuple[str, T]]
+) -> Iterator[tuple[str, T]]:
+    """Yield ``parse(line, index)``, an (id, record) pair, for each non-blank line
+    of a text file; `index` counts the records before it. These are the rules
+    every id-keyed input shares: whitespace-only lines are skipped but counted,
+    and a DataError from `parse` or a repeated id raises DataError naming the
+    path and line."""
+    seen: set[str] = set()
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            record_id, record = parse(line, len(seen))
+        except DataError as exc:
+            raise DataError(str(exc), path=str(path), line=lineno)
+        if record_id in seen:
+            raise DataError(f"duplicate example id {record_id!r}", path=str(path), line=lineno)
+        seen.add(record_id)
+        yield record_id, record
+
+
 def load_parallel_corpus(path: str | Path, format: str | None = None) -> list[ParallelExample]:
     """Read a parallel corpus from `path`.
 
     `format` is "tsv" or "jsonl"; when omitted it is inferred from the file
-    suffix. Blank lines are skipped. An empty file yields an empty corpus.
-    Malformed records raise :class:`DataError` carrying the 1-based line
-    number. Explicit ids must be unique; missing ids are assigned from the
-    record index, and an integer id is read as its decimal string. Equal
-    tokens share one string object, to save memory.
+    suffix. Lines are read by `id_records`, so ids must be unique and a
+    malformed record raises :class:`DataError` naming its line. An empty file
+    yields an empty corpus. Missing ids are assigned from the record index, and
+    an integer id is read as its decimal string. Equal tokens share one string
+    object, to save memory.
     """
     fmt = format or _infer_format(path)
     if fmt not in ("tsv", "jsonl"):
         raise ConfigError(f"unknown corpus format {fmt!r}")
-    path = Path(path)
-
-    examples: list[ParallelExample] = []
-    seen_ids: set[str] = set()
     intern = {}.setdefault  # each token string to the first equal one seen
-    for lineno, line in text_lines(path):
-        if not line.strip():
-            continue
+
+    def parse(line: str, index: int) -> tuple[str, ParallelExample]:
         if fmt == "tsv":
             parts = line.split("\t")
             if len(parts) != 2:
-                raise DataError(
-                    f"expected exactly one tab, got {len(parts) - 1}",
-                    path=str(path), line=lineno,
-                )
-            ex_id = str(len(examples))
+                raise DataError(f"expected exactly one tab, got {len(parts) - 1}")
+            ex_id = str(index)
             src_text, tgt_text = parts
             meta: dict = {}
         else:
-            try:
-                record = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # also deep nesting, huge ints
-                raise DataError(f"invalid JSON: {exc}", path=str(path), line=lineno)
+            record = json_line(line)
             if not isinstance(record, dict):
-                raise DataError("record is not an object", path=str(path), line=lineno)
+                raise DataError("record is not an object")
             src_text, tgt_text = record.get("source"), record.get("target")
             if not (isinstance(src_text, str) and isinstance(tgt_text, str)):
                 missing = [k for k in SIDES if not isinstance(record.get(k), str)]
-                raise DataError(
-                    f"missing or non-string field(s): {', '.join(missing)}",
-                    path=str(path), line=lineno,
-                )
-            ex_id = record.get("id", len(examples))
+                raise DataError(f"missing or non-string field(s): {', '.join(missing)}")
+            ex_id = record.get("id", index)
             if type(ex_id) is not str:
                 if type(ex_id) is not int:  # a bool is not an int here
-                    raise DataError("id must be a string or an integer",
-                                    path=str(path), line=lineno)
+                    raise DataError("id must be a string or an integer")
                 ex_id = str(ex_id)
             meta = record.get("meta", {})
             if type(meta) is not dict:
-                raise DataError("meta must be an object", path=str(path), line=lineno)
+                raise DataError("meta must be an object")
         src_toks, tgt_toks = src_text.split(), tgt_text.split()
         source = tuple(map(intern, src_toks, src_toks))
         target = tuple(map(intern, tgt_toks, tgt_toks))
         if not source or not target:
-            raise DataError("source and target must be non-empty", path=str(path), line=lineno)
-        if ex_id in seen_ids:
-            raise DataError(f"duplicate example id {ex_id!r}", path=str(path), line=lineno)
-        seen_ids.add(ex_id)
-        examples.append(ParallelExample(ex_id, source, target, meta))
-    return examples
+            raise DataError("source and target must be non-empty")
+        return ex_id, ParallelExample(ex_id, source, target, meta)
+
+    return [example for _, example in id_records(Path(path), parse)]
 
 
 def _jsonl_line(ex: ParallelExample) -> str:
@@ -181,21 +205,6 @@ def build_vocab_counts(corpus: Sequence[ParallelExample], side: str = "target") 
     for ex in corpus:
         counter.update(side_tokens(ex, side))
     return VocabCounts(side=side, counts=dict(counter), total_tokens=sum(counter.values()))
-
-
-def tsv_rows(path: str | Path, fields: int, layout: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, columns) for each non-blank line of a TSV file.
-
-    A line without exactly `fields` columns raises DataError("expected
-    `layout`") naming its line.
-    """
-    for lineno, line in text_lines(path):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != fields:
-            raise DataError(f"expected {layout}", path=str(path), line=lineno)
-        yield lineno, parts
 
 
 def filter_oov(

@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from compforge.corpus import ParallelExample, side_tokens, tsv_rows
+from compforge.corpus import ParallelExample, id_records, side_tokens, tsv_fields
 from compforge.errors import ConfigError, DataError
 from compforge.ngrams import NGramDictionary
 
@@ -93,20 +93,18 @@ def read_degree_tsv(path: str | Path) -> dict[str, CompositionalDegree]:
     The degree column is derived, so it is recomputed from atom_count and
     length. A malformed row or a repeated id raises DataError naming its line.
     """
-    scores: dict[str, CompositionalDegree] = {}
-    for lineno, (ex_id, atoms, length, _) in tsv_rows(path, 4, "id/atom_count/length/degree"):
-        if ex_id in scores:
-            raise DataError(f"duplicate example id {ex_id!r}", path=str(path), line=lineno)
+
+    def parse(line: str, _index: int) -> tuple[str, CompositionalDegree]:
+        ex_id, atoms, length, _ = tsv_fields(line, 4, "id/atom_count/length/degree")
         try:
             atoms, length = int(atoms), int(length)
         except ValueError:
-            raise DataError("atom_count and length must be integers", path=str(path), line=lineno)
+            raise DataError("atom_count and length must be integers")
         if not 1 <= atoms <= length:
-            raise DataError(
-                f"atom_count {atoms} outside [1, length={length}]", path=str(path), line=lineno
-            )
-        scores[ex_id] = CompositionalDegree(atoms, length)
-    return scores
+            raise DataError(f"atom_count {atoms} outside [1, length={length}]")
+        return ex_id, CompositionalDegree(atoms, length)
+
+    return dict(id_records(path, parse))
 
 
 def min_cover(sentence: Sequence[str], dictionary: NGramDictionary) -> CoverResult:
@@ -214,7 +212,6 @@ class PoolSelection:
     """Result of candidate-pool selection."""
 
     examples: tuple[ParallelExample, ...]
-    requested: int
     deduplicated: int
     warning: str | None = None
 
@@ -258,7 +255,6 @@ def select_candidate_pool(
     chosen = tuple(example for example, _, _ in survivors[:k])
     return PoolSelection(
         examples=chosen,
-        requested=k,
         deduplicated=len(survivors),
         warning=warning,
     )

@@ -19,35 +19,36 @@ def _update(ufunc, temp: np.ndarray, other) -> np.ndarray:
     return ufunc(temp, other, out=out)
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-subtraction stabilized softmax. Tolerates -inf masked entries."""
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Max-subtraction stabilized softmax over the last axis; tolerates -inf entries."""
     # An integer input gets a float result, as np.exp would give it.
-    out = np.subtract(x, np.max(x, axis=axis, keepdims=True), dtype=np.result_type(x, 1.0))
+    out = np.subtract(x, np.max(x, axis=-1, keepdims=True), dtype=np.result_type(x, 1.0))
     np.exp(out, out=out)
-    out /= np.add.reduce(out, axis=axis, keepdims=True)
+    out /= np.add.reduce(out, axis=-1, keepdims=True)
     return out
 
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Layer normalisation over the last axis with epsilon 1e-5."""
     width = x.shape[-1]
     out = x - np.add.reduce(x, axis=-1, keepdims=True) / width
     var = np.add.reduce(np.square(out), axis=-1, keepdims=True)
     var /= width
-    var += eps
+    var += 1e-5
     out /= np.sqrt(var, out=var)
     return _update(np.add, _update(np.multiply, out, gain), bias)
 
 
-def causal_mask(n: int, dtype=np.float32) -> np.ndarray:
-    """(n, n) additive mask: -inf strictly above the diagonal."""
-    mask = np.zeros((n, n), dtype=dtype)
+def causal_mask(n: int) -> np.ndarray:
+    """(n, n) float32 additive mask: -inf strictly above the diagonal."""
+    mask = np.zeros((n, n), dtype=np.float32)
     mask[np.triu_indices(n, k=1)] = -np.inf
     return mask
 
 
-def key_block_mask(n_keys: int, visible: int, n_queries: int, dtype=np.float32) -> np.ndarray:
-    """(n_queries, n_keys) additive mask hiding key columns >= `visible`."""
-    mask = np.zeros((n_queries, n_keys), dtype=dtype)
+def key_block_mask(n_keys: int, visible: int, n_queries: int) -> np.ndarray:
+    """(n_queries, n_keys) float32 additive mask hiding key columns >= `visible`."""
+    mask = np.zeros((n_queries, n_keys), dtype=np.float32)
     mask[:, visible:] = -np.inf
     return mask
 
@@ -91,7 +92,7 @@ def cross_attention(
     scores *= scale
     if mask is not None:
         scores = _update(np.add, scores, mask)
-    out = softmax(scores, axis=-1) @ _split_heads(v, n_heads)
+    out = softmax(scores) @ _split_heads(v, n_heads)
     return out.transpose(1, 0, 2).reshape(t_q, d_model)
 
 

@@ -3,8 +3,8 @@
 Novelty is counted over n-gram *types*: an n-gram of the test stream is
 novel if it never occurs in the training stream. Counts are reported for
 word streams and for POS-tag streams (tags come from the caller; no tagger
-ships here), for n in {2, 3} by default, alongside the mean compositional
-degree of the test examples.
+ships here), for each n in `ORDERS`, alongside the mean compositional degree
+of the test examples. Each stream is counted with the n-gram index.
 """
 
 from __future__ import annotations
@@ -17,7 +17,11 @@ from typing import Iterable, Sequence
 from compforge.corpus import ParallelExample, iter_side, text_lines
 from compforge.cover import score_degrees
 from compforge.errors import ConfigError, DataError
-from compforge.ngrams import NGramDictionary
+from compforge.ngrams import NGramDictionary, build_ngram_dictionary
+
+
+# The n-gram orders whose novelty the report counts.
+ORDERS = (2, 3)
 
 
 @dataclass(frozen=True)
@@ -35,27 +39,16 @@ class TaggedSentence:
             )
 
 
-def sentence_ngrams(tokens: Sequence[str], n: int) -> set[tuple[str, ...]]:
-    """Distinct n-grams of one sentence. n-grams never cross sentences."""
-    if n < 1:
-        raise ConfigError(f"n must be positive, got {n}")
-    return {tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)}
-
-
-def stream_ngrams(stream: Iterable[Sequence[str]], n: int) -> set[tuple[str, ...]]:
-    grams: set[tuple[str, ...]] = set()
-    for sentence in stream:
-        grams |= sentence_ngrams(sentence, n)
-    return grams
-
-
 def novel_ngram_count(
     train_stream: Iterable[Sequence[str]],
     test_stream: Iterable[Sequence[str]],
     n: int,
 ) -> int:
-    """Number of distinct test n-grams absent from the training stream."""
-    return len(stream_ngrams(test_stream, n) - stream_ngrams(train_stream, n))
+    """Number of distinct test n-grams absent from the training stream, read
+    from an n-gram index of each stream that keeps every n-gram up to `n` tokens."""
+    train = build_ngram_dictionary(train_stream, 0, n)
+    test = build_ngram_dictionary(test_stream, 0, n)
+    return sum(len(gram) == n and not train.contains(gram) for gram, _ in test.entries())
 
 
 @dataclass
@@ -86,7 +79,6 @@ def benchmark_report(
     tagged_test: Sequence[TaggedSentence],
     dictionary: NGramDictionary,
     side: str = "target",
-    orders: Sequence[int] = (2, 3),
     tagset: str | None = None,
 ) -> NoveltyReport:
     """Build the novelty/degree summary of `test` relative to `train`.
@@ -110,8 +102,8 @@ def benchmark_report(
     train_tags = [ts.tags for ts in tagged_train]
     test_tags = [ts.tags for ts in tagged_test]
 
-    novel_words = {n: novel_ngram_count(train_words, test_words, n) for n in orders}
-    novel_tags = {n: novel_ngram_count(train_tags, test_tags, n) for n in orders}
+    novel_words = {n: novel_ngram_count(train_words, test_words, n) for n in ORDERS}
+    novel_tags = {n: novel_ngram_count(train_tags, test_tags, n) for n in ORDERS}
 
     degrees = [degree.value for degree in score_degrees(test_words, dictionary)]
     mean_degree = sum(degrees) / len(degrees)

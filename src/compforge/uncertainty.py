@@ -22,7 +22,6 @@ array operations over the position starts.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -32,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from compforge.corpus import text_lines, tsv_rows
+from compforge.corpus import id_records, json_line, tsv_fields
 from compforge.errors import ConfigError, DataError
 
 PROB_FLOOR = 1e-10
@@ -164,18 +163,18 @@ def write_uncertainty_tsv(rows: Iterable[tuple[str, float]], path: str | Path) -
 def read_uncertainty_tsv(path: str | Path) -> dict[str, float]:
     """Parse an uncertainty TSV into id -> score; a malformed or non-finite
     score or a repeated id raises DataError naming its line."""
-    scores: dict[str, float] = {}
-    for lineno, (ex_id, text) in tsv_rows(path, 2, "id<TAB>score"):
-        if ex_id in scores:
-            raise DataError(f"duplicate example id {ex_id!r}", path=str(path), line=lineno)
+
+    def parse(line: str, _index: int) -> tuple[str, float]:
+        ex_id, text = tsv_fields(line, 2, "id<TAB>score")
         try:
             score = float(text)
         except ValueError:
-            raise DataError(f"score {text!r} is not a number", path=str(path), line=lineno)
+            raise DataError(f"score {text!r} is not a number")
         if not math.isfinite(score):
-            raise DataError(f"score {text!r} is not finite", path=str(path), line=lineno)
-        scores[ex_id] = score
-    return scores
+            raise DataError(f"score {text!r} is not finite")
+        return ex_id, score
+
+    return dict(id_records(path, parse))
 
 
 # -- ensemble dump I/O ----------------------------------------------------
@@ -186,8 +185,9 @@ def _is_number(value) -> bool:
     return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
 
 
-def _dump_record(record) -> EnsembleTokenDistributions:
-    """One parsed dump record as distributions; DataError if it is malformed."""
+def _dump_record(line: str, _index: int) -> tuple[str, EnsembleTokenDistributions]:
+    """One dump line as (id, distributions); DataError if it is malformed."""
+    record = json_line(line.strip())  # any whitespace around a record, not only JSON's
     try:
         example_id, support, member_probs = str(record["id"]), record["support"], record["probs"]
     except (KeyError, TypeError):
@@ -220,7 +220,7 @@ def _dump_record(record) -> EnsembleTokenDistributions:
         raise DataError(f"non-numeric probability at position {l}")
     if "tokens" in record and not isinstance(record["tokens"], list):
         raise DataError("tokens must be a list")
-    return EnsembleTokenDistributions(example_id, widths, probs)
+    return example_id, EnsembleTokenDistributions(example_id, widths, probs)
 
 
 def read_ensemble_dump(path: str | Path) -> list[EnsembleTokenDistributions]:
@@ -232,24 +232,4 @@ def read_ensemble_dump(path: str | Path) -> list[EnsembleTokenDistributions]:
     is optional and not kept. Probabilities are JSON numbers, not bools. A
     malformed record or a repeated id raises DataError naming its line.
     """
-    out = []
-    seen: set[str] = set()
-    for lineno, line in text_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # also deep nesting, huge ints
-            raise DataError(f"invalid JSON: {exc}", path=str(path), line=lineno)
-        try:
-            dists = _dump_record(record)
-        except DataError as exc:
-            raise DataError(str(exc), path=str(path), line=lineno)
-        if dists.example_id in seen:
-            raise DataError(
-                f"duplicate example id {dists.example_id!r}", path=str(path), line=lineno
-            )
-        seen.add(dists.example_id)
-        out.append(dists)
-    return out
+    return [dists for _, dists in id_records(path, _dump_record)]

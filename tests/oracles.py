@@ -8,8 +8,9 @@ checks beyond public query interfaces.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from typing import Sequence
+from collections import Counter, namedtuple
+from fractions import Fraction
+from typing import Mapping, Sequence
 
 
 def exhaustive_min_cover(sentence: Sequence[str], dictionary) -> int:
@@ -120,3 +121,64 @@ def set_difference_novelty(train: Sequence[Sequence[str]], test: Sequence[Sequen
         return out
 
     return len(grams(test) - grams(train))
+
+
+OracleExample = namedtuple("OracleExample", "id source target")
+_OracleDegree = namedtuple("_OracleDegree", "exact length")
+
+
+class _SpanSet(set):
+    """A set of token tuples that answers `contains` like the n-gram index."""
+
+    def contains(self, span) -> bool:
+        return tuple(span) in self
+
+
+def oracle_pipeline(
+    train: Sequence[OracleExample],
+    pool: Sequence[OracleExample],
+    dump: Mapping[str, Sequence[Sequence[Sequence[float]]]],
+    *,
+    side: str,
+    oov_min_count: int,
+    dict_min_count: int,
+    max_n: int | None,
+    pool_k: int,
+) -> dict:
+    """The detection stages of the pipeline, composed from the naive pieces above.
+
+    `dump` maps each pool id to its probs, indexed [member][position][support].
+    Returns the filtered ids, (atom_count, length) per filtered id, the
+    candidate ids in order, the mean reverse MI per candidate id, and the
+    ranking as (example, score) pairs, for the band draw.
+    """
+    def tokens(example):
+        return example.source if side == "source" else example.target
+
+    vocab = Counter(tok for example in train for tok in tokens(example))
+    filtered = [ex for ex in pool if all(vocab[tok] >= oov_min_count for tok in tokens(ex))]
+
+    sentences = [tokens(example) for example in train]
+    cap = max(map(len, sentences)) if max_n is None else max_n
+    counts = brute_force_ngram_counts(sentences, cap)
+    stored = _SpanSet(gram for gram, count in counts.items() if count > dict_min_count)
+    degrees, scored = {}, []
+    for example in filtered:
+        atoms, length = exhaustive_min_cover(tokens(example), stored), len(tokens(example))
+        degrees[example.id] = (atoms, length)
+        scored.append((example, _OracleDegree(Fraction(atoms, length), length)))
+    candidates = full_sort_selection(scored, pool_k, side)
+
+    uncertainty = {}
+    for example in candidates:
+        members = dump[example.id]
+        positions = [[member[l] for member in members] for l in range(len(members[0]))]
+        rmi = [naive_uncertainties(position)[2] for position in positions]
+        uncertainty[example.id] = sum(rmi) / len(rmi)
+    return {
+        "filtered": [example.id for example in filtered],
+        "degrees": degrees,
+        "candidates": [example.id for example in candidates],
+        "uncertainty": uncertainty,
+        "ranked": [(example, uncertainty[example.id]) for example in candidates],
+    }

@@ -434,6 +434,15 @@ class TestExitCodes:
                      "--out", str(tmp_path / "deg.tsv")]) == 2
         assert "--workers" in capsys.readouterr().err
 
+    def test_sample_testset_has_no_side_flag(self, pipeline_inputs, tmp_path, capsys):
+        # The band draw ranks whole examples; no side is read.
+        scores = tmp_path / "u.tsv"
+        scores.write_text("p0\t0.5\n")
+        assert main(["sample-testset", "--pool", str(pipeline_inputs["pool"]),
+                     "--scores", str(scores), "--side", "source",
+                     "--out", str(tmp_path / "t.jsonl")]) == 2
+        assert "--side" in capsys.readouterr().err
+
     def test_malformed_dictionary_exits_3(self, pipeline_inputs, tmp_path):
         junk = tmp_path / "junk.ngix"
         junk.write_bytes(b"not a dictionary")

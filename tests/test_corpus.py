@@ -19,7 +19,9 @@ from compforge.corpus import (
     save_corpus_jsonl,
     side_tokens,
 )
+from compforge.cover import read_degree_tsv
 from compforge.errors import ConfigError, DataError
+from compforge.uncertainty import read_ensemble_dump, read_uncertainty_tsv
 
 from conftest import make_examples
 
@@ -142,6 +144,64 @@ class TestLineHandling:
                 json.dumps({"source": sentence, "target": sentence}, ensure_ascii=False))
         [example] = self.load(tmp_path, fmt, (line + "\n").encode())
         assert example.source == example.target == tuple(sentence.split()) == ("a", "b", "c", "d")
+
+
+def _dump_line(ex_id: str) -> str:
+    return json.dumps({"id": ex_id, "support": [["a", "b"]],
+                       "probs": [[[0.5, 0.5]], [[0.25, 0.75]]]})
+
+
+# Every id-keyed format: (suffix, reader, records "a" and "b", a malformed
+# line, a line repeating id "a"). A TSV corpus numbers its own ids, so no
+# line of it can repeat one.
+_ID_KEYED = {
+    "corpus-tsv": (".tsv", load_parallel_corpus, ["a b\tx y", "c\tz"], "no tab", None),
+    "corpus-jsonl": (".jsonl", load_parallel_corpus,
+                     ['{"id": "a", "source": "a", "target": "x"}',
+                      '{"id": "b", "source": "c", "target": "z"}'],
+                     '{"id": "c", "source": "d"}',
+                     '{"id": "a", "source": "e", "target": "w"}'),
+    "degrees": (".tsv", read_degree_tsv, ["a\t1\t2\t0.5", "b\t1\t1\t1"],
+                "c\t1\t2", "a\t2\t2\t1"),
+    "uncertainty": (".tsv", read_uncertainty_tsv, ["a\t0.5", "b\t0.25"],
+                    "c\tmany", "a\t0.75"),
+    "dump": (".jsonl", read_ensemble_dump, [_dump_line("a"), _dump_line("b")],
+             '{"id": "c"', _dump_line("a")),
+}
+
+
+@pytest.mark.parametrize("fmt,fault", [
+    (fmt, fault) for fmt, spec in _ID_KEYED.items() for fault in ("malformed", "repeat")
+    if fault == "malformed" or spec[4] is not None
+])
+def test_id_keyed_readers_share_line_rules(tmp_path, fmt, fault):
+    """Line 2 is blank, so the bad record on line 4 is the third record and
+    the error still names line 4."""
+    suffix, read, (first, second), malformed, repeat = _ID_KEYED[fmt]
+    path = tmp_path / f"input{suffix}"
+    bad = malformed if fault == "malformed" else repeat
+    path.write_text("\n".join([first, "  ", second, bad]) + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        read(path)
+    assert str(err.value).endswith(f"[{path}:4]")
+    assert err.value.line == 4
+    if fault == "repeat":
+        assert str(err.value).startswith("duplicate example id 'a'")
+
+
+@pytest.mark.parametrize("read,lines,message", [
+    (read_degree_tsv, "a\t1\t2\t0.5\na\t3\t2\t1.5\n", "atom_count 3 outside"),
+    (read_uncertainty_tsv, "a\t0.5\na\tmany\n", "score 'many' is not a number"),
+], ids=["degrees", "uncertainty"])
+def test_score_row_that_is_malformed_and_repeats_an_id_reports_the_malformation(
+    tmp_path, read, lines, message
+):
+    """As in the corpus and the dump, a record is parsed before its id is checked."""
+    path = tmp_path / "scores.tsv"
+    path.write_text(lines, encoding="utf-8")
+    with pytest.raises(DataError, match=message) as err:
+        read(path)
+    assert err.value.line == 2
 
 
 # Characters a JSON writer must escape or may pass through raw.

@@ -5,12 +5,15 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import tempfile
 import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import compforge.pipeline as pipeline_mod
 from compforge.corpus import ParallelExample, load_parallel_corpus
@@ -22,8 +25,10 @@ from compforge.pipeline import (
     run_pipeline,
     score_pool,
 )
+from compforge.uncertainty import band_select
 
 from conftest import random_sentence
+from oracles import OracleExample, oracle_pipeline
 
 ARTIFACTS = [
     "pool_filtered.jsonl",
@@ -450,6 +455,103 @@ class TestScorePool:
         pool, dictionary = self.build()
         with pytest.raises(ConfigError, match="workers"):
             score_pool(pool, dictionary, workers=workers)
+
+
+# Dump records, [member][position][support]; their mean reverse MIs (0,
+# 0.035, 0.181, 0.109 and 0.071) are far apart and below 1, so equal records
+# tie exactly and uncertainty.tsv's ten digits hold each to 1e-10.
+_PALETTE = [
+    [[[0.5, 0.5]], [[0.5, 0.5]]],
+    [[[0.5, 0.5]], [[0.25, 0.75]]],
+    [[[0.7, 0.2, 0.1], [0.6, 0.4]], [[0.2, 0.3, 0.5], [0.5, 0.5]],
+     [[0.1, 0.1, 0.8], [0.9, 0.1]]],
+    [[[0.9, 0.1], [0.3, 0.7]], [[0.6, 0.4], [0.8, 0.2]]],
+    [[[0.2, 0.3, 0.5]], [[0.5, 0.3, 0.2]]],
+]
+
+
+def _pairs(words, max_size):
+    sentence = st.lists(st.sampled_from(words), min_size=1, max_size=5).map(tuple)
+    return st.lists(st.tuples(sentence, sentence), min_size=1, max_size=max_size)
+
+
+@st.composite
+def _corpora(draw):
+    """Train pairs, and pool pairs with a palette index each. The pool repeats
+    a few pairs, and the alphabet's last token occurs only in the pool."""
+    alphabet = [f"t{i}" for i in range(draw(st.integers(4, 6)))]
+    train = draw(_pairs(alphabet[:-1], 10))
+    distinct = draw(_pairs(alphabet, 5))
+    pool = draw(st.lists(st.tuples(st.sampled_from(distinct),
+                                   st.integers(0, len(_PALETTE) - 1)), min_size=1, max_size=12))
+    return train, pool
+
+
+def _write_corpus(path: Path, examples, jsonl: bool) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for ex in examples:
+            source, target = " ".join(ex.source), " ".join(ex.target)
+            fh.write(json.dumps({"id": ex.id, "source": source, "target": target}) + "\n"
+                     if jsonl else f"{source}\t{target}\n")
+
+
+def _ids(path: Path) -> list[str]:
+    return [json.loads(line)["id"] for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def _rows(path: Path) -> list[list[str]]:
+    return [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora=_corpora(), jsonl=st.booleans(), side=st.sampled_from(["source", "target"]),
+       oov_min_count=st.integers(0, 3), dict_min_count=st.integers(0, 3),
+       max_n=st.none() | st.integers(1, 4), pool_k=st.integers(1, 14), seed=st.integers(0, 3),
+       data=st.data())
+def test_pipeline_matches_oracle_pipeline(corpora, jsonl, side, oov_min_count, dict_min_count,
+                                          max_n, pool_k, seed, data):
+    """Every artifact of run_pipeline, parsed, equals the naive pipeline's result."""
+    train_pairs, pool_draws = corpora
+    # A TSV corpus numbers its examples; JSONL ids come in shuffled order, so
+    # that keeping pool order is not the same as sorting by id.
+    ids = data.draw(st.permutations(range(len(pool_draws))), label="ids") if jsonl else None
+    train = [OracleExample(str(i), *pair) for i, pair in enumerate(train_pairs)]
+    pool = [OracleExample(f"e{ids[i]}" if jsonl else str(i), *pair)
+            for i, (pair, _) in enumerate(pool_draws)]
+    dump = {ex.id: _PALETTE[j] for ex, (_, j) in zip(pool, pool_draws)}
+    expected = oracle_pipeline(train, pool, dump, side=side, oov_min_count=oov_min_count,
+                               dict_min_count=dict_min_count, max_n=max_n, pool_k=pool_k)
+    count = len(expected["candidates"])
+    discard_top = data.draw(st.integers(0, count), label="discard_top")
+    window = data.draw(st.integers(0, count - discard_top), label="window")
+    sample = data.draw(st.integers(0, window), label="sample")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        suffix = ".jsonl" if jsonl else ".tsv"
+        paths = {"train": tmp / f"train{suffix}", "pool": tmp / f"pool{suffix}",
+                 "dump": tmp / "dump.jsonl"}
+        _write_corpus(paths["train"], train, jsonl)
+        _write_corpus(paths["pool"], pool, jsonl)
+        paths["dump"].write_text("".join(
+            json.dumps({"id": ex_id, "support": [["s"] * len(p) for p in probs[0]],
+                        "probs": probs}) + "\n"
+            for ex_id, probs in dump.items()), encoding="utf-8")
+        out = tmp / "out"
+        run_pipeline(make_config(
+            paths, out, side=side, oov_min_count=oov_min_count, dict_min_count=dict_min_count,
+            max_n=max_n, pool_k=pool_k, discard_top=discard_top, window=window, sample=sample,
+            seed=seed))
+
+        assert _ids(out / "pool_filtered.jsonl") == expected["filtered"]
+        degrees = {ex_id: (int(atoms), int(length))
+                   for ex_id, atoms, length, _ in _rows(out / "degrees.tsv")}
+        assert degrees == expected["degrees"]
+        assert _ids(out / "candidates.jsonl") == expected["candidates"]
+        scores = {ex_id: float(score) for ex_id, score in _rows(out / "uncertainty.tsv")}
+        assert scores == pytest.approx(expected["uncertainty"], abs=1e-10)
+        chosen = band_select(expected["ranked"], discard_top, window, sample, seed)
+        assert _ids(out / "testset.jsonl") == [ex.id for ex in chosen]
 
 
 def test_tracer_targets_exist(monkeypatch):
