@@ -159,7 +159,7 @@ def _cmd_select_pool(args) -> int:
 def _cmd_uncertainty_score(args) -> int:
     dists = read_ensemble_dump(args.dump)
     write_uncertainty_tsv(
-        ((d.example_id, token_uncertainties(d).sequence_score) for d in dists), args.out
+        ((ex_id, token_uncertainties(d).sequence_score) for ex_id, d in dists.items()), args.out
     )
     print(f"scored {len(dists)} examples -> {args.out}")
     return 0

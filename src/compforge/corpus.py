@@ -71,9 +71,10 @@ def _infer_format(path: str | Path) -> str:
 
 
 def json_line(line: str):
-    """`line` parsed as JSON; DataError("invalid JSON: ...") if it is not JSON."""
+    """`line` parsed as JSON, any whitespace around it dropped as `id_records`
+    drops blank lines; DataError("invalid JSON: ...") if it is not JSON."""
     try:
-        return json.loads(line)
+        return json.loads(line.strip())
     except (ValueError, RecursionError) as exc:  # also deep nesting, huge ints
         raise DataError(f"invalid JSON: {exc}")
 

@@ -16,11 +16,11 @@ where "admissible" means the span is a dictionary member, or has length 1
 
 `score_degrees` is the one degree scorer. It takes the sentences in chunks
 of `_CHUNK` and hands each chunk's tokens to `NGramDictionary.stored_starts`,
-which maps them to the dictionary's ids and finds every stored n-gram.
-It then runs the DP for the whole chunk at once, one vectorised step per
-end position i: for every sentence at least i tokens long, the fallback
-``f[i - 1] + 1`` lowered by a scatter-min over every stored n-gram that
-ends at i, whatever its length. The table is ragged (sentence r owns
+which finds every stored n-gram. It then runs the DP for the whole chunk at
+once, one vectorised step per end position i: for every sentence at least i
+tokens long, the fallback ``f[i - 1] + 1`` lowered by a scatter-min over
+every stored n-gram that ends at i, whatever its length. The table is
+ragged, in the n-gram index's sentence layout (sentence r owns
 ``length_r + 1`` cells), so one long sentence does not pad the others. A
 degree needs only the minimum count, so no back-pointers are kept.
 
@@ -150,35 +150,27 @@ def _min_atom_counts(
     tokens: Iterable[str], lengths: np.ndarray, dictionary: NGramDictionary
 ) -> np.ndarray:
     """Fewest atoms covering each sentence of `lengths`, laid end to end in `tokens`."""
-    rows = len(lengths)
-    offsets = np.cumsum(lengths) - lengths
-    row = np.repeat(np.arange(rows), lengths)
-    column = np.arange(len(row)) - offsets[row]
-    # Sentence r owns cells first[r] .. first[r] + lengths[r] of `best`; cell
-    # first[r] + i holds the fewest atoms covering its first i tokens, so the
-    # boundary before token p is cell p + row[p].
-    first = offsets + np.arange(rows)
+    # The table's cells are those `stored_starts` yields: sentence r owns cells
+    # first[r] .. first[r] + lengths[r], and cell first[r] + i holds the fewest
+    # atoms covering its first i tokens, so a stored n-gram at cell c is an edge c -> c + n.
+    owned = lengths + 1
+    first = np.cumsum(owned) - owned
+    column = np.arange(owned.sum()) - np.repeat(first, owned)
     none = np.zeros(0, dtype=np.int64)
-    ends, sources, targets = [none], [none], [none]
-    for n, starts in dictionary.stored_starts(tokens, lengths):
+    sources, targets = [none], [none]
+    for n, cells in dictionary.stored_starts(tokens, lengths):
         if n > 1:  # a stored unigram costs what the singleton fallback costs
-            ends.append(column[starts] + n)
-            sources.append(starts + row[starts])
-            targets.append(starts + row[starts] + n)
-    ends = np.concatenate(ends)
-    order = np.argsort(ends, kind="stable")
-    sources = np.concatenate(sources)[order]
-    targets = np.concatenate(targets)[order]
+            sources.append(cells)
+            targets.append(cells + n)
+    sources, targets = np.concatenate(sources), np.concatenate(targets)
+    order = np.argsort(column[targets], kind="stable")
+    sources, targets = sources[order], targets[order]
     width = int(lengths.max())
-    bounds = np.searchsorted(ends[order], np.arange(width + 2)).tolist()
-    # Longest sentences first, so the sentences still open at column i are a prefix.
-    by_length = np.argsort(-lengths, kind="stable")
-    first_by_length = first[by_length]
-    open_at = np.searchsorted(-lengths[by_length], -np.arange(width + 1), side="right").tolist()
+    bounds = np.searchsorted(column[targets], np.arange(width + 2)).tolist()
 
-    best = np.zeros(len(row) + rows, dtype=np.int32)
+    best = np.zeros(len(column), dtype=np.int32)
     for i in range(1, width + 1):
-        at = first_by_length[: open_at[i]] + i
+        at = first[lengths >= i] + i
         best[at] = best[at - 1] + 1
         lo, hi = bounds[i], bounds[i + 1]
         if lo < hi:

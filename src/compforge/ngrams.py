@@ -13,16 +13,18 @@ token's id is its rank) and, per depth, the sorted packed keys
 ``parent node * tokens + token id`` of the tree's nodes, where a node's
 number is its rank among its depth's keys, with an int64 count each. A
 count of 0 marks a prefix that is only on the way to a stored n-gram
-(possible in `from_entries` fixtures). `stored_starts` walks the tree for
-a whole batch of token positions, one `np.searchsorted` per depth;
-`contains` and `count` walk it for one span.
+(possible in `from_entries` fixtures).
 
-The build ranks the kept unigrams by token and lays the corpus side out as
-one flat id array with a -1 after each sentence. Level n extends only the
-positions whose (n-1)-gram prefix and suffix survived, so no n-gram spans a
-separator, and one `np.unique` over their packed candidate keys gives that
+Sentences have one layout, `_separated`: ids laid end to end with a -1
+after each sentence, so sentence r's token i is cell ``i + r + (tokens
+before r)``; a -1 matches no key, so no n-gram crosses a sentence end. The
+build lays out the corpus side with ids that rank the kept unigrams by
+token. Level n extends only the cells whose (n-1)-gram prefix and suffix
+survived, and one `np.unique` over their packed candidate keys gives that
 depth's sorted keys and counts, so no level loops over tokens in Python and
-no input shape makes the build cubic.
+no input shape makes the build cubic. `stored_starts` lays out the
+sentences it is given and walks the tree for all their cells at once, one
+`np.searchsorted` per depth; `contains` and `count` walk it for one span.
 
 Serialization is deterministic — the same corpus and flags always produce
 byte-identical index files. The file is a depth-first walk of the tree
@@ -52,10 +54,9 @@ _U32 = struct.Struct("<I")
 Levels = list[tuple[np.ndarray, np.ndarray]]
 
 
-def _room_to_end(lengths: np.ndarray) -> np.ndarray:
-    """For sentences of `lengths` laid end to end: tokens from each position to its sentence end."""
-    ends = np.cumsum(lengths)
-    return np.repeat(ends, lengths) - np.arange(ends[-1] if len(ends) else 0)
+def _separated(ids: np.ndarray, lengths: Sequence[int] | np.ndarray) -> np.ndarray:
+    """`ids` of sentences of `lengths`, laid end to end, with a -1 after each sentence."""
+    return np.insert(ids, np.cumsum(lengths, dtype=np.int64), -1)
 
 
 def _levels(depth: np.ndarray, token: np.ndarray, count: np.ndarray, width: int) -> Levels:
@@ -116,33 +117,33 @@ class NGramDictionary:
     def stored_starts(
         self, tokens: Iterable[str], lengths: np.ndarray
     ) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield (n, positions p where tokens[p:p+n] is a stored n-gram) for n = 1, 2, ...
+        """Yield (n, cells c where the n-gram starting at c is stored) for n = 1, 2, ...
 
-        `tokens` are sentences of `lengths` laid end to end; no n-gram crosses
-        a sentence end, and a token no n-gram holds gets id -1, which matches
-        no key. Depth n looks up only the positions whose (n-1)-token prefix is
-        a node of the tree, and the walk stops when none is left or at `max_n`.
+        `tokens` are sentences of `lengths` laid end to end; the cells are
+        those of `_separated`, and a token no n-gram holds gets id -1, as a
+        separator does. Depth n looks up only the cells whose (n-1)-token
+        prefix is a node of the tree, and the walk stops when none is left or
+        at `max_n`.
         """
         ids = np.fromiter(map(self._token_ids.get, tokens, itertools.repeat(-1)), dtype=np.int64)
-        room = _room_to_end(lengths)
+        ids = _separated(ids, lengths)
         width = len(self._tokens)
         levels = self._levels if self.max_n is None else self._levels[: self.max_n]
-        pos = np.arange(len(ids))
-        node = np.zeros(len(pos), dtype=np.int64)
+        cell = np.arange(len(ids))
+        node = np.zeros(len(cell), dtype=np.int64)
         for n, (keys, counts) in enumerate(levels, start=1):
-            inside = room[pos] >= n
-            pos, node = pos[inside], node[inside]
-            token = ids[pos + (n - 1)]
+            # A surviving cell's n - 1 tokens are not separators, so its n-th cell exists.
+            token = ids[cell + (n - 1)]
             key = node * width + token
             # Binary search is several times faster over sorted needles.
             order = np.argsort(key)
             at = np.empty_like(key)
             at[order] = np.minimum(np.searchsorted(keys, key[order]), len(keys) - 1)
             found = (keys[at] == key) & (token >= 0)
-            pos, node = pos[found], at[found]
-            if not len(pos):
+            cell, node = cell[found], at[found]
+            if not len(cell):
                 return
-            yield n, pos[counts[node] > 0]
+            yield n, cell[counts[node] > 0]
 
     def entries(self) -> list[tuple[tuple[str, ...], int]]:
         """All stored (n-gram, count) pairs in lexicographic order."""
@@ -300,21 +301,20 @@ def build_ngram_dictionary(
     if max_n is not None and max_n < 1:
         raise ConfigError(f"max_n must be at least 1, got {max_n}")
 
-    # Each sentence is followed by one separator (None), whose id becomes -1.
-    tokens: list[str | None] = []
+    tokens: list[str] = []
+    lengths: list[int] = []
     for sentence in sentences:
         tokens.extend(sentence)
-        tokens.append(None)
-    words = sorted(set(tokens).difference([None]))
+        lengths.append(len(sentence))
+    words = sorted(set(tokens))
     word_ids = {word: i for i, word in enumerate(words)}
-    word_ids[None] = len(words)
     ids = np.fromiter(map(word_ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
     del tokens, word_ids
 
-    counts = np.bincount(ids, minlength=len(words) + 1)[:-1]
+    counts = np.bincount(ids, minlength=len(words))
     # The tree's tokens are the kept words, in order; a dropped word's id becomes -1.
     kept = counts > min_count
-    ids = np.append(np.where(kept, np.cumsum(kept) - 1, -1), -1)[ids]
+    ids = _separated(np.where(kept, np.cumsum(kept) - 1, -1)[ids], lengths)
     vocab = [word for word, keep in zip(words, kept.tolist()) if keep]
     width = len(vocab)
     levels = [(np.arange(width, dtype=np.int64), counts[kept])] if vocab else []

@@ -250,7 +250,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
         del dictionary, filtered, scored
 
         stage = "score_uncertainty"
-        dump = {d.example_id: d for d in read_ensemble_dump(config.ensemble_dump_path)}
+        dump = read_ensemble_dump(config.ensemble_dump_path)
         ranked = [(ex, token_uncertainties(dist).sequence_score)
                   for ex, dist in join_by_id(candidates, dump, "ensemble dump")]
         finish("uncertainty_scores", "uncertainty.tsv", len(candidates), len(ranked),

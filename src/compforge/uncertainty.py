@@ -187,7 +187,7 @@ def _is_number(value) -> bool:
 
 def _dump_record(line: str, _index: int) -> tuple[str, EnsembleTokenDistributions]:
     """One dump line as (id, distributions); DataError if it is malformed."""
-    record = json_line(line.strip())  # any whitespace around a record, not only JSON's
+    record = json_line(line)
     try:
         example_id, support, member_probs = str(record["id"]), record["support"], record["probs"]
     except (KeyError, TypeError):
@@ -223,8 +223,8 @@ def _dump_record(line: str, _index: int) -> tuple[str, EnsembleTokenDistribution
     return example_id, EnsembleTokenDistributions(example_id, widths, probs)
 
 
-def read_ensemble_dump(path: str | Path) -> list[EnsembleTokenDistributions]:
-    """Parse a JSONL ensemble dump.
+def read_ensemble_dump(path: str | Path) -> dict[str, EnsembleTokenDistributions]:
+    """Parse a JSONL ensemble dump into example id -> distributions, in file order.
 
     Each record: ``{"id": ..., "tokens": [...], "support": [[...], ...],
     "probs": [[[...], ...], ...]}`` with probs indexed [member][position][support].
@@ -232,4 +232,4 @@ def read_ensemble_dump(path: str | Path) -> list[EnsembleTokenDistributions]:
     is optional and not kept. Probabilities are JSON numbers, not bools. A
     malformed record or a repeated id raises DataError naming its line.
     """
-    return [dists for _, dists in id_records(path, _dump_record)]
+    return dict(id_records(path, _dump_record))

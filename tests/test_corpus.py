@@ -189,6 +189,16 @@ def test_id_keyed_readers_share_line_rules(tmp_path, fmt, fault):
         assert str(err.value).startswith("duplicate example id 'a'")
 
 
+@pytest.mark.parametrize("fmt", ["corpus-jsonl", "dump"])
+def test_json_records_may_be_wrapped_in_any_whitespace(tmp_path, fmt):
+    """Both JSON readers drop the whitespace around a record that `id_records`
+    counts as blank, not only JSON's own."""
+    suffix, read, (first, second), _, _ = _ID_KEYED[fmt]
+    path = tmp_path / f"input{suffix}"
+    path.write_text(f"\xa0{first}\u3000\n\u3000{second}\xa0\n", encoding="utf-8")
+    assert len(read(path)) == 2
+
+
 @pytest.mark.parametrize("read,lines,message", [
     (read_degree_tsv, "a\t1\t2\t0.5\na\t3\t2\t1.5\n", "atom_count 3 outside"),
     (read_uncertainty_tsv, "a\t0.5\na\tmany\n", "score 'many' is not a number"),

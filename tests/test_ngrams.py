@@ -98,6 +98,25 @@ def test_id_build_matches_brute_force_counts(corpus, min_count, max_n):
     assert d.entries() == sorted((g, c) for g, c in oracle.items() if c > min_count)
 
 
+
+@settings(max_examples=200, deadline=None)
+@given(
+    corpus=st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=8), max_size=12),
+    min_count=st.integers(0, 3),
+    max_n=st.one_of(st.none(), st.integers(1, 4)),
+)
+def test_stored_starts_find_every_occurrence_the_build_counted(corpus, min_count, max_n):
+    # The build and the query bound sentences the same way: on the build's own
+    # corpus, the cells yielded for length n are the stored n-grams' occurrences.
+    d = build_ngram_dictionary(corpus, min_count=min_count, max_n=max_n)
+    tokens = [tok for sentence in corpus for tok in sentence]
+    lengths = np.array([len(sentence) for sentence in corpus], dtype=np.int64)
+    yielded = {n: len(cells) for n, cells in d.stored_starts(tokens, lengths)}
+    counted: dict[int, int] = {}
+    for gram, count in d.entries():
+        counted[len(gram)] = counted.get(len(gram), 0) + count
+    assert yielded == counted
+
 class TestQueries:
     def fixture(self):
         return NGramDictionary.from_entries(
@@ -113,7 +132,7 @@ class TestQueries:
         d = build_ngram_dictionary([("a", "b", "c")] * 5, min_count=2, max_n=2)
         assert not d.contains(["a", "b", "c"])
 
-    def test_match_lengths_simple(self):
+    def test_stored_starts_simple(self):
         d = self.fixture()
 
         def starts(*sentences):
@@ -122,21 +141,22 @@ class TestQueries:
             return {n: found.tolist() for n, found in d.stored_starts(tokens, lengths)}
 
         # "z" is in no n-gram, and "a z" / "a b" would cross a sentence end.
-        assert starts("a b x", "z a") == {1: [0, 1, 4], 2: [0]}
-        assert starts("a", "b") == {1: [0, 1]}
+        # Cells leave one place after each sentence for its separator.
+        assert starts("a b x", "z a") == {1: [0, 1, 5], 2: [0]}
+        assert starts("a", "b") == {1: [0, 2]}
         # "b c" is a node of the tree but not stored.
         assert starts("b c d") == {1: [0], 2: [], 3: [0]}
         assert starts("z") == {}
         assert starts() == {}
 
-    def test_match_lengths_agree_with_contains(self):
+    def test_stored_starts_agree_with_contains(self):
         rng = np.random.default_rng(3)
         corpus = random_corpus(rng)
         # Probes draw on one letter the corpus never uses.
         probes = random_corpus(rng, n_sentences=100, alphabet=7, low=1)
         tokens = [tok for sentence in probes for tok in sentence]
         lengths = np.array([len(sentence) for sentence in probes])
-        offsets = (np.cumsum(lengths) - lengths).tolist()
+        offsets = (np.cumsum(lengths + 1) - (lengths + 1)).tolist()
         longest = {}
         for max_n in (3, None):
             d = build_ngram_dictionary(corpus, min_count=2, max_n=max_n)

@@ -253,7 +253,7 @@ class TestDumpIO:
             ' [[1e-3, 0.999]], [[0.3, 0.7]]]}\n',
             encoding="utf-8",
         )
-        first, second = read_ensemble_dump(path)
+        first, second = read_ensemble_dump(path).values()
         assert first.example_id == "e0" and second.example_id == "7"
         assert first.widths.tolist() == [2, 3] and second.widths.tolist() == [2]
         assert first.widths.dtype == np.int64 and first.probs.dtype == np.float64
