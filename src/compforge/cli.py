@@ -8,21 +8,27 @@ records, inconsistent inputs).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from compforge.corpus import (
+    batched,
     build_vocab_counts,
     filter_oov,
+    iter_parallel_corpus,
     iter_side,
+    jsonl_line,
     load_parallel_corpus,
     save_corpus_jsonl,
     text_lines,
 )
-from compforge.cover import read_degree_tsv, select_candidate_pool, write_degree_tsv
+from compforge.cover import _CHUNK, degree_line, read_degree_tsv, select_candidate_pool
 from compforge.engine import VARIANTS, greedy_decode, load_weights
 from compforge.errors import CompforgeError, ConfigError, DataError
 from compforge.ngrams import NGramDictionary, build_ngram_dictionary
@@ -126,33 +132,53 @@ def _cmd_build_dict(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _partial_out(path: str) -> Iterator[TextIO]:
+    """A text file open on `path`.partial, renamed to `path` when the block
+    succeeds and removed when it raises, so `path` only ever holds whole output."""
+    partial = Path(path + ".partial")
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            yield fh
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    os.replace(partial, path)
+
+
 def _cmd_filter_oov(args) -> int:
-    train = load_parallel_corpus(args.train, args.format)
-    pool = load_parallel_corpus(args.pool, args.format)
-    counts = build_vocab_counts(train, args.side)
-    kept = filter_oov(pool, counts, args.min_count)
-    save_corpus_jsonl(kept, args.out)
-    print(f"kept {len(kept)}/{len(pool)} examples -> {args.out}")
+    counts = build_vocab_counts(iter_parallel_corpus(args.train, args.format), args.side)
+    seen = kept = 0
+    with _partial_out(args.out) as fh:
+        for batch in batched(iter_parallel_corpus(args.pool, args.format), _CHUNK):
+            survivors = filter_oov(batch, counts, args.min_count)
+            fh.writelines(map(jsonl_line, survivors))
+            seen, kept = seen + len(batch), kept + len(survivors)
+    print(f"kept {kept}/{seen} examples -> {args.out}")
     return 0
 
 
 def _cmd_comp_degree(args) -> int:
     dictionary = NGramDictionary.load(args.dict_path)
-    pool = load_parallel_corpus(args.pool, args.format)
-    scored = score_pool(pool, dictionary, args.side)
-    write_degree_tsv(((ex.id, degree) for ex, degree in scored), args.out)
-    print(f"scored {len(scored)} examples -> {args.out}")
+    scored = 0
+    with _partial_out(args.out) as fh:
+        for batch in batched(iter_parallel_corpus(args.pool, args.format), _CHUNK):
+            fh.writelines(degree_line(ex.id, degree)
+                          for ex, degree in score_pool(batch, dictionary, args.side))
+            scored += len(batch)
+    print(f"scored {scored} examples -> {args.out}")
     return 0
 
 
 def _cmd_select_pool(args) -> int:
-    pool = load_parallel_corpus(args.pool, args.format)
-    scored = join_by_id(pool, read_degree_tsv(args.scores), "scores")
-    selection = select_candidate_pool(scored, args.k, args.side)
+    table = read_degree_tsv(args.scores)
+    pool = iter_parallel_corpus(args.pool, args.format)
+    selection = select_candidate_pool(join_by_id(pool, table, "scores"), args.k, args.side)
     if selection.warning:
         print(f"warning: {selection.warning}", file=sys.stderr)
-    save_corpus_jsonl(selection.examples, args.out)
-    print(f"selected {len(selection.examples)} of {selection.deduplicated} -> {args.out}")
+    with _partial_out(args.out) as fh:
+        fh.writelines(map(jsonl_line, selection.examples))
+    print(f"selected {len(selection.examples)} of {selection.scored} scored -> {args.out}")
     return 0
 
 
@@ -167,7 +193,7 @@ def _cmd_uncertainty_score(args) -> int:
 
 def _cmd_sample_testset(args) -> int:
     pool = load_parallel_corpus(args.pool, args.format)
-    ranked = join_by_id(pool, read_uncertainty_tsv(args.scores), "scores")
+    ranked = list(join_by_id(pool, read_uncertainty_tsv(args.scores), "scores"))
     chosen = band_select(ranked, args.discard_top, args.window, args.sample, args.seed)
     save_corpus_jsonl(chosen, args.out)
     print(f"sampled {len(chosen)} examples -> {args.out}")

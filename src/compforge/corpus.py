@@ -14,6 +14,7 @@ splitting on it).
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -110,15 +111,16 @@ def id_records(
         yield record_id, record
 
 
-def load_parallel_corpus(path: str | Path, format: str | None = None) -> list[ParallelExample]:
-    """Read a parallel corpus from `path`.
+def iter_parallel_corpus(path: str | Path, format: str | None = None) -> Iterator[ParallelExample]:
+    """Yield the examples of a parallel corpus at `path`, reading it lazily.
 
     `format` is "tsv" or "jsonl"; when omitted it is inferred from the file
-    suffix. Lines are read by `id_records`, so ids must be unique and a
-    malformed record raises :class:`DataError` naming its line. An empty file
-    yields an empty corpus. Missing ids are assigned from the record index, and
-    an integer id is read as its decimal string. Equal tokens share one string
-    object, to save memory.
+    suffix, and a bad or uninferable format raises :class:`ConfigError` here,
+    not at the first example. Lines are read by `id_records`, so ids must be
+    unique and a malformed record raises :class:`DataError` naming its line
+    when it is reached. An empty file yields nothing. Missing ids are assigned
+    from the record index, and an integer id is read as its decimal string.
+    Equal tokens share one string object, to save memory.
     """
     fmt = format or _infer_format(path)
     if fmt not in ("tsv", "jsonl"):
@@ -156,10 +158,22 @@ def load_parallel_corpus(path: str | Path, format: str | None = None) -> list[Pa
             raise DataError("source and target must be non-empty")
         return ex_id, ParallelExample(ex_id, source, target, meta)
 
-    return [example for _, example in id_records(Path(path), parse)]
+    return (example for _, example in id_records(Path(path), parse))
 
 
-def _jsonl_line(ex: ParallelExample) -> str:
+def load_parallel_corpus(path: str | Path, format: str | None = None) -> list[ParallelExample]:
+    """The whole corpus at `path` as a list: `iter_parallel_corpus`, read to the end."""
+    return list(iter_parallel_corpus(path, format))
+
+
+def batched(items: Iterable[T], size: int) -> Iterator[list[T]]:
+    """Yield `items` as consecutive lists of `size` (the last may be shorter)."""
+    items = iter(items)
+    while batch := list(itertools.islice(items, size)):
+        yield batch
+
+
+def jsonl_line(ex: ParallelExample) -> str:
     """One example as a JSONL line: ``json.dumps(record, sort_keys=True,
     ensure_ascii=False)`` plus a newline, formatted directly for the common
     record of a string id and no meta."""
@@ -179,7 +193,7 @@ def save_corpus_jsonl(examples: Iterable[ParallelExample], path: str | Path) -> 
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         for ex in examples:
-            fh.write(_jsonl_line(ex))
+            fh.write(jsonl_line(ex))
             n += 1
     return n
 
@@ -200,7 +214,7 @@ class VocabCounts:
         return len(self.counts)
 
 
-def build_vocab_counts(corpus: Sequence[ParallelExample], side: str = "target") -> VocabCounts:
+def build_vocab_counts(corpus: Iterable[ParallelExample], side: str = "target") -> VocabCounts:
     """Count token occurrences on one side of `corpus`."""
     counter: Counter[str] = Counter()
     for ex in corpus:

@@ -31,6 +31,7 @@ applied recursively, so the result is deterministic.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from compforge.corpus import ParallelExample, id_records, side_tokens, tsv_fields
+from compforge.corpus import ParallelExample, batched, id_records, side_tokens, tsv_fields
 from compforge.errors import ConfigError, DataError
 from compforge.ngrams import NGramDictionary
 
@@ -79,12 +80,9 @@ class CompositionalDegree:
 # -- degrees.tsv: id, atom_count, length, degree; one example per line --------
 
 
-def write_degree_tsv(
-    rows: Iterable[tuple[str, CompositionalDegree]], path: str | Path
-) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{ex_id}\t{degree.atom_count}\t{degree.length}\t{degree.value:.10g}\n"
-                      for ex_id, degree in rows)
+def degree_line(ex_id: str, degree: CompositionalDegree) -> str:
+    """One degrees.tsv row, newline included."""
+    return f"{ex_id}\t{degree.atom_count}\t{degree.length}\t{degree.value:.10g}\n"
 
 
 def read_degree_tsv(path: str | Path) -> dict[str, CompositionalDegree]:
@@ -182,9 +180,8 @@ def score_degrees(
     sentences: Iterable[Sequence[str]], dictionary: NGramDictionary
 ) -> list[CompositionalDegree]:
     """Compositional degree of every sentence, in order, `_CHUNK` sentences at a time."""
-    sentences = iter(sentences)
     degrees: list[CompositionalDegree] = []
-    while chunk := list(itertools.islice(sentences, _CHUNK)):
+    for chunk in batched(sentences, _CHUNK):
         lengths = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
         if not lengths.all():
             empty = len(degrees) + int(np.argmin(lengths))
@@ -204,22 +201,33 @@ class PoolSelection:
     """Result of candidate-pool selection."""
 
     examples: tuple[ParallelExample, ...]
-    deduplicated: int
+    scored: int  # pairs read, duplicates included
     warning: str | None = None
 
 
 def select_candidate_pool(
-    scored: Sequence[tuple[ParallelExample, CompositionalDegree]],
+    scored: Iterable[tuple[ParallelExample, CompositionalDegree]],
     k: int = 60_000,
     side: str = "target",
 ) -> PoolSelection:
     """Keep the `k` highest-degree examples after exact-duplicate removal.
 
-    Duplicates are detected on the scored side's token sequence; the first
-    occurrence (corpus order) is kept. Ranking is by degree descending, with
-    ties broken by shorter length first, then original order. Asking for
-    more examples than survive returns the whole deduplicated pool with a
-    warning set.
+    `scored` is read once, in order, and only a heap of `k` examples and
+    their token sequences is kept. Duplicates are detected on the scored
+    side's token sequence; the first occurrence is kept. Ranking is by
+    degree descending, with ties broken by shorter length first, then
+    original order. Asking for more examples than survive returns the whole
+    deduplicated pool with a warning set.
+
+    Dedup needs no record of the examples already dropped because equal
+    token sequences carry equal degrees, as any degree computed from the
+    tokens does. A duplicate then ranks just below its first occurrence. If
+    that occurrence is in the heap, the duplicate is dropped on arrival. If
+    it was turned away or evicted, the heap's lowest member outranks it and
+    so outranks the duplicate too: the lowest member only ever rises. (Given
+    two degrees for one sequence, a later copy can take the place of a first
+    one turned away.) The heap fills only if there are at least `k` distinct
+    examples, so the warning's count is exact.
 
     The float degree ranks exactly like the fraction. Division is correctly
     rounded, so equal fractions give equal floats, and a degree in (0, 1]
@@ -229,24 +237,27 @@ def select_candidate_pool(
     """
     if k < 1:
         raise ConfigError(f"k must be positive, got {k}")
-    seen: set[tuple[str, ...]] = set()
-    survivors: list[tuple[ParallelExample, CompositionalDegree, int]] = []
+    # A min-heap of (degree, -length, -index, example): its root is the
+    # lowest-ranked member. Indices are unique, so examples are never compared.
+    heap: list[tuple[float, int, int, ParallelExample]] = []
+    held: set[tuple[str, ...]] = set()  # the members' token sequences
+    count = 0
     for index, (example, degree) in enumerate(scored):
+        count = index + 1
         key = side_tokens(example, side)
-        if key in seen:
+        if key in held:
             continue
-        seen.add(key)
-        survivors.append((example, degree, index))
+        entry = (degree.value, -degree.length, -index, example)
+        if len(heap) < k:
+            heapq.heappush(heap, entry)
+        elif entry > heap[0]:
+            held.discard(side_tokens(heapq.heapreplace(heap, entry)[3], side))
+        else:
+            continue
+        held.add(key)
 
-    survivors.sort(key=lambda item: (-item[1].value, item[1].length, item[2]))
     warning = None
-    if k > len(survivors):
-        warning = (
-            f"requested k={k} but only {len(survivors)} deduplicated examples available"
-        )
-    chosen = tuple(example for example, _, _ in survivors[:k])
-    return PoolSelection(
-        examples=chosen,
-        deduplicated=len(survivors),
-        warning=warning,
-    )
+    if len(heap) < k:
+        warning = f"requested k={k} but only {len(heap)} deduplicated examples available"
+    chosen = tuple(entry[3] for entry in sorted(heap, reverse=True))
+    return PoolSelection(examples=chosen, scored=count, warning=warning)

@@ -14,6 +14,20 @@ path first and renamed into place on success, so an aborted run leaves its
 half-written output clearly marked. The manifest records input digests,
 parameters, per-stage counts, and artifact digests; given identical inputs
 and seed, two runs produce byte-identical artifacts and manifests.
+
+The work runs in a different order from the stages. Train is loaded, its
+vocabulary counted and its n-gram index built, and then it is freed. One
+pass then reads the pool `_CHUNK` examples at a time: each batch is
+OOV-filtered, its survivors are appended to ``pool_filtered.jsonl.partial``,
+degree-scored, appended to ``degrees.tsv.partial`` and offered to the top-k
+heap of `select_candidate_pool`. After the pass, the stages are recorded in
+stage order: the two files are renamed into place around the index's save.
+If the pool cannot be read, the pass removes both ``.partial`` files.
+
+So peak memory is O(train + k), not O(pool). It holds train or its index,
+one batch, the k candidates and the ensemble dump, which is read whole. The
+one structure that grows with the pool is the set of pool ids that
+`id_records` keeps to reject a repeated id.
 """
 
 from __future__ import annotations
@@ -23,23 +37,27 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from compforge.corpus import (
     ParallelExample,
     _infer_format,
+    batched,
     build_vocab_counts,
     filter_oov,
+    iter_parallel_corpus,
     iter_side,
+    jsonl_line,
     load_parallel_corpus,
     save_corpus_jsonl,
     side_tokens,
 )
 from compforge.cover import (
+    _CHUNK,
     CompositionalDegree,
+    degree_line,
     score_degrees,
     select_candidate_pool,
-    write_degree_tsv,
 )
 from compforge.errors import ConfigError, DataError, StageError, require_int
 from compforge.ngrams import NGramDictionary, build_ngram_dictionary
@@ -157,22 +175,31 @@ def _sha256_file(path: str | Path) -> str:
 
 
 def join_by_id(
-    examples: Sequence[ParallelExample], table: Mapping[str, T], source: str
-) -> list[tuple[ParallelExample, T]]:
-    """(example, table[example.id]) pairs in example order; DataError if any id is missing."""
-    missing = [ex.id for ex in examples if ex.id not in table]
+    examples: Iterable[ParallelExample], table: Mapping[str, T], source: str
+) -> Iterator[tuple[ParallelExample, T]]:
+    """Yield (example, table[example.id]) in example order, skipping ids the table
+    lacks; after the last pair, DataError if any id was missing, with their count."""
+    missing, first = 0, ""
+    for ex in examples:
+        if ex.id in table:
+            yield ex, table[ex.id]
+        else:
+            if not missing:
+                first = ex.id
+            missing += 1
     if missing:
-        raise DataError(
-            f"{len(missing)} pool examples missing from {source}, e.g. {missing[0]!r}"
-        )
-    return [(ex, table[ex.id]) for ex in examples]
+        raise DataError(f"{missing} pool examples missing from {source}, e.g. {first!r}")
 
 
-def _write_artifact(out_dir: Path, name: str, writer: Callable[[Path], None]) -> Path:
-    """Write via a .partial path, renaming into place only on success."""
+def _write_artifact(
+    out_dir: Path, name: str, writer: Callable[[Path], None] | None
+) -> Path:
+    """Write via a .partial path, renaming into place only on success; with no
+    `writer`, the .partial file has already been written."""
     final = out_dir / name
     partial = out_dir / (name + ".partial")
-    writer(partial)
+    if writer is not None:
+        writer(partial)
     os.replace(partial, final)
     return final
 
@@ -199,7 +226,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
     )
 
     def finish(label: str, filename: str, in_count: int, out_count: int,
-               writer: Callable[[Path], None]) -> None:
+               writer: Callable[[Path], None] | None) -> None:
         """Write the current stage's artifact and record the stage and the artifact."""
         path = _write_artifact(out_dir, filename, writer)
         manifest.stages.append({"name": stage, "in": in_count, "out": out_count})
@@ -207,10 +234,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
             {"name": label, "path": filename, "sha256": _sha256_file(path), "records": out_count}
         )
 
-    # Each corpus is held only while its stages need it: train until its vocabulary
-    # and n-gram index exist, the unfiltered pool until the OOV filter has run, the
-    # filtered pool until the candidates are chosen. So the work runs in a different
-    # order from the stages, whose artifacts and manifest entries keep stage order.
+    # The work runs in a different order from the stages (see the module docstring).
     stage = "load_inputs"
     try:
         train = load_parallel_corpus(config.train_path, config.corpus_format)
@@ -224,30 +248,58 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
         del train
 
         stage = "load_inputs"
-        pool = load_parallel_corpus(config.pool_path, config.corpus_format)
-        stage = "filter_oov"
-        filtered = filter_oov(pool, counts, config.oov_min_count)
-        pool_size = len(pool)
+        pool = iter_parallel_corpus(config.pool_path, config.corpus_format)
+        pool_size = 0
+
+        def filter_and_score(filtered_fh, degrees_fh):
+            """Yield the scored pool a batch at a time, appending the survivors
+            and their degree rows to the two artifacts' .partial files."""
+            nonlocal stage, pool_size
+            for batch in batched(pool, _CHUNK):
+                pool_size += len(batch)
+                stage = "filter_oov"
+                kept = filter_oov(batch, counts, config.oov_min_count)
+                filtered_fh.writelines(map(jsonl_line, kept))
+                stage = "score_degrees"
+                scored = score_pool(kept, dictionary, config.side)
+                degrees_fh.writelines(degree_line(ex.id, degree) for ex, degree in scored)
+                stage = "select_pool"
+                yield from scored
+                stage = "load_inputs"
+
+        partials = [out_dir / "pool_filtered.jsonl.partial", out_dir / "degrees.tsv.partial"]
+        try:
+            with open(partials[0], "w", encoding="utf-8") as filtered_fh, \
+                    open(partials[1], "w", encoding="utf-8") as degrees_fh:
+                selection = select_candidate_pool(
+                    filter_and_score(filtered_fh, degrees_fh), config.pool_k, config.side
+                )
+        except (ConfigError, DataError):
+            # A pool that cannot be read leaves nothing behind; a stage that
+            # failed leaves its .partial marker.
+            if stage == "load_inputs":
+                for partial in partials:
+                    partial.unlink()
+            raise
+        kept_size = selection.scored
         del pool, counts
-        finish("filtered_pool", "pool_filtered.jsonl", pool_size, len(filtered),
-               lambda p: save_corpus_jsonl(filtered, p))
+
+        stage = "filter_oov"
+        finish("filtered_pool", "pool_filtered.jsonl", pool_size, kept_size, None)
 
         stage = "build_dictionary"
         finish("ngram_index", "ngrams.ngix", train_size, len(dictionary), dictionary.save)
+        del dictionary
 
         stage = "score_degrees"
-        scored = score_pool(filtered, dictionary, config.side)
-        finish("degree_scores", "degrees.tsv", len(filtered), len(scored),
-               lambda p: write_degree_tsv(((ex.id, degree) for ex, degree in scored), p))
+        finish("degree_scores", "degrees.tsv", kept_size, kept_size, None)
 
         stage = "select_pool"
-        selection = select_candidate_pool(scored, config.pool_k, config.side)
         if selection.warning:
             manifest.metadata["warnings"].append(selection.warning)
         candidates = list(selection.examples)
-        finish("candidate_pool", "candidates.jsonl", len(scored), len(candidates),
+        finish("candidate_pool", "candidates.jsonl", kept_size, len(candidates),
                lambda p: save_corpus_jsonl(candidates, p))
-        del dictionary, filtered, scored
 
         stage = "score_uncertainty"
         dump = read_ensemble_dump(config.ensemble_dump_path)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import compforge.cli as cli
 from compforge.cli import main
 from compforge.corpus import load_parallel_corpus
 from compforge.engine import ModelConfig, init_weights, save_weights
@@ -141,7 +142,30 @@ class TestStageCommands:
             "select-pool", "--pool", str(pipeline_inputs["pool"]),
             "--scores", str(t / "deg.tsv"), "--k", "500", "--out", str(t / "c.jsonl"),
         ]) == 0
-        assert "warning" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert ("warning: requested k=500 but only 57 deduplicated examples available"
+                in captured.err)
+        assert captured.out == f"selected 57 of 60 scored -> {t / 'c.jsonl'}\n"
+
+    @pytest.mark.parametrize("command", ["filter-oov", "comp-degree", "select-pool"])
+    def test_pool_broken_at_its_end_leaves_no_out_file(
+        self, pipeline_inputs, tmp_path, capsys, monkeypatch, command
+    ):
+        # Batches of 8, so that the stage has written output before it reads the bad line.
+        monkeypatch.setattr(cli, "_CHUNK", 8)
+        t = tmp_path
+        main(["build-dict", "--train", str(pipeline_inputs["train"]), "--out", str(t / "d.ngix")])
+        main(["comp-degree", "--dict", str(t / "d.ngix"),
+              "--pool", str(pipeline_inputs["pool"]), "--out", str(t / "deg.tsv")])
+        pool = t / "broken.jsonl"
+        pool.write_text(pipeline_inputs["pool"].read_text() + "{broken\n")
+        flags = {"filter-oov": ["--train", str(pipeline_inputs["train"])],
+                 "comp-degree": ["--dict", str(t / "d.ngix")],
+                 "select-pool": ["--scores", str(t / "deg.tsv")]}[command]
+        capsys.readouterr()
+        assert main([command, *flags, "--pool", str(pool), "--out", str(t / "out")]) == 3
+        assert f"{pool}:61]" in capsys.readouterr().err
+        assert not (t / "out").exists() and not (t / "out.partial").exists()
 
     def test_analyze_novelty(self, pipeline_inputs, tmp_path, capsys):
         t = tmp_path

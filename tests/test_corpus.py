@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import compforge.corpus as corpus_module
 from compforge.corpus import (
     ParallelExample,
     build_vocab_counts,
     filter_oov,
+    iter_parallel_corpus,
     load_parallel_corpus,
     save_corpus_jsonl,
     side_tokens,
@@ -96,11 +98,73 @@ class TestLoading:
         path.write_text("a\tb\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="unknown corpus format 'csv'"):
             load_parallel_corpus(path, "csv")
+        # The lazy reader checks its format when called, before the first example.
+        with pytest.raises(ConfigError, match="unknown corpus format 'csv'"):
+            iter_parallel_corpus(path, "csv")
+        with pytest.raises(ConfigError, match="cannot infer corpus format"):
+            iter_parallel_corpus(tmp_path / "c.csv")
 
     def test_unknown_side_rejected(self):
         ex = ParallelExample("0", ("a",), ("b",))
         with pytest.raises(ConfigError):
             side_tokens(ex, "middle")
+
+
+class TestIterParallelCorpus:
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Every file object the corpus module opens, in order."""
+        files = []
+
+        def tracking_open(*args, **kwargs):
+            files.append(open(*args, **kwargs))
+            return files[-1]
+
+        monkeypatch.setattr(corpus_module, "open", tracking_open, raising=False)
+        return files
+
+    @pytest.mark.parametrize("name, text, ids", [
+        ("c.tsv", "a b\tx y\n\n  \nc\tz\n", ["0", "1"]),
+        ("c.jsonl", '{"id": 7, "source": "a b", "target": "x"}\n\n'
+                    '{"source": "c", "target": "y z"}\n{"id": "e", "source": "d", "target": "w"}\n',
+         ["7", "1", "e"]),
+    ])
+    def test_load_is_the_iterator_read_to_the_end(self, tmp_path, name, text, ids):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert load_parallel_corpus(path) == list(iter_parallel_corpus(path))
+        assert [ex.id for ex in iter_parallel_corpus(path)] == ids
+
+    def test_malformed_record_names_path_and_line_when_reached(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"source": "a", "target": "b"}\n\n{broken\n', encoding="utf-8")
+        examples = iter_parallel_corpus(path)
+        assert next(examples).id == "0"
+        with pytest.raises(DataError) as err:
+            next(examples)
+        assert (err.value.path, err.value.line) == (str(path), 3)
+
+    @pytest.mark.parametrize("content", [
+        b'{"source": "a", "target": "b"}\n{broken\n',  # malformed record
+        b'{"source": "a", "target": "b"}\n{"source": "\xff", "target": "b"}\n',  # not UTF-8
+        b'\xef\xbb\xbf{"source": "a", "target": "b"}\n',  # byte-order mark
+        b'{"id": "x", "source": "a", "target": "b"}\n{"id": "x", "source": "a", "target": "b"}\n',
+    ], ids=["malformed", "not-utf8", "bom", "duplicate-id"])
+    def test_no_file_is_left_open_on_an_error(self, tmp_path, opened, content):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(content)
+        with pytest.raises(DataError):
+            list(iter_parallel_corpus(path))
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_closing_an_unfinished_iterator_closes_its_file(self, tmp_path, opened):
+        path = tmp_path / "c.tsv"
+        path.write_text("a\tb\nc\td\n", encoding="utf-8")
+        examples = iter_parallel_corpus(path)
+        assert not opened  # nothing is opened before the first example is asked for
+        next(examples)
+        examples.close()
+        assert len(opened) == 1 and opened[0].closed
 
 
 # One corpus in both layouts; each line-handling test rewrites its lines.

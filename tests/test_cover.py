@@ -222,7 +222,8 @@ class TestSelection:
         scored = scored_examples([("a b", 1), ("a b", 2), ("c d", 1)])
         chosen = select_candidate_pool(scored, k=3)
         assert [ex.id for ex in chosen.examples] == ["0", "2"]
-        assert chosen.deduplicated == 2
+        assert chosen.scored == 3
+        assert chosen.warning == "requested k=3 but only 2 deduplicated examples available"
 
     def test_k_exceeding_pool_warns(self):
         scored = scored_examples([("a b", 1), ("c d", 2)])
@@ -234,10 +235,11 @@ class TestSelection:
         rng = np.random.default_rng(123)
         tokens = list("abcdefgh")
         pairs = []
+        atoms_of = {}  # a degree is a function of the tokens, so repeats share it
         for _ in range(10_000):
             length = int(rng.integers(1, 9))
             sentence = " ".join(rng.choice(tokens, size=length))
-            atoms = int(rng.integers(1, length + 1))
+            atoms = atoms_of.setdefault(sentence, int(rng.integers(1, length + 1)))
             pairs.append((sentence, atoms))
         scored = scored_examples(pairs)
         # scored_examples assigns unique ids, duplicates still collide on tokens
@@ -265,9 +267,53 @@ _degree = st.one_of(
        k=st.integers(1, 45))
 def test_selection_order_matches_fraction_sort(rows, k):
     # The float sort key must order exactly like the oracle's Fraction key.
+    # Repeated tokens carry the degree drawn for their first occurrence.
+    degree_of_tokens = {}
     scored = [
-        (ParallelExample(str(i), (f"s{tokens}",), (f"t{tokens}",)), CompositionalDegree(a, n))
-        for i, ((a, n), tokens) in enumerate(rows)
+        (ParallelExample(str(i), (f"s{tokens}",), (f"t{tokens}",)),
+         CompositionalDegree(*degree_of_tokens.setdefault(tokens, degree)))
+        for i, (degree, tokens) in enumerate(rows)
     ]
     chosen = select_candidate_pool(scored, k=k)
     assert list(chosen.examples) == full_sort_selection(scored, k)
+
+
+@st.composite
+def _scored_stream(draw):
+    """Scored pairs whose token tuples repeat, with tied degrees and lengths;
+    each distinct tuple has one degree, as any degree computed from it does."""
+    sentences = draw(st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=4)
+                              .map(tuple), min_size=1, max_size=8, unique=True))
+    degrees = [CompositionalDegree(draw(st.integers(1, len(s))), len(s)) for s in sentences]
+    picks = draw(st.lists(st.integers(0, len(sentences) - 1), max_size=30))
+    return [(ParallelExample(str(i), sentences[j], sentences[j]), degrees[j])
+            for i, j in enumerate(picks)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream=_scored_stream(), data=st.data())
+def test_streaming_selection_matches_dedup_then_sort(stream, data):
+    distinct = len({ex.target for ex, _ in stream})
+    k = data.draw(st.integers(1, distinct + 3), label="k")
+    sizes = data.draw(st.lists(st.integers(1, 5), min_size=len(stream), max_size=len(stream)),
+                      label="batch sizes")
+
+    def batches():
+        # A one-shot stream that arrives a batch at a time, as the pipeline's pool pass yields it.
+        start = 0
+        for size in sizes:
+            yield from stream[start:start + size]
+            start += size
+
+    chosen = select_candidate_pool(batches(), k=k)
+    first = {}
+    for index, (example, degree) in enumerate(stream):
+        first.setdefault(example.target, (example, degree, index))
+    expected = sorted(first.values(), key=lambda item: (-item[1].value, item[1].length, item[2]))
+    assert list(chosen.examples) == [example for example, _, _ in expected[:k]]
+    assert chosen.scored == len(stream)
+    if k > distinct:
+        assert chosen.warning == (
+            f"requested k={k} but only {distinct} deduplicated examples available")
+    else:
+        assert chosen.warning is None

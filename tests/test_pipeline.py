@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import json
 import tempfile
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -242,7 +243,7 @@ class TestJoinById:
     def test_missing_ids_are_counted_and_the_first_named(self):
         examples = _examples(["a", "b", "c", "d"])
         with pytest.raises(DataError) as err:
-            join_by_id(examples, {"a": 1, "c": 3}, "ensemble dump")
+            list(join_by_id(examples, {"a": 1, "c": 3}, "ensemble dump"))
         assert str(err.value) == "2 pool examples missing from ensemble dump, e.g. 'b'"
 
 
@@ -271,21 +272,24 @@ class TestFailureHandling:
     def test_aborted_stage_leaves_partial_marker(
         self, pipeline_inputs, tmp_path, monkeypatch
     ):
-        real_writer = pipeline_mod.save_corpus_jsonl
+        # The OOV filter's survivors are written as the pool is read; writing
+        # the second one fails.
+        real_line = pipeline_mod.jsonl_line
+        written = []
 
-        def explode(examples, path):
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write('{"half": "written"}\n')
-            raise pipeline_mod.DataError("disk full")
+        def explode(example):
+            if written:
+                raise pipeline_mod.DataError("disk full")
+            written.append(example)
+            return real_line(example)
 
-        monkeypatch.setattr(pipeline_mod, "save_corpus_jsonl", explode)
+        monkeypatch.setattr(pipeline_mod, "jsonl_line", explode)
         out = tmp_path / "out"
         with pytest.raises(StageError) as err:
             run_pipeline(make_config(pipeline_inputs, out))
         assert err.value.stage == "filter_oov"
-        assert (out / "pool_filtered.jsonl.partial").is_file()
+        assert (out / "pool_filtered.jsonl.partial").read_text() == real_line(written[0])
         assert not (out / "pool_filtered.jsonl").exists()
-        monkeypatch.setattr(pipeline_mod, "save_corpus_jsonl", real_writer)
 
     def test_malformed_pool_fails_before_any_artifact(self, pipeline_inputs, tmp_path):
         # The pool is loaded after the n-gram index is built, but still in
@@ -391,48 +395,78 @@ class TestPipelineConfig:
             PipelineConfig.from_json(blob)
 
 
-class TestCorpusLifetimes:
-    def test_each_corpus_is_freed_once_its_stages_are_done(
-        self, pipeline_inputs, tmp_path, monkeypatch
-    ):
-        # Train is held only until its n-gram index is built, and the pool is
-        # loaded only after that; degree scoring sees neither train nor the
-        # pool examples the OOV filter dropped, and only the candidates are
-        # left when the ensemble dump is read.
-        loaded: list[list[weakref.ref]] = []  # per load, weak refs to its examples
-        real_load = pipeline_mod.load_parallel_corpus
-        real_build = pipeline_mod.build_ngram_dictionary
-        real_score = pipeline_mod.score_pool
-        real_read_dump = pipeline_mod.read_ensemble_dump
-        out = tmp_path / "out"
+_WORDS = [f"w{i}" for i in range(20)]
+_TOP = 20  # pool examples of degree 1, ahead of every other
+
+
+def _write_memory_inputs(directory: Path, pool_size: int) -> dict:
+    """A train set of the windows of a cycle of 20 words, and a pool that
+    starts with `_TOP` word pairs that are not train bigrams (degree 1) and
+    goes on with 20-27-word windows of the cycle (degree at most 1/4 with
+    n-grams up to 4): the candidates, and so the dump, do not depend on the
+    pool size. Windows of 20 words or more make token tuples too long for
+    the interpreter's tuple free lists, whose cached memory tracemalloc counts."""
+    directory.mkdir()
+    paths = {"train": directory / "train.tsv", "pool": directory / "pool.jsonl",
+             "dump": directory / "dump.jsonl"}
+
+    def window(start: int, n: int) -> str:
+        return " ".join(_WORDS[(start + j) % 20] for j in range(n))
+
+    with open(paths["train"], "w", encoding="utf-8") as fh:
+        fh.writelines(f"{window(i, 4)}\t{window(i, 4)}\n" for i in range(20) for _ in range(10))
+    with open(paths["pool"], "w", encoding="utf-8") as fh:
+        for i in range(pool_size):
+            text = (f"{_WORDS[i % 20]} {_WORDS[(i + 2) % 20]}" if i < _TOP
+                    else window(i, 20 + (i // 20) % 8))
+            fh.write(json.dumps({"id": f"p{i}", "source": text, "target": text}) + "\n")
+    with open(paths["dump"], "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps({"id": f"p{i}", "support": [["a", "b"]],
+                                  "probs": [[[0.5, 0.5]], [[0.25, 0.75]]]}) + "\n"
+                      for i in range(_TOP))
+    return paths
+
+
+class TestPoolMemory:
+    def test_peak_memory_does_not_grow_with_the_pool(self, tmp_path, monkeypatch):
+        # The pool is streamed in batches (64 here, so that both pools span
+        # many), so a pool eight times larger costs only its ids' uniqueness
+        # check: far less than holding the extra records. Train is freed
+        # before the pool is read.
+        monkeypatch.setattr(pipeline_mod, "_CHUNK", 64)
+        train_refs: list[weakref.ref] = []
+        real_load, real_filter = pipeline_mod.load_parallel_corpus, pipeline_mod.filter_oov
 
         def load(path, format=None):
             examples = real_load(path, format)
-            loaded.append([weakref.ref(ex) for ex in examples])
+            train_refs.extend(weakref.ref(ex) for ex in examples)
             return examples
 
-        def build(*args):
-            assert len(loaded) == 1, "the pool was loaded before the n-gram index was built"
-            return real_build(*args)
-
-        def score(pool, dictionary, side):
-            train_refs, pool_refs = loaded
+        def filter_oov(pool, counts, min_count):
             assert train_refs and all(ref() is None for ref in train_refs)
-            alive = sum(ref() is not None for ref in pool_refs)
-            assert len(pool) < len(pool_refs) and alive == len(pool)
-            return real_score(pool, dictionary, side)
-
-        def read_dump(path):
-            candidates = len((out / "candidates.jsonl").read_text().splitlines())
-            assert sum(ref() is not None for ref in loaded[1]) == candidates
-            return real_read_dump(path)
+            return real_filter(pool, counts, min_count)
 
         monkeypatch.setattr(pipeline_mod, "load_parallel_corpus", load)
-        monkeypatch.setattr(pipeline_mod, "build_ngram_dictionary", build)
-        monkeypatch.setattr(pipeline_mod, "score_pool", score)
-        monkeypatch.setattr(pipeline_mod, "read_ensemble_dump", read_dump)
-        manifest = run_pipeline(make_config(pipeline_inputs, out))
-        assert len(loaded) == 2 and manifest.stages[0]["name"] == "filter_oov"
+        monkeypatch.setattr(pipeline_mod, "filter_oov", filter_oov)
+
+        def traced_peak(run) -> int:
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        n = 500
+        inputs = {size: _write_memory_inputs(tmp_path / f"in{size}", size) for size in (n, 8 * n)}
+        peaks = {}
+        for size in (n, n, 8 * n):  # the first run also pays one-time costs
+            config = make_config(inputs[size], tmp_path / f"out{size}", max_n=4,
+                                 pool_k=_TOP, discard_top=0, window=_TOP, sample=5)
+            peaks[size] = traced_peak(lambda: run_pipeline(config))
+        assert _ids(tmp_path / f"out{n}" / "candidates.jsonl") == [f"p{i}" for i in range(_TOP)]
+        held = {size: traced_peak(lambda: real_load(inputs[size]["pool"])) for size in (n, 8 * n)}
+        assert peaks[8 * n] - peaks[n] < 0.25 * (held[8 * n] - held[n])
 
 
 class TestScorePool:
