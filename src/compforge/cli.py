@@ -12,28 +12,26 @@ import contextlib
 import dataclasses
 import json
 import math
-import os
 import sys
-from pathlib import Path
-from typing import Iterator, TextIO
 
 from compforge.corpus import (
     batched,
     build_vocab_counts,
     filter_oov,
+    id_records,
     iter_parallel_corpus,
     iter_side,
     jsonl_line,
     load_parallel_corpus,
     save_corpus_jsonl,
-    text_lines,
+    side_tokens,
 )
 from compforge.cover import _CHUNK, degree_line, read_degree_tsv, select_candidate_pool
 from compforge.engine import VARIANTS, greedy_decode, load_weights
 from compforge.errors import CompforgeError, ConfigError, DataError
 from compforge.ngrams import NGramDictionary, build_ngram_dictionary
 from compforge.novelty import benchmark_report, read_tagged_file
-from compforge.pipeline import PipelineConfig, join_by_id, run_pipeline, score_pool
+from compforge.pipeline import PipelineConfig, join_by_id, replacing, run_pipeline, score_pool
 from compforge.uncertainty import (
     band_select,
     read_ensemble_dump,
@@ -127,29 +125,16 @@ def _cmd_build_dict(args) -> int:
         raise ConfigError(f"--max-n must be non-negative (0 means no cap), got {args.max_n}")
     max_n = args.max_n or None
     dictionary = build_ngram_dictionary(iter_side(corpus, args.side), args.min_count, max_n)
-    dictionary.save(args.out)
+    with replacing(args.out) as out:
+        dictionary.save(out)
     print(f"stored {len(dictionary)} n-grams ({dictionary.vocab_size} unigrams) -> {args.out}")
     return 0
-
-
-@contextlib.contextmanager
-def _partial_out(path: str) -> Iterator[TextIO]:
-    """A text file open on `path`.partial, renamed to `path` when the block
-    succeeds and removed when it raises, so `path` only ever holds whole output."""
-    partial = Path(path + ".partial")
-    try:
-        with open(partial, "w", encoding="utf-8") as fh:
-            yield fh
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-    os.replace(partial, path)
 
 
 def _cmd_filter_oov(args) -> int:
     counts = build_vocab_counts(iter_parallel_corpus(args.train, args.format), args.side)
     seen = kept = 0
-    with _partial_out(args.out) as fh:
+    with replacing(args.out) as out, open(out, "w", encoding="utf-8") as fh:
         for batch in batched(iter_parallel_corpus(args.pool, args.format), _CHUNK):
             survivors = filter_oov(batch, counts, args.min_count)
             fh.writelines(map(jsonl_line, survivors))
@@ -161,7 +146,7 @@ def _cmd_filter_oov(args) -> int:
 def _cmd_comp_degree(args) -> int:
     dictionary = NGramDictionary.load(args.dict_path)
     scored = 0
-    with _partial_out(args.out) as fh:
+    with replacing(args.out) as out, open(out, "w", encoding="utf-8") as fh:
         for batch in batched(iter_parallel_corpus(args.pool, args.format), _CHUNK):
             fh.writelines(degree_line(ex.id, degree)
                           for ex, degree in score_pool(batch, dictionary, args.side))
@@ -173,10 +158,24 @@ def _cmd_comp_degree(args) -> int:
 def _cmd_select_pool(args) -> int:
     table = read_degree_tsv(args.scores)
     pool = iter_parallel_corpus(args.pool, args.format)
-    selection = select_candidate_pool(join_by_id(pool, table, "scores"), args.k, args.side)
+
+    def scored_on_side():
+        """The joined pairs; after the last, DataError if a row's length is not
+        the --side token count, as when it was scored on the other side."""
+        wrong = ""
+        for ex, degree in join_by_id(pool, table, "scores"):
+            length = len(side_tokens(ex, args.side))
+            if degree.length != length and not wrong:
+                wrong = (f"example {ex.id!r} has {length} {args.side} tokens but its "
+                         f"degree row has length {degree.length}")
+            yield ex, degree
+        if wrong:
+            raise DataError(wrong, path=args.scores)
+
+    selection = select_candidate_pool(scored_on_side(), args.k, args.side)
     if selection.warning:
         print(f"warning: {selection.warning}", file=sys.stderr)
-    with _partial_out(args.out) as fh:
+    with replacing(args.out) as out, open(out, "w", encoding="utf-8") as fh:
         fh.writelines(map(jsonl_line, selection.examples))
     print(f"selected {len(selection.examples)} of {selection.scored} scored -> {args.out}")
     return 0
@@ -184,9 +183,10 @@ def _cmd_select_pool(args) -> int:
 
 def _cmd_uncertainty_score(args) -> int:
     dists = read_ensemble_dump(args.dump)
-    write_uncertainty_tsv(
-        ((ex_id, token_uncertainties(d).sequence_score) for ex_id, d in dists.items()), args.out
-    )
+    with replacing(args.out) as out:
+        write_uncertainty_tsv(
+            ((ex_id, token_uncertainties(d).sequence_score) for ex_id, d in dists.items()), out
+        )
     print(f"scored {len(dists)} examples -> {args.out}")
     return 0
 
@@ -195,7 +195,8 @@ def _cmd_sample_testset(args) -> int:
     pool = load_parallel_corpus(args.pool, args.format)
     ranked = list(join_by_id(pool, read_uncertainty_tsv(args.scores), "scores"))
     chosen = band_select(ranked, args.discard_top, args.window, args.sample, args.seed)
-    save_corpus_jsonl(chosen, args.out)
+    with replacing(args.out) as out:
+        save_corpus_jsonl(chosen, out)
     print(f"sampled {len(chosen)} examples -> {args.out}")
     return 0
 
@@ -210,7 +211,8 @@ def _cmd_analyze_novelty(args) -> int:
         train, test, tagged_train, tagged_test, dictionary,
         side=args.side, tagset=args.tagset,
     )
-    Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
+    with replacing(args.out) as out:
+        out.write_text(report.to_json() + "\n", encoding="utf-8")
     print(report.to_json())
     return 0
 
@@ -236,20 +238,21 @@ def _cmd_simulate(args) -> int:
     if updates:
         cfg = dataclasses.replace(cfg, **updates)
 
-    sources = []
-    for lineno, line in text_lines(args.input):
-        line = line.strip()
-        if not line:
-            continue
+    def parse(line: str, index: int) -> tuple[str, list[int]]:
         try:
-            sources.append([int(tok) for tok in line.split()])
+            return str(index), [int(tok) for tok in line.split()]
         except ValueError:
-            raise DataError("token ids must be integers", path=args.input, line=lineno)
+            raise DataError("token ids must be integers")
+
+    sources = [src for _, src in id_records(args.input, parse)]
     if not sources:
         raise DataError("no input sequences", path=args.input)
 
-    trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None
-    try:
+    with contextlib.ExitStack() as stack:
+        trace_fh = None
+        if args.trace:
+            trace = stack.enter_context(replacing(args.trace))
+            trace_fh = stack.enter_context(open(trace, "w", encoding="utf-8"))
         for i, src in enumerate(sources):
             result = greedy_decode(src, weights, cfg, args.max_len)
             print(" ".join(str(tok) for tok in result.tokens))
@@ -264,9 +267,6 @@ def _cmd_simulate(args) -> int:
                         "token": step.token,
                     }
                     trace_fh.write(json.dumps(record, sort_keys=True) + "\n")
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
     return 0
 
 

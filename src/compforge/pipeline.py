@@ -9,20 +9,21 @@ Stages, in order:
 5. ``score_uncertainty`` — ingest the ensemble dump, score knowledge uncertainty
 6. ``sample_testset``    — band selection below the noisy top
 
-Every stage writes one artifact. Artifacts are written to a ``.partial``
-path first and renamed into place on success, so an aborted run leaves its
-half-written output clearly marked. The manifest records input digests,
-parameters, per-stage counts, and artifact digests; given identical inputs
-and seed, two runs produce byte-identical artifacts and manifests.
+Every stage writes one artifact, and every file is written by one rule,
+`replacing`: the output goes to a ``.partial`` path, which is renamed into
+place when the write succeeds and removed when it raises. So a final name
+only ever holds whole output, and a failed run leaves no ``.partial`` file.
+The manifest records input digests, parameters, per-stage counts, and
+artifact digests; given identical inputs and seed, two runs produce
+byte-identical artifacts and manifests.
 
 The work runs in a different order from the stages. Train is loaded, its
 vocabulary counted and its n-gram index built, and then it is freed. One
 pass then reads the pool `_CHUNK` examples at a time: each batch is
-OOV-filtered, its survivors are appended to ``pool_filtered.jsonl.partial``,
-degree-scored, appended to ``degrees.tsv.partial`` and offered to the top-k
-heap of `select_candidate_pool`. After the pass, the stages are recorded in
-stage order: the two files are renamed into place around the index's save.
-If the pool cannot be read, the pass removes both ``.partial`` files.
+OOV-filtered, its survivors are appended to ``pool_filtered.jsonl``,
+degree-scored, appended to ``degrees.tsv`` and offered to the top-k heap of
+`select_candidate_pool`. After the pass, the stages are recorded in stage
+order.
 
 So peak memory is O(train + k), not O(pool). It holds train or its index,
 one batch, the k candidates and the ensemble dump, which is read whole. The
@@ -32,6 +33,7 @@ one structure that grows with the pool is the set of pool ids that
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -191,17 +193,18 @@ def join_by_id(
         raise DataError(f"{missing} pool examples missing from {source}, e.g. {first!r}")
 
 
-def _write_artifact(
-    out_dir: Path, name: str, writer: Callable[[Path], None] | None
-) -> Path:
-    """Write via a .partial path, renaming into place only on success; with no
-    `writer`, the .partial file has already been written."""
-    final = out_dir / name
-    partial = out_dir / (name + ".partial")
-    if writer is not None:
-        writer(partial)
-    os.replace(partial, final)
-    return final
+@contextlib.contextmanager
+def replacing(path: str | Path) -> Iterator[Path]:
+    """Yield `path`.partial for the block to write; rename it to `path` when the
+    block succeeds and remove it when anything raises, so `path` only ever
+    holds whole output."""
+    partial = Path(f"{path}.partial")
+    try:
+        yield partial
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineManifest:
@@ -226,9 +229,13 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
     )
 
     def finish(label: str, filename: str, in_count: int, out_count: int,
-               writer: Callable[[Path], None] | None) -> None:
-        """Write the current stage's artifact and record the stage and the artifact."""
-        path = _write_artifact(out_dir, filename, writer)
+               writer: Callable[[Path], None] | None = None) -> None:
+        """Write the current stage's artifact, unless the pool pass already has,
+        and record the stage and the artifact."""
+        path = out_dir / filename
+        if writer is not None:
+            with replacing(path) as partial:
+                writer(partial)
         manifest.stages.append({"name": stage, "in": in_count, "out": out_count})
         manifest.artifacts.append(
             {"name": label, "path": filename, "sha256": _sha256_file(path), "records": out_count}
@@ -253,7 +260,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
 
         def filter_and_score(filtered_fh, degrees_fh):
             """Yield the scored pool a batch at a time, appending the survivors
-            and their degree rows to the two artifacts' .partial files."""
+            and their degree rows to the two artifacts."""
             nonlocal stage, pool_size
             for batch in batched(pool, _CHUNK):
                 pool_size += len(batch)
@@ -267,32 +274,25 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
                 yield from scored
                 stage = "load_inputs"
 
-        partials = [out_dir / "pool_filtered.jsonl.partial", out_dir / "degrees.tsv.partial"]
-        try:
-            with open(partials[0], "w", encoding="utf-8") as filtered_fh, \
-                    open(partials[1], "w", encoding="utf-8") as degrees_fh:
-                selection = select_candidate_pool(
-                    filter_and_score(filtered_fh, degrees_fh), config.pool_k, config.side
-                )
-        except (ConfigError, DataError):
-            # A pool that cannot be read leaves nothing behind; a stage that
-            # failed leaves its .partial marker.
-            if stage == "load_inputs":
-                for partial in partials:
-                    partial.unlink()
-            raise
+        with replacing(out_dir / "pool_filtered.jsonl") as filtered_path, \
+                replacing(out_dir / "degrees.tsv") as degrees_path, \
+                open(filtered_path, "w", encoding="utf-8") as filtered_fh, \
+                open(degrees_path, "w", encoding="utf-8") as degrees_fh:
+            selection = select_candidate_pool(
+                filter_and_score(filtered_fh, degrees_fh), config.pool_k, config.side
+            )
         kept_size = selection.scored
         del pool, counts
 
         stage = "filter_oov"
-        finish("filtered_pool", "pool_filtered.jsonl", pool_size, kept_size, None)
+        finish("filtered_pool", "pool_filtered.jsonl", pool_size, kept_size)
 
         stage = "build_dictionary"
         finish("ngram_index", "ngrams.ngix", train_size, len(dictionary), dictionary.save)
         del dictionary
 
         stage = "score_degrees"
-        finish("degree_scores", "degrees.tsv", kept_size, kept_size, None)
+        finish("degree_scores", "degrees.tsv", kept_size, kept_size)
 
         stage = "select_pool"
         if selection.warning:
@@ -317,8 +317,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
     except (ConfigError, DataError) as exc:
         raise StageError(stage, str(exc)) from exc
 
-    _write_artifact(
-        out_dir, "manifest.json",
-        lambda p: p.write_text(manifest.to_json() + "\n", encoding="utf-8"),
-    )
+    with replacing(out_dir / "manifest.json") as partial:
+        partial.write_text(manifest.to_json() + "\n", encoding="utf-8")
     return manifest

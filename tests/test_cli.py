@@ -20,6 +20,7 @@ from compforge.cli import main
 from compforge.corpus import load_parallel_corpus
 from compforge.engine import ModelConfig, init_weights, save_weights
 from compforge.errors import CompforgeError, ConfigError, DataError, StageError
+from compforge.ngrams import NGramDictionary
 from compforge.pipeline import run_pipeline
 
 from test_pipeline import make_config
@@ -166,6 +167,55 @@ class TestStageCommands:
         assert main([command, *flags, "--pool", str(pool), "--out", str(t / "out")]) == 3
         assert f"{pool}:61]" in capsys.readouterr().err
         assert not (t / "out").exists() and not (t / "out.partial").exists()
+
+    def test_select_pool_rejects_degrees_of_the_other_side(self, pipeline_inputs, tmp_path,
+                                                           capsys):
+        # Every source sentence is its target plus one token, so a degree row
+        # scored on the source side has the wrong length for the target side.
+        t = tmp_path
+        pool = t / "sides.jsonl"
+        with open(pool, "w", encoding="utf-8") as fh:
+            for ex in load_parallel_corpus(pipeline_inputs["pool"]):
+                record = {"id": ex.id, "source": " ".join(ex.target + ("w0",)),
+                          "target": " ".join(ex.target)}
+                fh.write(json.dumps(record) + "\n")
+        main(["build-dict", "--train", str(pipeline_inputs["train"]), "--side", "source",
+              "--out", str(t / "d.ngix")])
+        main(["comp-degree", "--dict", str(t / "d.ngix"), "--side", "source",
+              "--pool", str(pool), "--out", str(t / "deg.tsv")])
+        capsys.readouterr()
+        select = ["select-pool", "--pool", str(pool), "--scores", str(t / "deg.tsv"),
+                  "--k", "5", "--out", str(t / "c.jsonl")]
+        assert main([*select, "--side", "target"]) == 3
+        err = capsys.readouterr().err
+        length = len(load_parallel_corpus(pool)[0].target)
+        assert (f"example 'p0' has {length} target tokens but its degree row has length "
+                f"{length + 1} [{t / 'deg.tsv'}]") in err
+        assert not (t / "c.jsonl").exists() and not (t / "c.jsonl.partial").exists()
+        assert main([*select, "--side", "source"]) == 0
+
+    @pytest.mark.parametrize("command", ["build-dict", "uncertainty-score", "sample-testset"])
+    def test_failed_write_keeps_earlier_out_file(self, pipeline_inputs, tmp_path, monkeypatch,
+                                                 command):
+        def half_written(*args):
+            Path(args[-1]).write_text("half")
+            raise DataError("disk full")
+
+        t = tmp_path
+        (t / "u.tsv").write_text("".join(f"p{i}\t0.5\n" for i in range(60)))
+        flags, writer = {
+            "build-dict": (["--train", str(pipeline_inputs["train"])], (NGramDictionary, "save")),
+            "uncertainty-score": (["--dump", str(pipeline_inputs["dump"])],
+                                  (cli, "write_uncertainty_tsv")),
+            "sample-testset": (["--pool", str(pipeline_inputs["pool"]), "--scores", str(t / "u.tsv"),
+                                "--discard-top", "0", "--window", "10", "--sample", "5"],
+                               (cli, "save_corpus_jsonl")),
+        }[command]
+        monkeypatch.setattr(*writer, half_written)
+        (t / "out").write_text("earlier run")
+        assert main([command, *flags, "--out", str(t / "out")]) == 3
+        assert (t / "out").read_text() == "earlier run"
+        assert not (t / "out.partial").exists()
 
     def test_analyze_novelty(self, pipeline_inputs, tmp_path, capsys):
         t = tmp_path
@@ -416,6 +466,14 @@ class TestSimulate:
         src.write_text("3 99\n")
         assert main(["simulate", "--weights", str(sim_weights["path"]),
                      "--input", str(src)]) == 2
+
+    def test_failed_sequence_leaves_no_trace(self, sim_weights, tmp_path):
+        # The first sequence decodes and is traced before the second one fails.
+        src = self.write_sources(tmp_path, rows=("3 5 7", "3 99"))
+        trace = tmp_path / "trace.jsonl"
+        assert main(["simulate", "--weights", str(sim_weights["path"]), "--input", str(src),
+                     "--max-len", "5", "--trace", str(trace)]) == 2
+        assert not trace.exists() and not (tmp_path / "trace.jsonl.partial").exists()
 
 
 class TestExitCodes:

@@ -1,4 +1,4 @@
-"""Six-stage pipeline: artifacts, manifest, determinism, failure marking."""
+"""Six-stage pipeline: artifacts, manifest, determinism, failure handling."""
 
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from compforge.ngrams import NGramDictionary, build_ngram_dictionary
 from compforge.pipeline import (
     PipelineConfig,
     join_by_id,
+    replacing,
     run_pipeline,
     score_pool,
 )
@@ -269,7 +270,7 @@ class TestFailureHandling:
             run_pipeline(make_config(pipeline_inputs, tmp_path / "out"))
         assert err.value.stage == "load_inputs"
 
-    def test_aborted_stage_leaves_partial_marker(
+    def test_aborted_stage_leaves_no_partial_output(
         self, pipeline_inputs, tmp_path, monkeypatch
     ):
         # The OOV filter's survivors are written as the pool is read; writing
@@ -288,8 +289,32 @@ class TestFailureHandling:
         with pytest.raises(StageError) as err:
             run_pipeline(make_config(pipeline_inputs, out))
         assert err.value.stage == "filter_oov"
-        assert (out / "pool_filtered.jsonl.partial").read_text() == real_line(written[0])
-        assert not (out / "pool_filtered.jsonl").exists()
+        for name in ("pool_filtered.jsonl", "degrees.tsv"):
+            assert not (out / name).exists() and not (out / f"{name}.partial").exists()
+
+    def test_failed_index_save_leaves_no_index(self, pipeline_inputs, tmp_path, monkeypatch):
+        def broken_save(self, path):
+            Path(path).write_bytes(b"half an index")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(NGramDictionary, "save", broken_save)
+        out = tmp_path / "out"
+        with pytest.raises(OSError, match="disk full"):
+            run_pipeline(make_config(pipeline_inputs, out))
+        assert not (out / "ngrams.ngix").exists()
+        assert not (out / "ngrams.ngix.partial").exists()
+
+    def test_malformed_pool_rerun_keeps_finished_artifacts(self, pipeline_inputs, tmp_path):
+        out = tmp_path / "out"
+        run_pipeline(make_config(pipeline_inputs, out))
+        before = {name: (out / name).read_bytes() for name in ("pool_filtered.jsonl", "degrees.tsv")}
+        with open(pipeline_inputs["pool"], "a", encoding="utf-8") as fh:
+            fh.write("{broken\n")
+        with pytest.raises(StageError) as err:
+            run_pipeline(make_config(pipeline_inputs, out))
+        assert err.value.stage == "load_inputs"
+        assert {name: (out / name).read_bytes() for name in before} == before
+        assert not list(out.glob("*.partial"))
 
     def test_malformed_pool_fails_before_any_artifact(self, pipeline_inputs, tmp_path):
         # The pool is loaded after the n-gram index is built, but still in
@@ -307,6 +332,34 @@ class TestFailureHandling:
         with pytest.raises(StageError) as err:
             run_pipeline(make_config(pipeline_inputs, tmp_path / "out"))
         assert err.value.__cause__ is not None
+
+
+class TestReplacing:
+    def test_success_renames_partial_into_place(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with replacing(path) as partial:
+            assert partial == tmp_path / "out.txt.partial"
+            partial.write_text("whole")
+            assert not path.exists()
+        assert path.read_text() == "whole"
+        assert not partial.exists()
+
+    def test_raise_removes_partial_and_keeps_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"earlier run")
+        with pytest.raises(KeyboardInterrupt):
+            with replacing(str(path)) as partial:
+                partial.write_text("half")
+                raise KeyboardInterrupt
+        assert path.read_bytes() == b"earlier run"
+        assert not partial.exists()
+
+    def test_failed_rename_removes_partial(self, tmp_path):
+        (tmp_path / "out").mkdir()
+        with pytest.raises(IsADirectoryError):
+            with replacing(tmp_path / "out") as partial:
+                partial.write_text("whole")
+        assert not partial.exists()
 
 
 class TestPipelineConfig:
