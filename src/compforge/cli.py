@@ -120,11 +120,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build_dict(args) -> int:
-    corpus = load_parallel_corpus(args.train, args.format)
     if args.max_n < 0:
         raise ConfigError(f"--max-n must be non-negative (0 means no cap), got {args.max_n}")
-    max_n = args.max_n or None
-    dictionary = build_ngram_dictionary(iter_side(corpus, args.side), args.min_count, max_n)
+    # The build checks --min-count before it reads the first line.
+    corpus = iter_parallel_corpus(args.train, args.format)
+    dictionary = build_ngram_dictionary(iter_side(corpus, args.side), args.min_count,
+                                        args.max_n or None)
     with replacing(args.out) as out:
         dictionary.save(out)
     print(f"stored {len(dictionary)} n-grams ({dictionary.vocab_size} unigrams) -> {args.out}")
@@ -132,6 +133,8 @@ def _cmd_build_dict(args) -> int:
 
 
 def _cmd_filter_oov(args) -> int:
+    if args.min_count < 0:  # filter_oov's own check, before --train is read
+        raise ConfigError(f"min_count must be non-negative, got {args.min_count}")
     counts = build_vocab_counts(iter_parallel_corpus(args.train, args.format), args.side)
     seen = kept = 0
     with replacing(args.out) as out, open(out, "w", encoding="utf-8") as fh:

@@ -171,6 +171,7 @@ def batched(items: Iterable[T], size: int) -> Iterator[list[T]]:
     items = iter(items)
     while batch := list(itertools.islice(items, size)):
         yield batch
+        del batch  # so that only the caller holds it while the next batch is read
 
 
 def jsonl_line(ex: ParallelExample) -> str:

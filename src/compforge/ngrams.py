@@ -20,10 +20,13 @@ after each sentence, so sentence r's token i is cell ``i + r + (tokens
 before r)``; a -1 matches no key, so no n-gram crosses a sentence end. The
 build lays out the corpus side with ids that rank the kept unigrams by
 token. Level n extends only the cells whose (n-1)-gram prefix and suffix
-survived, and one `np.unique` over their packed candidate keys gives that
-depth's sorted keys and counts, so no level loops over tokens in Python and
-no input shape makes the build cubic. `stored_starts` lays out the
-sentences it is given and walks the tree for all their cells at once, one
+survived. One sort of their packed candidate keys groups equal keys; a
+group's size is its count, and the groups above `min_count` are that
+depth's sorted keys. So no level loops over tokens in Python and no input
+shape makes the build cubic. The build's per-cell arrays (ids, positions,
+node ids) are int32 while the layout has fewer than 2**31 cells; packed
+keys and counts are int64. `stored_starts` lays out the sentences it is
+given and walks the tree for all their cells at once, one
 `np.searchsorted` per depth; `contains` and `count` walk it for one span.
 
 Serialization is deterministic — the same corpus and flags always produce
@@ -57,6 +60,11 @@ Levels = list[tuple[np.ndarray, np.ndarray]]
 def _separated(ids: np.ndarray, lengths: Sequence[int] | np.ndarray) -> np.ndarray:
     """`ids` of sentences of `lengths`, laid end to end, with a -1 after each sentence."""
     return np.insert(ids, np.cumsum(lengths, dtype=np.int64), -1)
+
+
+def _cell_dtype(cells: int) -> type:
+    """The build's integer type for `cells` cells: int32 if every cell and node id fits."""
+    return np.int32 if cells < 2**31 else np.int64
 
 
 def _levels(depth: np.ndarray, token: np.ndarray, count: np.ndarray, width: int) -> Levels:
@@ -308,38 +316,45 @@ def build_ngram_dictionary(
         lengths.append(len(sentence))
     words = sorted(set(tokens))
     word_ids = {word: i for i, word in enumerate(words)}
-    ids = np.fromiter(map(word_ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    cell = _cell_dtype(len(tokens) + len(lengths))
+    ids = np.fromiter(map(word_ids.__getitem__, tokens), dtype=cell, count=len(tokens))
     del tokens, word_ids
 
     counts = np.bincount(ids, minlength=len(words))
     # The tree's tokens are the kept words, in order; a dropped word's id becomes -1.
     kept = counts > min_count
-    ids = _separated(np.where(kept, np.cumsum(kept) - 1, -1)[ids], lengths)
+    ids = _separated(np.where(kept, np.cumsum(kept) - 1, -1).astype(cell)[ids], lengths)
     vocab = [word for word, keep in zip(words, kept.tolist()) if keep]
     width = len(vocab)
     levels = [(np.arange(width, dtype=np.int64), counts[kept])] if vocab else []
     # gram_ids[p]: node of the surviving current-depth n-gram starting at p, else -1.
     gram_ids = ids
-    pos = np.flatnonzero(gram_ids >= 0)
+    pos = np.flatnonzero(gram_ids >= 0).astype(cell)
 
     n = 2
     while levels and (max_n is None or n <= max_n):
         # A candidate's (n-1)-token prefix starts at p and its suffix at p + 1; no
         # surviving n-gram holds a separator, so neither crosses a sentence end.
-        pos = pos[gram_ids[pos + 1] >= 0]
-        # Sorted unique (prefix node, token id) keys are this depth's keys.
-        keys = gram_ids[pos] * width + ids[pos + (n - 1)]
-        unique, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-        del keys
+        pos = pos[gram_ids[1:][pos] >= 0]
+        # Grouping the sorted (prefix node, token id) keys gives this depth's keys.
+        keys = gram_ids[pos].astype(np.int64) * width + ids[n - 1:][pos]
+        del gram_ids
+        pos = pos[np.argsort(keys)]
+        keys.sort()  # in place: no second int64 array beside the argsort's
+        starts = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+        counts = np.diff(np.flatnonzero(starts), append=len(keys))
         keep = counts > min_count
         if not keep.any():
             break
-        levels.append((unique[keep], counts[keep]))
-        level_ids = np.where(keep, np.cumsum(keep) - 1, -1)[inverse]
-        del inverse
+        levels.append((keys[starts][keep], counts[keep]))
+        del keys
+        # Sorted key i is in group (starts up to i) - 1, and a kept group's node
+        # is its rank among the kept groups.
+        nodes = np.where(keep, np.cumsum(keep) - 1, -1).astype(cell)
         gram_ids = np.full_like(ids, -1)
-        gram_ids[pos] = level_ids
-        pos = pos[level_ids >= 0]
+        gram_ids[pos] = nodes[np.cumsum(starts, dtype=cell) - 1]
+        pos = pos[gram_ids[pos] >= 0]
         n += 1
 
     return NGramDictionary(vocab, levels, min_count, max_n)

@@ -272,6 +272,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
                 degrees_fh.writelines(degree_line(ex.id, degree) for ex, degree in scored)
                 stage = "select_pool"
                 yield from scored
+                del batch, kept, scored  # only one batch is alive while the next is read
                 stage = "load_inputs"
 
         with replacing(out_dir / "pool_filtered.jsonl") as filtered_path, \

@@ -510,6 +510,24 @@ class TestExitCodes:
         assert out.exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag, message", [("--min-count", "min_count must be"),
+                                               ("--max-n", "--max-n must be")])
+    def test_build_dict_checks_counts_before_reading(self, tmp_path, capsys, flag, message):
+        # A malformed train file would exit 3; a bad flag is found first.
+        train, out = tmp_path / "train.tsv", tmp_path / "d.ngix"
+        train.write_text("a b c\n", encoding="utf-8")
+        assert main(["build-dict", "--train", str(train), flag, "-1", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err and not out.exists()
+
+    def test_filter_oov_checks_min_count_before_reading(self, tmp_path, capsys):
+        # Neither the malformed train file nor the empty pool hides the bad flag.
+        train, pool, out = tmp_path / "train.tsv", tmp_path / "pool.jsonl", tmp_path / "f.jsonl"
+        train.write_text("a b c\n", encoding="utf-8")
+        pool.write_text("", encoding="utf-8")
+        assert main(["filter-oov", "--train", str(train), "--pool", str(pool),
+                     "--min-count", "-1", "--out", str(out)]) == 2
+        assert "min_count must be" in capsys.readouterr().err and not out.exists()
+
     def test_comp_degree_has_no_workers_flag(self, pipeline_inputs, tmp_path, capsys):
         assert main(["comp-degree", "--dict", str(tmp_path / "d.ngix"),
                      "--pool", str(pipeline_inputs["pool"]), "--workers", "2",

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import compforge.ngrams as ngrams_mod
 from compforge.cover import degree_of, min_cover
 from compforge.errors import ConfigError, DataError
 from compforge.ngrams import NGramDictionary, build_ngram_dictionary
@@ -262,6 +263,56 @@ def test_long_sentence_of_distinct_tokens_stays_small(tmp_path):
     assert len(built) == len(loaded) == 180300
     assert loaded.count(sentence) == 4 and loaded.vocab_size == 600
     assert peak < 100e6, f"peak {peak / 1e6:.0f} MB"
+
+
+def _zipf_corpus(seed: int = 0) -> list[tuple[str, ...]]:
+    """4000 sentences of 8-40 tokens over 2500 Zipf(1.1) types: about 95k tokens."""
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, 2501) ** 1.1
+    words = [f"w{i}" for i in range(2500)]
+    lengths = rng.integers(8, 41, size=4000)
+    drawn = rng.choice(2500, size=int(lengths.sum()), p=weights / weights.sum()).tolist()
+    starts = np.concatenate(([0], np.cumsum(lengths))).tolist()
+    return [tuple(words[i] for i in drawn[a:b]) for a, b in zip(starts, starts[1:])]
+
+
+@pytest.mark.parametrize("min_count, max_n", [(3, 8), (1, None)])
+def test_build_working_set_per_train_token(min_count, max_n):
+    # The build holds int32 layout cells and sorts each depth's packed keys:
+    # its working set is about 30 bytes per train token, not 72.
+    corpus = _zipf_corpus()
+    tokens = sum(map(len, corpus))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        build_ngram_dictionary(corpus, min_count=min_count, max_n=max_n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * tokens, f"{peak / tokens:.1f} bytes per token"
+
+
+def test_cell_dtype_holds_every_cell():
+    assert ngrams_mod._cell_dtype(2**31 - 1) is np.int32
+    assert ngrams_mod._cell_dtype(2**31) is np.int64
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    corpus=st.lists(st.lists(st.sampled_from("abcd"), max_size=12), max_size=25),
+    min_count=st.integers(0, 3),
+    max_n=st.one_of(st.none(), st.integers(1, 6)),
+)
+def test_int64_cells_build_the_same_index(corpus, min_count, max_n):
+    # A layout too long for int32 cells takes int64 ones; both write the same bytes.
+    with tempfile.TemporaryDirectory() as tmp:
+        default, wide = Path(tmp) / "default.ngix", Path(tmp) / "wide.ngix"
+        build_ngram_dictionary(corpus, min_count, max_n).save(default)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ngrams_mod, "_cell_dtype", lambda cells: np.int64)
+            build_ngram_dictionary(corpus, min_count, max_n).save(wide)
+        assert wide.read_bytes() == default.read_bytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -521,6 +521,37 @@ class TestPoolMemory:
         held = {size: traced_peak(lambda: real_load(inputs[size]["pool"])) for size in (n, 8 * n)}
         assert peaks[8 * n] - peaks[n] < 0.25 * (held[8 * n] - held[n])
 
+    def test_one_batch_is_alive_while_the_next_is_read(self, tmp_path, monkeypatch):
+        # While batch i is read and OOV-filtered, the examples of earlier
+        # batches still alive are the heap's `pool_k` and the one example
+        # select_candidate_pool ranked last: the pass holds no earlier batch.
+        monkeypatch.setattr(pipeline_mod, "_CHUNK", 64)
+        refs: list[weakref.ref] = []  # the pool examples read so far
+        real_iter, real_filter = pipeline_mod.iter_parallel_corpus, pipeline_mod.filter_oov
+
+        def check(earlier: int) -> None:
+            alive = sum(ref() is not None for ref in refs[:earlier])
+            assert alive <= _TOP + 1, f"{alive} examples of earlier batches alive"
+
+        def iter_parallel_corpus(path, format=None):
+            for ex in real_iter(path, format):
+                check(len(refs) - len(refs) % 64)
+                refs.append(weakref.ref(ex))
+                yield ex
+
+        def filter_oov(batch, counts, min_count):
+            check(len(refs) - len(batch))
+            return real_filter(batch, counts, min_count)
+
+        monkeypatch.setattr(pipeline_mod, "iter_parallel_corpus", iter_parallel_corpus)
+        monkeypatch.setattr(pipeline_mod, "filter_oov", filter_oov)
+        inputs = _write_memory_inputs(tmp_path / "in", 6 * 64)
+        config = make_config(inputs, tmp_path / "out", max_n=4, pool_k=_TOP, discard_top=0,
+                             window=_TOP, sample=5)
+        run_pipeline(config)
+        assert len(refs) == 6 * 64
+        assert _ids(tmp_path / "out" / "candidates.jsonl") == [f"p{i}" for i in range(_TOP)]
+
 
 class TestScorePool:
     def build(self):
