@@ -62,7 +62,7 @@ def main() -> None:
     ):
         cfg = replace(BASE, variant=variant, interval=interval)
         result = greedy_decode(SRC, w, cfg, max_len=8)
-        sched = "-" if result.schedule is None else str(result.schedule.points)
+        sched = "-" if result.schedule is None else str(tuple(result.schedule))
         print(f"\n{variant}  (re-encoding points: {sched})")
         trace_table(result)
 

@@ -3,11 +3,9 @@
 from compforge.engine.config import VARIANTS, ModelConfig
 from compforge.engine.model import (
     DecodeResult,
-    ReEncodingSchedule,
     StepTrace,
     TargetMemory,
     adaptive_encode,
-    build_schedule,
     encode,
     encoding_hash,
     greedy_decode,
@@ -21,11 +19,9 @@ __all__ = [
     "VARIANTS",
     "ModelConfig",
     "DecodeResult",
-    "ReEncodingSchedule",
     "StepTrace",
     "TargetMemory",
     "adaptive_encode",
-    "build_schedule",
     "encode",
     "encoding_hash",
     "greedy_decode",

@@ -102,6 +102,17 @@ class ModelConfig:
             return 1
         return self.interval
 
+    def reencoding_points(self, horizon: int) -> range | None:
+        """Steps 1, 1+o, 1+2o, … <= `horizon` at which the source is
+        re-encoded, o being `effective_interval` (only step 1 for inf);
+        None for vanilla, which never re-encodes."""
+        if horizon < 1:
+            raise ConfigError(f"horizon must be at least 1, got {horizon}")
+        if self.variant == "vanilla":
+            return None
+        interval = self.effective_interval
+        return range(1, horizon + 1, horizon if interval == math.inf else int(interval))
+
     # -- parameter-stack layout ---------------------------------------------
     #
     # Layers are addressed by string prefixes into the flat weights dict.

@@ -19,8 +19,6 @@ of the plain encoder once per decode) and passes them in as `cross`.
 from __future__ import annotations
 
 import hashlib
-import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,7 +31,6 @@ from compforge.engine.ops import (
     cross_attention,
     encoder_layer,
     ffn,
-    key_block_mask,
     layer_norm,
     project,
 )
@@ -79,8 +76,8 @@ def adaptive_encode(
     indices); the result is truncated back to the source rows, and stage 2
     runs k2 layers over those. The last stage-1 layer computes only the
     source rows (keys and values still come from every row). With fusion
-    disabled, stage-1 attention places zero mass on prefix columns, so the
-    prefix cannot influence the output at all.
+    disabled, the prefix rows are left out: stage 1 runs on the source rows
+    alone, so the prefix cannot influence the output at all.
     """
     _check_tokens(src, cfg.src_vocab, "source")
     _check_tokens(prefix, cfg.tgt_vocab, "prefix")
@@ -89,53 +86,19 @@ def adaptive_encode(
         raise ConfigError(
             f"source+prefix of {n + t} positions exceeds max_src_positions={cfg.max_src_positions}"
         )
-    prefix_rows = w["tgt_embed"][np.asarray(prefix, dtype=np.int64)] + w["enc_pos"][n : n + t]
-    x = np.concatenate([_embed_source(src, w), prefix_rows], axis=0)
+    x = _embed_source(src, w)
+    if cfg.fusion_enabled:
+        prefix_rows = w["tgt_embed"][np.asarray(prefix, dtype=np.int64)] + w["enc_pos"][n : n + t]
+        x = np.concatenate([x, prefix_rows], axis=0)
 
     stage1, stage2 = cfg.adaptive_prefixes()
-    mask = None if cfg.fusion_enabled else key_block_mask(n + t, n, n + t)
     for i, layer in enumerate(stage1, start=1):
-        x = encoder_layer(x, w, layer, cfg.n_heads, mask=mask,
-                          rows=n if i == len(stage1) else None)
+        x = encoder_layer(x, w, layer, cfg.n_heads, rows=n if i == len(stage1) else None)
     x = x[:n]  # already n rows unless stage 1 is empty
     for layer in stage2:
         x = encoder_layer(x, w, layer, cfg.n_heads)
     final = cfg.adaptive_final_ln()
     return layer_norm(x, w[f"{final}.g"], w[f"{final}.b"])
-
-
-# -- re-encoding schedule ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReEncodingSchedule:
-    """Steps at which the source is re-encoded: 1, 1+o, 1+2o, … <= horizon."""
-
-    interval: float
-    points: tuple[int, ...]
-
-    def __contains__(self, step: int) -> bool:
-        return step in self.points
-
-    def point_for(self, step: int) -> int:
-        """Largest re-encoding point <= `step`."""
-        idx = bisect_right(self.points, step)
-        if idx == 0:
-            raise ConfigError(f"no re-encoding point at or before step {step}")
-        return self.points[idx - 1]
-
-
-def build_schedule(interval: float, horizon: int) -> ReEncodingSchedule:
-    if horizon < 1:
-        raise ConfigError(f"horizon must be at least 1, got {horizon}")
-    if interval == math.inf:
-        return ReEncodingSchedule(interval=interval, points=(1,))
-    if not float(interval).is_integer() or interval < 1:
-        raise ConfigError(f"interval must be an integer >= 1 or inf, got {interval}")
-    step = int(interval)
-    return ReEncodingSchedule(
-        interval=step, points=tuple(range(1, horizon + 1, step))
-    )
 
 
 # -- target memory and decoding ---------------------------------------------
@@ -302,7 +265,7 @@ class DecodeResult:
 
     tokens: tuple[int, ...]
     steps: tuple[StepTrace, ...]
-    schedule: ReEncodingSchedule | None
+    schedule: range | None  # re-encoding points; None for vanilla
     reencodings: int
     cached_rows: int
 
@@ -325,12 +288,10 @@ def greedy_decode(
         raise ConfigError("max_len exceeds max_tgt_positions")
 
     shared = cfg.variant in ("dangle", "rdangle_shr")
-    schedule = (
-        build_schedule(cfg.effective_interval, max_len) if cfg.variant != "vanilla" else None
-    )
-    if schedule is not None:
+    points = cfg.reencoding_points(max_len)
+    if points is not None:
         # adaptive_encode at point p reads the source plus a p-token prefix.
-        longest = len(src) + schedule.points[-1]
+        longest = len(src) + points[-1]
         if longest > cfg.max_src_positions:
             raise ConfigError(
                 f"source+prefix of up to {longest} positions exceeds "
@@ -346,7 +307,7 @@ def greedy_decode(
         value_hash = encoding_hash(value_enc)
         cross_v = _project_cross(value_enc, w, cfg, "v")
     key_enc, key_hash = value_enc, value_hash
-    cross_k = _project_cross(key_enc, w, cfg, "k") if schedule is None else ()
+    cross_k = _project_cross(key_enc, w, cfg, "k") if points is None else ()
 
     prefix = [cfg.bos_id]
     memory = TargetMemory.empty(cfg)
@@ -356,7 +317,7 @@ def greedy_decode(
     reencodings = cached_rows = 0
 
     for t in range(1, max_len + 1):
-        if schedule is not None and t in schedule:
+        if points is not None and t in points:
             current_point = t
             key_enc = adaptive_encode(src, prefix, w, cfg)
             key_hash = encoding_hash(key_enc)
@@ -394,7 +355,7 @@ def greedy_decode(
     return DecodeResult(
         tokens=tuple(tokens),
         steps=tuple(steps),
-        schedule=schedule,
+        schedule=points,
         reencodings=reencodings,
         cached_rows=cached_rows,
     )

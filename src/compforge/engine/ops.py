@@ -46,13 +46,6 @@ def causal_mask(n: int) -> np.ndarray:
     return mask
 
 
-def key_block_mask(n_keys: int, visible: int, n_queries: int) -> np.ndarray:
-    """(n_queries, n_keys) float32 additive mask hiding key columns >= `visible`."""
-    mask = np.zeros((n_queries, n_keys), dtype=np.float32)
-    mask[:, visible:] = -np.inf
-    return mask
-
-
 def project(x: np.ndarray, w, prefix: str, part: str) -> np.ndarray:
     """One attention projection: `x @ {prefix}.w{part} + {prefix}.b{part}`,
     `part` being q, k, v or o."""
@@ -119,22 +112,19 @@ def ffn(x: np.ndarray, w, prefix: str) -> np.ndarray:
 
 
 def encoder_layer(
-    x: np.ndarray, w, prefix: str, n_heads: int, mask: np.ndarray | None = None,
-    rows: int | None = None,
+    x: np.ndarray, w, prefix: str, n_heads: int, rows: int | None = None
 ) -> np.ndarray:
-    """One pre-norm self-attention encoder layer.
+    """One pre-norm self-attention encoder layer; every row attends to every row.
 
     With `rows`, only the first `rows` positions are computed and returned:
     keys and values still come from every row of `x`, but queries,
-    attention output and FFN run on the kept rows alone (and `mask`, if
-    given, is cut to their rows).
+    attention output and FFN run on the kept rows alone.
     """
     normed = layer_norm(x, w[f"{prefix}.ln1.g"], w[f"{prefix}.ln1.b"])
     attn = f"{prefix}.attn"
     k, v = project(normed, w, attn, "k"), project(normed, w, attn, "v")
     if rows is not None:
         x, normed = x[:rows], normed[:rows]
-        mask = None if mask is None else mask[:rows]
-    x = _update(np.add, attention_block(normed, k, v, w, attn, n_heads, mask), x)
+    x = _update(np.add, attention_block(normed, k, v, w, attn, n_heads), x)
     normed = layer_norm(x, w[f"{prefix}.ln2.g"], w[f"{prefix}.ln2.b"])
     return _update(np.add, x, ffn(normed, w, f"{prefix}.ffn"))

@@ -22,7 +22,6 @@ from compforge.cover import degree_of, min_cover
 from compforge.engine import (
     ModelConfig,
     adaptive_encode,
-    build_schedule,
     encode,
     encoding_hash,
     greedy_decode,
@@ -334,13 +333,12 @@ def test_08_cached_decoding_consumes_latest_reencoding():
         checked = 0
         for interval in (1, 2, 4, 8):
             cfg = replace(cfg_base, interval=interval)
-            schedule = build_schedule(interval, 12)
             for src in sources:
                 result = greedy_decode(src, w, cfg, max_len=12)
                 emitted: list[int] = []
                 encodings = {}  # re-derived offline, independent of the trace
                 for step in result.steps:
-                    point = schedule.point_for(step.step)
+                    point = 1 + (step.step - 1) // interval * interval
                     assert step.point == point
                     if point not in encodings:
                         encodings[point] = adaptive_encode(
@@ -391,7 +389,7 @@ def test_09_separated_values_fixed_keys_move_on_schedule():
             emitted: list[int] = []
             key_at_point = {}
             for step in result.steps:
-                point = result.schedule.point_for(step.step)
+                point = 1 + (step.step - 1) // cfg.interval * cfg.interval
                 if point not in key_at_point:
                     key_at_point[point] = encoding_hash(
                         adaptive_encode(src, [cfg.bos_id] + emitted[: point - 1], w, cfg)

@@ -11,7 +11,6 @@ from compforge.engine import (
     ModelConfig,
     TargetMemory,
     adaptive_encode,
-    build_schedule,
     encode,
     encoding_hash,
     greedy_decode,
@@ -42,50 +41,52 @@ def small_config(**overrides) -> ModelConfig:
     return ModelConfig(**params)
 
 
+def points(horizon: int, **overrides) -> tuple[int, ...]:
+    """The re-encoding points of an rdangle_shr config, as a tuple."""
+    cfg = small_config(variant="rdangle_shr", **overrides)
+    return tuple(cfg.reencoding_points(horizon))
+
+
 class TestSchedule:
     def test_interval_one_hits_every_step(self):
-        assert build_schedule(1, 5).points == (1, 2, 3, 4, 5)
+        assert points(5, interval=1) == (1, 2, 3, 4, 5)
 
     def test_interval_three(self):
-        assert build_schedule(3, 7).points == (1, 4, 7)
+        assert points(7, interval=3) == (1, 4, 7)
 
     def test_interval_larger_than_horizon(self):
-        assert build_schedule(10, 4).points == (1,)
+        assert points(4, interval=10) == (1,)
 
     def test_infinite_interval_single_point(self):
-        sched = build_schedule(math.inf, 50)
-        assert sched.points == (1,)
-        assert sched.interval == math.inf
+        assert points(50, interval=math.inf) == (1,)
+        assert points(1, interval=math.inf) == (1,)
 
     def test_membership(self):
-        sched = build_schedule(3, 7)
+        sched = small_config(variant="rdangle_sep", interval=3).reencoding_points(7)
         assert 1 in sched and 4 in sched and 7 in sched
         assert 2 not in sched and 6 not in sched
 
+    def test_vanilla_has_no_points(self):
+        assert small_config(variant="vanilla", interval=3).reencoding_points(7) is None
+
     def test_point_for_latest_at_or_before(self):
-        sched = build_schedule(3, 10)  # points 1, 4, 7, 10
-        assert sched.point_for(1) == 1
-        assert sched.point_for(3) == 1
-        assert sched.point_for(4) == 4
-        assert sched.point_for(9) == 7
-        assert sched.point_for(10) == 10
-
-    def test_point_for_before_first_point_rejected(self):
-        with pytest.raises(ConfigError):
-            build_schedule(2, 5).point_for(0)
-
-    def test_bad_intervals_rejected(self):
-        for interval in (0, -1, 2.5):
-            with pytest.raises(ConfigError):
-                build_schedule(interval, 5)
+        # Each step consumes the keys of the latest point at or before it.
+        cfg = small_config(variant="rdangle_shr", interval=3)
+        w = init_weights(cfg, seed=0)
+        w.data["out_b"][cfg.eos_id] -= 100.0
+        result = greedy_decode([2, 4, 6], w, cfg, max_len=10)
+        assert tuple(result.schedule) == (1, 4, 7, 10)
+        assert [step.point for step in result.steps] == [1, 1, 1, 4, 4, 4, 7, 7, 7, 10]
 
     def test_bad_horizon_rejected(self):
-        with pytest.raises(ConfigError):
-            build_schedule(1, 0)
+        for variant in ("vanilla", "rdangle_shr"):
+            with pytest.raises(ConfigError, match="horizon"):
+                small_config(variant=variant).reencoding_points(0)
 
     def test_dangle_variant_forces_interval_one(self):
         cfg = small_config(variant="dangle", interval=7)
         assert cfg.effective_interval == 1
+        assert tuple(cfg.reencoding_points(3)) == (1, 2, 3)
         cfg = small_config(variant="rdangle_shr", interval=7)
         assert cfg.effective_interval == 7
 
@@ -263,7 +264,7 @@ class TestGreedyDecode:
         assert result.schedule is not None
         for step in result.steps:
             assert step.value_hash == step.key_hash
-            assert step.point == result.schedule.point_for(step.step)
+            assert step.point == 1 + (step.step - 1) // 2 * 2
 
     def test_consumed_keys_come_from_latest_point(self):
         # Recompute each point's adaptive encoding offline from the emitted
@@ -274,7 +275,7 @@ class TestGreedyDecode:
         result = greedy_decode(src, w, cfg, max_len=9)
         emitted = list(result.tokens)
         for step in result.steps:
-            point = result.schedule.point_for(step.step)
+            point = 1 + (step.step - 1) // 3 * 3
             prefix_at_point = [cfg.bos_id] + emitted[: point - 1]
             expected = encoding_hash(adaptive_encode(src, prefix_at_point, w, cfg))
             assert step.key_hash == expected
@@ -306,7 +307,7 @@ class TestGreedyDecode:
         cfg = small_config(variant="rdangle_shr", interval=math.inf)
         w = init_weights(cfg, seed=5)
         result = greedy_decode([2, 4, 6], w, cfg, max_len=8)
-        assert result.schedule.points == (1,)
+        assert tuple(result.schedule) == (1,)
         assert len({step.key_hash for step in result.steps}) == 1
         assert all(step.point == 1 for step in result.steps)
 

@@ -33,7 +33,7 @@ from compforge.engine import (
     save_weights,
     softmax,
 )
-from compforge.engine.ops import encoder_layer, key_block_mask
+from compforge.engine.ops import encoder_layer
 from compforge.errors import ConfigError, DataError
 
 from reference_engine import ref_adaptive_encode, ref_attention, ref_encode, ref_layer_norm
@@ -274,16 +274,14 @@ class TestAdaptiveEncode:
             atol=1e-6,
         )
 
-    @pytest.mark.parametrize("fusion", [True, False])
-    def test_encoder_layer_rows_match_full_layer(self, fusion):
+    def test_encoder_layer_rows_match_full_layer(self):
         # Keeping the first n rows computes only those queries, over keys and
         # values from every row: the same rows a full layer would give.
         cfg = small_config()
         w = init_weights(cfg, seed=4)
         x = np.random.default_rng(8).normal(size=(7, cfg.d_model)).astype(np.float32)
-        mask = None if fusion else key_block_mask(7, 4, 7)
-        full = encoder_layer(x, w, "aenc1.0", cfg.n_heads, mask=mask)
-        kept = encoder_layer(x, w, "aenc1.0", cfg.n_heads, mask=mask, rows=4)
+        full = encoder_layer(x, w, "aenc1.0", cfg.n_heads)
+        kept = encoder_layer(x, w, "aenc1.0", cfg.n_heads, rows=4)
         assert kept.shape == (4, cfg.d_model)
         np.testing.assert_allclose(kept, full[:4], atol=1e-6)
 
@@ -453,7 +451,11 @@ class TestWeights:
         ({"bos_id": 9}, "bos_id/eos_id"),
         ({"eos_id": -1}, "bos_id/eos_id"),
         ({"share_adaptive_encoder": True, "encoder_layers": 3}, "encoder_layers == k1 \\+ k2"),
-    ], ids=["variant", "d_model", "vocab", "encoder", "decoder", "k1k2", "bos", "eos", "shared"])
+        ({"interval": 0}, "interval must be an integer >= 1 or inf"),
+        ({"interval": -1}, "interval must be an integer >= 1 or inf"),
+        ({"interval": 2.5}, "interval must be an integer >= 1 or inf"),
+    ], ids=["variant", "d_model", "vocab", "encoder", "decoder", "k1k2", "bos", "eos", "shared",
+            "interval0", "interval-1", "interval2.5"])
     def test_invalid_geometry_rejected(self, overrides, match):
         with pytest.raises(ConfigError, match=match):
             small_config(**overrides)
