@@ -106,6 +106,7 @@ class ModelConfig:
         """Steps 1, 1+o, 1+2o, … <= `horizon` at which the source is
         re-encoded, o being `effective_interval` (only step 1 for inf);
         None for vanilla, which never re-encodes."""
+        require_int("horizon", horizon)
         if horizon < 1:
             raise ConfigError(f"horizon must be at least 1, got {horizon}")
         if self.variant == "vanilla":

@@ -35,7 +35,7 @@ from compforge.engine.ops import (
     project,
 )
 from compforge.engine.weights import Weights
-from compforge.errors import CompforgeError, ConfigError
+from compforge.errors import CompforgeError, ConfigError, require_int
 
 
 def encoding_hash(encodings: np.ndarray) -> str:
@@ -47,7 +47,9 @@ def _check_tokens(tokens: Sequence[int], vocab: int, what: str) -> None:
     if len(tokens) == 0:
         raise ConfigError(f"{what} must be non-empty")
     for tok in tokens:
-        if not 0 <= int(tok) < vocab:
+        if not isinstance(tok, (int, np.integer)) or isinstance(tok, bool):
+            raise ConfigError(f"{what} token id {tok!r} is not an integer")
+        if not 0 <= tok < vocab:
             raise ConfigError(f"{what} token id {tok} outside vocabulary of size {vocab}")
 
 
@@ -282,6 +284,7 @@ def greedy_decode(
     to re-encode with the prefix of the last schedule point is rejected
     before any encoding.
     """
+    require_int("max_len", max_len)
     if max_len < 1:
         raise ConfigError(f"max_len must be at least 1, got {max_len}")
     if max_len > cfg.max_tgt_positions:

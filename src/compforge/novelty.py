@@ -10,6 +10,7 @@ of the test examples. Each stream is counted with the n-gram index.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -44,11 +45,19 @@ def novel_ngram_count(
     test_stream: Iterable[Sequence[str]],
     n: int,
 ) -> int:
-    """Number of distinct test n-grams absent from the training stream, read
-    from an n-gram index of each stream that keeps every n-gram up to `n` tokens."""
-    train = build_ngram_dictionary(train_stream, 0, n)
-    test = build_ngram_dictionary(test_stream, 0, n)
-    return sum(len(gram) == n and not train.contains(gram) for gram, _ in test.entries())
+    """Number of distinct test n-grams absent from the training stream."""
+    return _novel_counts(train_stream, test_stream, (n,))[n]
+
+
+def _novel_counts(train_stream: Iterable[Sequence[str]], test_stream: Iterable[Sequence[str]],
+                  orders: Sequence[int]) -> dict[int, int]:
+    """`novel_ngram_count` for each n in `orders`, read from one n-gram index
+    of each stream that keeps every n-gram up to the largest order."""
+    train = build_ngram_dictionary(train_stream, 0, max(orders))
+    test = build_ngram_dictionary(test_stream, 0, max(orders))
+    novel = Counter(len(gram) for gram, _ in test.entries()
+                    if len(gram) in orders and not train.contains(gram))
+    return {n: novel[n] for n in orders}
 
 
 @dataclass
@@ -102,8 +111,8 @@ def benchmark_report(
     train_tags = [ts.tags for ts in tagged_train]
     test_tags = [ts.tags for ts in tagged_test]
 
-    novel_words = {n: novel_ngram_count(train_words, test_words, n) for n in ORDERS}
-    novel_tags = {n: novel_ngram_count(train_tags, test_tags, n) for n in ORDERS}
+    novel_words = _novel_counts(train_words, test_words, ORDERS)
+    novel_tags = _novel_counts(train_tags, test_tags, ORDERS)
 
     degrees = [degree.value for degree in score_degrees(test_words, dictionary)]
     mean_degree = sum(degrees) / len(degrees)

@@ -129,24 +129,37 @@ def ref_decoder_logits(prefix_tokens, enc_k, enc_v, w, cfg) -> np.ndarray:
     return x @ _f64(w, "out_w") + _f64(w, "out_b")
 
 
-def ref_greedy_decode(src, w, cfg, max_len: int, interval) -> list[int]:
-    """Greedy decoding that re-encodes and re-decodes everything at every
-    step, consuming the encodings of the latest schedule point <= t."""
-    points = [1]
-    if interval != math.inf:
-        points = list(range(1, max_len + 1, int(interval)))
-    snapshots: dict[int, np.ndarray] = {}
+def ref_greedy_steps(src, w, cfg, max_len: int, interval=None) -> list[tuple]:
+    """Greedy decoding that re-decodes the whole prefix at every step.
+
+    Values come from `ref_encode` for vanilla and rdangle_sep, keys from it
+    for vanilla. Otherwise the keys (and, for dangle and rdangle_shr, the
+    values) are re-encoded by `ref_adaptive_encode` at each step t with
+    (t - 1) % o == 0, o being `interval` or else the config's effective
+    interval. Returns one (point, logits, token) per step, point being the
+    step of the keys' re-encoding (None for vanilla).
+    """
+    o = cfg.effective_interval if interval is None else interval
+    keys = values = None
+    if cfg.variant in ("vanilla", "rdangle_sep"):
+        keys = values = ref_encode(src, w, cfg)
+    point = None
     prefix = [cfg.bos_id]
-    out: list[int] = []
+    steps = []
     for t in range(1, max_len + 1):
-        if t in points:
-            snapshots[t] = ref_adaptive_encode(src, prefix, w, cfg)
-        latest = max(p for p in points if p <= t)
-        enc = snapshots[latest]
-        logits = ref_decoder_logits(prefix, enc, enc, w, cfg)[-1]
+        if cfg.variant != "vanilla" and (t - 1) % o == 0:
+            point, keys = t, ref_adaptive_encode(src, prefix, w, cfg)
+            if cfg.variant != "rdangle_sep":
+                values = keys
+        logits = ref_decoder_logits(prefix, keys, values, w, cfg)[-1]
         token = int(np.argmax(logits))
-        out.append(token)
+        steps.append((point, logits, token))
         if token == cfg.eos_id:
             break
         prefix.append(token)
-    return out
+    return steps
+
+
+def ref_greedy_decode(src, w, cfg, max_len: int, interval=None) -> list[int]:
+    """The tokens of `ref_greedy_steps`."""
+    return [token for _, _, token in ref_greedy_steps(src, w, cfg, max_len, interval)]

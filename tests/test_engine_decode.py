@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from compforge.engine import (
     ModelConfig,
@@ -20,7 +22,7 @@ from compforge.engine import (
 )
 from compforge.errors import ConfigError
 
-from reference_engine import ref_decoder_logits, ref_greedy_decode
+from reference_engine import ref_decoder_logits, ref_greedy_decode, ref_greedy_steps
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -80,8 +82,9 @@ class TestSchedule:
 
     def test_bad_horizon_rejected(self):
         for variant in ("vanilla", "rdangle_shr"):
-            with pytest.raises(ConfigError, match="horizon"):
-                small_config(variant=variant).reencoding_points(0)
+            for horizon in (0, 5.0, "5", True):
+                with pytest.raises(ConfigError, match="horizon"):
+                    small_config(variant=variant).reencoding_points(horizon)
 
     def test_dangle_variant_forces_interval_one(self):
         cfg = small_config(variant="dangle", interval=7)
@@ -391,6 +394,21 @@ class TestGreedyDecode:
         with pytest.raises(ConfigError):
             greedy_decode([2, 4], w, cfg, max_len=cfg.max_tgt_positions + 1)
 
+    @pytest.mark.parametrize("max_len", [8.0, "8", True, None])
+    def test_non_integer_max_len_rejected(self, max_len, monkeypatch):
+        # Checked before anything else: no encoding runs.
+        import compforge.engine.model as model
+
+        def no_encoding(*args):
+            raise AssertionError("source encoded before the max_len check")
+
+        for name in ("encode", "adaptive_encode"):
+            monkeypatch.setattr(model, name, no_encoding)
+        for variant in ("vanilla", "rdangle_shr"):
+            cfg = small_config(variant=variant)
+            with pytest.raises(ConfigError, match="max_len must be an integer"):
+                greedy_decode([2, 4], init_weights(cfg, seed=0), cfg, max_len=max_len)
+
     def test_deterministic_across_calls(self):
         cfg = small_config(variant="rdangle_shr", interval=2)
         w = init_weights(cfg, seed=10)
@@ -473,5 +491,65 @@ class TestAgainstNaiveDecoder:
                 rng = np.random.default_rng(seed)
                 src = list(rng.integers(0, cfg.src_vocab, size=4))
                 ours = greedy_decode(src, w, cfg, max_len=8)
-                theirs = ref_greedy_decode(src, w, cfg, max_len=8, interval=interval)
+                theirs = ref_greedy_decode(src, w, cfg, max_len=8)
                 assert list(ours.tokens) == theirs
+
+
+@st.composite
+def _decode_cases(draw):
+    """A random small model, decoding variant and source.
+
+    d_model starts at 4: a layer norm over two features sits near its epsilon
+    and roughly triples the float32 gap to the reference.
+    """
+    d_model = draw(st.sampled_from([4, 8, 16]))
+    k1, k2 = draw(st.sampled_from([(0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (2, 1), (1, 2)]))
+    shared = draw(st.booleans())
+    cfg = ModelConfig(
+        src_vocab=draw(st.integers(3, 12)),
+        tgt_vocab=draw(st.integers(3, 12)),
+        d_model=d_model,
+        n_heads=draw(st.sampled_from([1, 2, 4])),
+        encoder_layers=k1 + k2 if shared else draw(st.integers(1, 3)),
+        decoder_layers=draw(st.integers(1, 3)),
+        k1=k1,
+        k2=k2,
+        max_src_positions=16,
+        max_tgt_positions=8,
+        variant=draw(st.sampled_from(["vanilla", "dangle", "rdangle_shr", "rdangle_sep"])),
+        interval=draw(st.sampled_from([1, 2, 3, math.inf])),
+        share_adaptive_encoder=shared,
+        fusion_enabled=draw(st.booleans()),
+    )
+    src = draw(st.lists(st.integers(0, cfg.src_vocab - 1), min_size=1, max_size=6))
+    max_len = draw(st.sampled_from(range(1, 9)))
+    return cfg, src, max_len, draw(st.integers(0, 2**16)), draw(st.floats(-1.0, 0.5))
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=_decode_cases())
+def test_greedy_decode_matches_float64_reference(case):
+    # The engine's cached, scheduled decode against a float64 reference that
+    # re-encodes on the same rule and re-decodes the whole prefix every step.
+    # Weights keep init_weights' 0.1 scale: the float32 gap grows with it.
+    cfg, src, max_len, seed, eos_bias = case
+    w = init_weights(cfg, seed=seed)
+    w.data["out_b"][cfg.eos_id] += eos_bias
+    result = greedy_decode(src, w, cfg, max_len=max_len)
+    reference = ref_greedy_steps(src, w, cfg, max_len)
+    for ours, (point, logits, token) in zip(result.steps, reference):
+        np.testing.assert_allclose(ours.logits, logits, rtol=0, atol=1e-6)
+        assert ours.point == point
+        second, first = np.sort(logits)[-2:]
+        if first - second < 1e-4:
+            # Float32 rounding may pick either token; later steps diverge.
+            event("near tie: tokens compared up to this step")
+            break
+        assert ours.token == token
+    else:
+        assert len(result.steps) == len(reference)
+    steps = range(1, len(result.steps) + 1)
+    points = [t for t in steps
+              if cfg.variant != "vanilla" and (t - 1) % cfg.effective_interval == 0]
+    assert result.reencodings == len(points)
+    assert result.cached_rows == sum(t - 1 for t in steps if t not in points)

@@ -10,10 +10,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -225,6 +227,29 @@ class TestEncode:
             encode([cfg.src_vocab], w, cfg)
         with pytest.raises(ConfigError):
             encode([-1], w, cfg)
+
+    @pytest.mark.parametrize("bad", [3.9, 3.0, "3", True, np.float32(3)],
+                             ids=["float", "integral-float", "str", "bool", "np-float"])
+    def test_non_integer_token_id_rejected(self, bad):
+        # int() would read 3.9 as 3, '3' as 3 and True as 1.
+        cfg = small_config(variant="rdangle_sep", fusion_enabled=False)
+        w = init_weights(cfg, seed=0)
+        for call in (lambda: encode([bad, 4, 5], w, cfg),
+                     lambda: adaptive_encode([bad, 4, 5], [1], w, cfg),
+                     lambda: adaptive_encode([3, 4, 5], [1, bad], w, cfg),
+                     lambda: greedy_decode([bad, 4, 5], w, cfg, max_len=4),
+                     lambda: greedy_decode([bad, 4, 5], w, replace(cfg, variant="vanilla"), 4)):
+            with pytest.raises(ConfigError, match=re.escape(f"token id {bad!r} is not an integer")):
+                call()
+
+    def test_numpy_integer_token_ids_accepted(self):
+        cfg = small_config(variant="rdangle_sep")
+        w = init_weights(cfg, seed=0)
+        want = adaptive_encode([3, 4, 5], [1, 2], w, cfg)
+        for dtype in (np.int64, np.int32, np.uint8):
+            src, prefix = np.array([3, 4, 5], dtype=dtype), np.array([1, 2], dtype=dtype)
+            np.testing.assert_array_equal(adaptive_encode(src, prefix, w, cfg), want)
+            np.testing.assert_array_equal(encode(src, w, cfg), encode([3, 4, 5], w, cfg))
 
     def test_empty_source_rejected(self):
         cfg = small_config(variant="vanilla")

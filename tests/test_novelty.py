@@ -115,6 +115,22 @@ class TestBenchmarkReport:
                 [s.split() for s in train_sents], [s.split() for s in test_sents], n
             )
 
+    def test_each_stream_indexed_once(self, monkeypatch):
+        # One index per stream at the largest order answers every order.
+        import compforge.novelty as novelty
+
+        built = []
+        build = novelty.build_ngram_dictionary
+
+        def counted(stream, min_count, max_n):
+            built.append(max_n)
+            return build(stream, min_count, max_n)
+
+        monkeypatch.setattr(novelty, "build_ngram_dictionary", counted)
+        report = benchmark_report(*self.make_inputs())
+        assert built == [max(novelty.ORDERS)] * 4
+        assert set(report.novel_word_ngrams) == set(report.novel_tag_ngrams) == {2, 3}
+
     def test_tag_permutation_changes_only_tag_counts(self):
         train, test, tg_train, tg_test, d = self.make_inputs()
         rng = np.random.default_rng(4)
