@@ -43,7 +43,7 @@ def small_config(**overrides) -> ModelConfig:
     return ModelConfig(**params)
 
 
-def points(horizon: int, **overrides) -> tuple[int, ...]:
+def shr_points(horizon: int, **overrides) -> tuple[int, ...]:
     """The re-encoding points of an rdangle_shr config, as a tuple."""
     cfg = small_config(variant="rdangle_shr", **overrides)
     return tuple(cfg.reencoding_points(horizon))
@@ -51,17 +51,17 @@ def points(horizon: int, **overrides) -> tuple[int, ...]:
 
 class TestSchedule:
     def test_interval_one_hits_every_step(self):
-        assert points(5, interval=1) == (1, 2, 3, 4, 5)
+        assert shr_points(5, interval=1) == (1, 2, 3, 4, 5)
 
     def test_interval_three(self):
-        assert points(7, interval=3) == (1, 4, 7)
+        assert shr_points(7, interval=3) == (1, 4, 7)
 
     def test_interval_larger_than_horizon(self):
-        assert points(4, interval=10) == (1,)
+        assert shr_points(4, interval=10) == (1,)
 
     def test_infinite_interval_single_point(self):
-        assert points(50, interval=math.inf) == (1,)
-        assert points(1, interval=math.inf) == (1,)
+        assert shr_points(50, interval=math.inf) == (1,)
+        assert shr_points(1, interval=math.inf) == (1,)
 
     def test_membership(self):
         sched = small_config(variant="rdangle_sep", interval=3).reencoding_points(7)
