@@ -16,6 +16,10 @@ decoded prefix (prefix tokens use the target embedding table and continue
 the source position index range), truncates back to the source rows, then
 runs ``k2`` layers over those. ``interval`` may be ``math.inf``, meaning the
 only re-encoding happens at the mandatory first step.
+
+Every configuration has every parameter stack (the plain encoder, both
+adaptive stages and the decoder), whatever its variant, so one set of
+weights decodes under any variant and interval.
 """
 
 from __future__ import annotations
@@ -50,17 +54,14 @@ class ModelConfig:
     interval: float = 1
     bos_id: int = 1
     eos_id: int = 2
-    share_adaptive_encoder: bool = False
     fusion_enabled: bool = True
 
     def __post_init__(self) -> None:
         for name in _INT_FIELDS:
             require_int(name, getattr(self, name))
         require_int("d_ff", self.d_ff, optional=True)
-        for name in ("share_adaptive_encoder", "fusion_enabled"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ConfigError(f"{name} must be true or false, got {value!r}")
+        if not isinstance(self.fusion_enabled, bool):
+            raise ConfigError(f"fusion_enabled must be true or false, got {self.fusion_enabled!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.n_heads < 1:
@@ -71,9 +72,11 @@ class ModelConfig:
             )
         if min(self.src_vocab, self.tgt_vocab) < 3:
             raise ConfigError("vocabularies must have at least 3 entries")
-        for name in ("encoder_layers", "decoder_layers"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
+        for name in ("encoder_layers", "decoder_layers", "d_ff",
+                     "max_src_positions", "max_tgt_positions"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
         if self.k1 < 0 or self.k2 < 0 or self.k1 + self.k2 < 1:
             raise ConfigError("adaptive encoder needs k1, k2 >= 0 with k1 + k2 >= 1")
         interval = self.interval
@@ -83,11 +86,6 @@ class ModelConfig:
             raise ConfigError(f"interval must be an integer >= 1 or inf, got {interval!r}")
         if not 0 <= self.bos_id < self.tgt_vocab or not 0 <= self.eos_id < self.tgt_vocab:
             raise ConfigError("bos_id/eos_id must lie inside the target vocabulary")
-        if self.share_adaptive_encoder and self.encoder_layers != self.k1 + self.k2:
-            raise ConfigError(
-                "share_adaptive_encoder requires encoder_layers == k1 + k2 "
-                f"({self.encoder_layers} != {self.k1} + {self.k2})"
-            )
 
     # -- derived geometry --------------------------------------------------
 
@@ -117,8 +115,6 @@ class ModelConfig:
     # -- parameter-stack layout ---------------------------------------------
     #
     # Layers are addressed by string prefixes into the flat weights dict.
-    # Weight sharing is expressed by two stacks resolving to the same
-    # prefixes, so shared layers are literally the same arrays.
 
     def encoder_prefixes(self) -> list[str]:
         """The plain encoder (vanilla decoding / value encodings)."""
@@ -126,22 +122,7 @@ class ModelConfig:
 
     def adaptive_prefixes(self) -> tuple[list[str], list[str]]:
         """(stage-1, stage-2) layer prefixes of the adaptive encoder."""
-        if self.share_adaptive_encoder:
-            stage1 = [f"enc.{i}" for i in range(self.k1)]
-            stage2 = [f"enc.{self.k1 + j}" for j in range(self.k2)]
-            return stage1, stage2
-        stage1 = [f"aenc1.{i}" for i in range(self.k1)]
-        stage2 = [f"aenc2.{j}" for j in range(self.k2)]
-        return stage1, stage2
-
-    def adaptive_final_ln(self) -> str:
-        return "enc.ln_f" if self.share_adaptive_encoder else "aenc.ln_f"
-
-    def needs_plain_encoder(self) -> bool:
-        return self.variant in ("vanilla", "rdangle_sep") or self.share_adaptive_encoder
-
-    def needs_adaptive_encoder(self) -> bool:
-        return self.variant in ("dangle", "rdangle_shr", "rdangle_sep")
+        return [f"aenc1.{i}" for i in range(self.k1)], [f"aenc2.{j}" for j in range(self.k2)]
 
     # -- (de)serialization ---------------------------------------------------
 

@@ -99,8 +99,7 @@ def adaptive_encode(
     x = x[:n]  # already n rows unless stage 1 is empty
     for layer in stage2:
         x = encoder_layer(x, w, layer, cfg.n_heads)
-    final = cfg.adaptive_final_ln()
-    return layer_norm(x, w[f"{final}.g"], w[f"{final}.b"])
+    return layer_norm(x, w["aenc.ln_f.g"], w["aenc.ln_f.b"])
 
 
 # -- target memory and decoding ---------------------------------------------

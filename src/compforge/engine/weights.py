@@ -2,9 +2,8 @@
 
 All parameters live in one flat ``name -> float32 array`` mapping. Attention
 and feed-forward weights are drawn uniformly from (-0.1, 0.1) with a seeded
-generator; layer norms start at the identity (gain 1, bias 0). Weight
-sharing between stacks happens upstream, in how layer prefixes resolve — a
-shared layer simply appears under a single name.
+generator; layer norms start at the identity (gain 1, bias 0). Every
+configuration has the same stacks, so one file decodes under any variant.
 
 The file format is a small JSON header (names, shapes, seed, and the model
 config so a decoder can be rebuilt from the file alone) followed by the raw
@@ -46,8 +45,8 @@ class Weights:
             return self.data[name]
         except KeyError:
             raise ConfigError(
-                f"model weights have no parameter {name!r} — the file was saved "
-                "for a configuration that does not allocate it"
+                f"model weights have no parameter {name!r}; they were not made "
+                "for this model config"
             ) from None
 
     def __contains__(self, name: str) -> bool:
@@ -87,31 +86,21 @@ def _layer_shapes(cfg: ModelConfig, prefix: str, cross: bool) -> dict[str, tuple
 
 
 def param_spec(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Deterministically ordered name -> shape map for a configuration."""
+    """Deterministically ordered name -> shape map for a configuration; every
+    configuration holds every stack, whatever its variant."""
     d = cfg.d_model
     spec: dict[str, tuple[int, ...]] = {
         "src_embed": (cfg.src_vocab, d),
         "tgt_embed": (cfg.tgt_vocab, d),
         "enc_pos": (cfg.max_src_positions, d),
         "dec_pos": (cfg.max_tgt_positions, d),
+        "enc.ln_f.g": (d,),
+        "enc.ln_f.b": (d,),
+        "aenc.ln_f.g": (d,),
+        "aenc.ln_f.b": (d,),
     }
-    encoder_prefixes: list[str] = []
-    if cfg.needs_plain_encoder():
-        encoder_prefixes.extend(cfg.encoder_prefixes())
-        spec["enc.ln_f.g"] = (d,)
-        spec["enc.ln_f.b"] = (d,)
-    if cfg.needs_adaptive_encoder():
-        stage1, stage2 = cfg.adaptive_prefixes()
-        encoder_prefixes.extend(stage1)
-        encoder_prefixes.extend(stage2)
-        final = cfg.adaptive_final_ln()
-        spec[f"{final}.g"] = (d,)
-        spec[f"{final}.b"] = (d,)
-    seen: set[str] = set()
-    for prefix in encoder_prefixes:
-        if prefix in seen:
-            continue  # shared layer, already spec'd
-        seen.add(prefix)
+    stage1, stage2 = cfg.adaptive_prefixes()
+    for prefix in cfg.encoder_prefixes() + stage1 + stage2:
         spec.update(_layer_shapes(cfg, prefix, cross=False))
     for i in range(cfg.decoder_layers):
         spec.update(_layer_shapes(cfg, f"dec.{i}", cross=True))

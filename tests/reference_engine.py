@@ -98,8 +98,7 @@ def ref_adaptive_encode(src, prefix_tokens, w, cfg) -> np.ndarray:
     x = x[:n]
     for layer in stage2:
         x = _encoder_layer(x, w, layer, cfg.n_heads)
-    final = cfg.adaptive_final_ln()
-    return ref_layer_norm(x, _f64(w, f"{final}.g"), _f64(w, f"{final}.b"))
+    return ref_layer_norm(x, _f64(w, "aenc.ln_f.g"), _f64(w, "aenc.ln_f.b"))
 
 
 def ref_decoder_logits(prefix_tokens, enc_k, enc_v, w, cfg) -> np.ndarray:

@@ -39,6 +39,7 @@ from compforge.uncertainty import (
 
 from oracles import exhaustive_min_cover, naive_uncertainties, set_difference_novelty
 from test_cover import dict_of
+from test_engine_ops import tie_adaptive_encoder
 
 
 @contextmanager
@@ -213,7 +214,9 @@ def test_05_band_selection_default_geometry():
 # ---------------------------------------------------------------------------
 
 
-def _random_reencoder_config(rng) -> ModelConfig:
+def _random_reencoder_config(rng) -> tuple[ModelConfig, bool]:
+    """A random interval-1 rdangle_shr config, and whether its adaptive
+    encoder should be tied to the plain one (then encoder_layers == k1 + k2)."""
     n_heads = int(rng.choice([2, 4]))
     d_model = n_heads * int(rng.choice([2, 4]))
     k1 = int(rng.integers(0, 3))
@@ -221,7 +224,7 @@ def _random_reencoder_config(rng) -> ModelConfig:
     if k1 + k2 == 0:
         k1 = 1
     shared = bool(rng.random() < 0.5)
-    return ModelConfig(
+    cfg = ModelConfig(
         src_vocab=int(rng.integers(5, 13)),
         tgt_vocab=int(rng.integers(5, 13)),
         d_model=d_model,
@@ -235,9 +238,9 @@ def _random_reencoder_config(rng) -> ModelConfig:
         max_tgt_positions=16,
         variant="rdangle_shr",
         interval=1,
-        share_adaptive_encoder=shared,
         fusion_enabled=bool(rng.random() < 0.8),
     )
+    return cfg, shared
 
 
 def test_06_interval_one_equals_stepwise_reencoding():
@@ -247,8 +250,10 @@ def test_06_interval_one_equals_stepwise_reencoding():
         rng = np.random.default_rng(61)
         worst = 0.0
         for trial in range(100):
-            cfg = _random_reencoder_config(rng)
+            cfg, shared = _random_reencoder_config(rng)
             w = init_weights(cfg, seed=trial)
+            if shared:
+                tie_adaptive_encoder(w, cfg)
             src = [int(v) for v in rng.integers(0, cfg.src_vocab, size=int(rng.integers(2, 7)))]
             max_len = int(rng.integers(3, 7))
 
@@ -272,7 +277,7 @@ def test_06_interval_one_equals_stepwise_reencoding():
 
 def test_07_degenerate_chain_reproduces_single_encoding_decoder():
     with criterion(
-        7, "fusion off + shared encoder + interval ∞ decodes token-for-token like the single-encoding variant"
+        7, "fusion off + tied encoder weights + interval ∞ decodes token-for-token like the single-encoding variant"
     ) as info:
         rng = np.random.default_rng(71)
         worst_gap = 0.0
@@ -291,11 +296,10 @@ def test_07_degenerate_chain_reproduces_single_encoding_decoder():
                 max_tgt_positions=24,
                 variant="rdangle_shr",
                 interval=math.inf,
-                share_adaptive_encoder=True,
                 fusion_enabled=False,
             )
             vanilla = replace(chain, variant="vanilla")
-            w = init_weights(chain, seed=trial)
+            w = tie_adaptive_encoder(init_weights(chain, seed=trial), chain)
             src = [int(v) for v in rng.integers(0, 12, size=int(rng.integers(2, 8)))]
 
             got = greedy_decode(src, w, chain, max_len=12)

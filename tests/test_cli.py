@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import compforge.cli as cli
 from compforge.cli import main
 from compforge.corpus import load_parallel_corpus
-from compforge.engine import ModelConfig, init_weights, save_weights
+from compforge.engine import VARIANTS, ModelConfig, greedy_decode, init_weights, save_weights
 from compforge.errors import CompforgeError, ConfigError, DataError, StageError
 from compforge.ngrams import NGramDictionary
 from compforge.pipeline import run_pipeline
@@ -28,7 +28,7 @@ from test_pipeline import make_config
 
 @pytest.fixture
 def sim_weights(tmp_path):
-    """A saved model whose parameter set covers every variant."""
+    """A saved rdangle_sep model."""
     cfg = ModelConfig(
         src_vocab=12,
         tgt_vocab=10,
@@ -46,18 +46,6 @@ def sim_weights(tmp_path):
     path = tmp_path / "model.npw"
     save_weights(path, init_weights(cfg, seed=0), cfg)
     return {"path": path, "cfg": cfg}
-
-
-@pytest.fixture
-def shr_only_weights(tmp_path):
-    """Weights for the shared variant only (no plain encoder stack)."""
-    cfg = ModelConfig(
-        src_vocab=12, tgt_vocab=10, d_model=16, n_heads=4,
-        max_src_positions=32, max_tgt_positions=32, variant="rdangle_shr",
-    )
-    path = tmp_path / "shr.npw"
-    save_weights(path, init_weights(cfg, seed=0), cfg)
-    return path
 
 
 @pytest.fixture
@@ -411,11 +399,27 @@ class TestSimulate:
         src = self.write_sources(tmp_path)
         assert main(["simulate", "--weights", str(bare), "--input", str(src)]) == 2
 
-    def test_variant_needing_missing_stack_exits_2(self, shr_only_weights, tmp_path, capsys):
-        src = self.write_sources(tmp_path)
-        assert main(["simulate", "--weights", str(shr_only_weights),
-                     "--input", str(src), "--variant", "vanilla"]) == 2
-        assert "no parameter" in capsys.readouterr().err
+    @pytest.mark.parametrize("override", VARIANTS)
+    @pytest.mark.parametrize("saved", VARIANTS)
+    def test_any_saved_variant_decodes_under_any_variant(self, saved, override, tmp_path,
+                                                          capsys):
+        # Every config holds every stack, so --variant works on any file.
+        cfg = ModelConfig(src_vocab=12, tgt_vocab=10, d_model=16, n_heads=4,
+                          max_src_positions=32, max_tgt_positions=32, variant=saved,
+                          interval=2)
+        weights = init_weights(cfg, seed=0)
+        path = tmp_path / "model.npw"
+        save_weights(path, weights, cfg)
+        rows = ("3 5 7", "2 4")
+        assert main(["simulate", "--weights", str(path), "--input",
+                     str(self.write_sources(tmp_path, rows)), "--variant", override,
+                     "--max-len", "6"]) == 0
+        decode_cfg = dataclasses.replace(cfg, variant=override)
+        want = []
+        for row in rows:
+            result = greedy_decode([int(tok) for tok in row.split()], weights, decode_cfg, 6)
+            want.append(" ".join(str(tok) for tok in result.tokens))
+        assert capsys.readouterr().out.splitlines() == want
 
     @pytest.mark.parametrize("header", [
         {"shapes": {}, "config": None},
@@ -801,14 +805,15 @@ class TestMalformedInputs:
     def test_deleted_config_field_exits_3(self, sim_weights, tmp_path, capsys):
         # Weights saved with a layout option the engine no longer has are
         # rejected rather than decoded with the option silently dropped.
-        path = tmp_path / "model.npw"
-        path.write_bytes(_with_stored_config(sim_weights["path"].read_bytes(),
-                                             use_positions=True))
         src = tmp_path / "src.txt"
         src.write_text("3 5 7\n")
-        assert main(["simulate", "--weights", str(path), "--input", str(src)]) == 3
-        err = capsys.readouterr().err
-        assert "error:" in err and "use_positions" in err and "Traceback" not in err
+        for field in ("use_positions", "share_adaptive_encoder"):
+            path = tmp_path / "model.npw"
+            path.write_bytes(_with_stored_config(sim_weights["path"].read_bytes(),
+                                                 **{field: True}))
+            assert main(["simulate", "--weights", str(path), "--input", str(src)]) == 3
+            err = capsys.readouterr().err
+            assert "error:" in err and field in err and "Traceback" not in err
 
     # One JSON reader per row; {deep} is a file whose JSON the parser cannot
     # take: nested too deeply, or an integer too long to convert.

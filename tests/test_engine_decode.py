@@ -504,13 +504,12 @@ def _decode_cases(draw):
     """
     d_model = draw(st.sampled_from([4, 8, 16]))
     k1, k2 = draw(st.sampled_from([(0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (2, 1), (1, 2)]))
-    shared = draw(st.booleans())
     cfg = ModelConfig(
         src_vocab=draw(st.integers(3, 12)),
         tgt_vocab=draw(st.integers(3, 12)),
         d_model=d_model,
         n_heads=draw(st.sampled_from([1, 2, 4])),
-        encoder_layers=k1 + k2 if shared else draw(st.integers(1, 3)),
+        encoder_layers=draw(st.integers(1, 3)),
         decoder_layers=draw(st.integers(1, 3)),
         k1=k1,
         k2=k2,
@@ -518,7 +517,6 @@ def _decode_cases(draw):
         max_tgt_positions=8,
         variant=draw(st.sampled_from(["vanilla", "dangle", "rdangle_shr", "rdangle_sep"])),
         interval=draw(st.sampled_from([1, 2, 3, math.inf])),
-        share_adaptive_encoder=shared,
         fusion_enabled=draw(st.booleans()),
     )
     src = draw(st.lists(st.integers(0, cfg.src_vocab - 1), min_size=1, max_size=6))

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from compforge.engine import (
+    VARIANTS,
     ModelConfig,
     Weights,
     adaptive_encode,
@@ -57,6 +58,20 @@ def small_config(**overrides) -> ModelConfig:
     )
     params.update(overrides)
     return ModelConfig(**params)
+
+
+def tie_adaptive_encoder(w: Weights, cfg: ModelConfig) -> Weights:
+    """Point the adaptive encoder's parameters at the plain encoder's arrays:
+    stage 1 at enc.0 .. enc.k1-1, stage 2 at the next k2 layers, aenc.ln_f at
+    enc.ln_f. Needs encoder_layers == k1 + k2."""
+    assert cfg.encoder_layers == cfg.k1 + cfg.k2
+    stage1, stage2 = cfg.adaptive_prefixes()
+    pairs = zip(stage1 + stage2 + ["aenc.ln_f"], cfg.encoder_prefixes() + ["enc.ln_f"])
+    for adaptive, plain in pairs:
+        for name in list(w.data):
+            if name.startswith(f"{adaptive}."):
+                w.data[name] = w.data[plain + name[len(adaptive):]]
+    return w
 
 
 class TestSoftmaxAndLayerNorm:
@@ -339,13 +354,11 @@ class TestAdaptiveEncode:
             adaptive_encode([0, 1, 2, 3], [1, 2, 3], w, cfg)
 
     def test_shared_encoder_first_stage_matches_plain_prefix(self):
-        # With the adaptive stacks aliased onto the plain encoder and an
+        # With the adaptive stacks tied to the plain encoder and an
         # empty-influence setup (fusion off), adaptive encoding of X equals
         # plain encoding of X bit for bit.
-        cfg = small_config(
-            share_adaptive_encoder=True, fusion_enabled=False, encoder_layers=2
-        )
-        w = init_weights(cfg, seed=3)
+        cfg = small_config(fusion_enabled=False, encoder_layers=2)
+        w = tie_adaptive_encoder(init_weights(cfg, seed=3), cfg)
         src = [5, 7, 2, 9]
         np.testing.assert_array_equal(
             adaptive_encode(src, [1, 4], w, cfg), encode(src, w, cfg)
@@ -475,19 +488,22 @@ class TestWeights:
         ({"k1": 0, "k2": 0}, "k1 \\+ k2 >= 1"),
         ({"bos_id": 9}, "bos_id/eos_id"),
         ({"eos_id": -1}, "bos_id/eos_id"),
-        ({"share_adaptive_encoder": True, "encoder_layers": 3}, "encoder_layers == k1 \\+ k2"),
+        ({"d_ff": 0}, "d_ff must be at least 1"),
+        ({"d_ff": -1}, "d_ff must be at least 1"),
+        ({"max_src_positions": -1}, "max_src_positions must be at least 1"),
+        ({"max_tgt_positions": 0}, "max_tgt_positions must be at least 1"),
         ({"interval": 0}, "interval must be an integer >= 1 or inf"),
         ({"interval": -1}, "interval must be an integer >= 1 or inf"),
         ({"interval": 2.5}, "interval must be an integer >= 1 or inf"),
-    ], ids=["variant", "d_model", "vocab", "encoder", "decoder", "k1k2", "bos", "eos", "shared",
-            "interval0", "interval-1", "interval2.5"])
+    ], ids=["variant", "d_model", "vocab", "encoder", "decoder", "k1k2", "bos", "eos",
+            "d_ff0", "d_ff-1", "max_src", "max_tgt", "interval0", "interval-1", "interval2.5"])
     def test_invalid_geometry_rejected(self, overrides, match):
         with pytest.raises(ConfigError, match=match):
             small_config(**overrides)
 
     @pytest.mark.parametrize("field, value", [
         ("d_model", 16.0), ("n_heads", True), ("k1", "1"), ("src_vocab", None),
-        ("d_ff", 32.0), ("share_adaptive_encoder", 1), ("fusion_enabled", None),
+        ("d_ff", 32.0), ("fusion_enabled", 1), ("fusion_enabled", None),
         ("interval", True), ("interval", "3"),
     ])
     def test_wrongly_typed_field_rejected(self, field, value):
@@ -518,13 +534,14 @@ class TestWeights:
             load_weights(path)
 
     def test_extra_parameters_allowed(self, tmp_path):
-        superset, cfg = small_config(variant="rdangle_sep"), small_config(variant="rdangle_shr")
-        assert set(param_spec(cfg)) < set(param_spec(superset))
+        cfg = small_config()
+        weights = init_weights(cfg, seed=0)
+        weights.data["extra.w"] = np.ones((2, 3), np.float32)
         path = tmp_path / "model.npw"
-        save_weights(path, init_weights(superset, seed=0), cfg)
+        save_weights(path, weights, cfg)
         loaded, loaded_cfg = load_weights(path)
         assert loaded_cfg == cfg
-        assert set(loaded.names()) == set(param_spec(superset))
+        assert set(loaded.names()) == set(param_spec(cfg)) | {"extra.w"}
 
     def test_trailing_bytes_rejected(self, tmp_path):
         cfg = small_config()
@@ -536,24 +553,27 @@ class TestWeights:
         with pytest.raises(DataError, match="header and blobs span"):
             load_weights(path)
 
-    def test_shared_adaptive_encoder_has_no_extra_stacks(self):
-        shared = small_config(share_adaptive_encoder=True, encoder_layers=2, k1=1, k2=1)
-        names = set(param_spec(shared))
-        assert not any(n.startswith("aenc") for n in names)
-
     def test_unshared_adaptive_encoder_has_own_stacks(self):
-        cfg = small_config(share_adaptive_encoder=False)
+        cfg = small_config()
         names = set(param_spec(cfg))
         assert any(n.startswith("aenc1.0.") for n in names)
         assert any(n.startswith("aenc2.0.") for n in names)
 
+    def test_every_variant_has_the_same_layout(self):
+        # One file decodes under any variant, so the layout ignores it.
+        layouts = {tuple(param_spec(small_config(variant=v)).items()) for v in VARIANTS}
+        assert len(layouts) == 1
+        names = [name for name, _ in layouts.pop()]
+        assert names[4:8] == ["enc.ln_f.g", "enc.ln_f.b", "aenc.ln_f.g", "aenc.ln_f.b"]
+        stacks = [name.split(".")[0] for name in names[8:-4]]
+        assert stacks == sorted(stacks, key=["enc", "aenc1", "aenc2", "dec"].index)
+
     def test_aliased_stacks_read_same_arrays(self):
-        cfg = small_config(share_adaptive_encoder=True, encoder_layers=2)
-        w = init_weights(cfg, seed=0)
-        stage1, stage2 = cfg.adaptive_prefixes()
-        assert stage1 == ["enc.0"]
-        assert stage2 == ["enc.1"]
-        assert w[f"{stage1[0]}.attn.wq"] is w["enc.0.attn.wq"]
+        cfg = small_config(encoder_layers=2)
+        w = tie_adaptive_encoder(init_weights(cfg, seed=0), cfg)
+        assert w["aenc1.0.attn.wq"] is w["enc.0.attn.wq"]
+        assert w["aenc2.0.ffn.w2"] is w["enc.1.ffn.w2"]
+        assert w["aenc.ln_f.g"] is w["enc.ln_f.g"]
 
 
 class TestNumericalRobustness:
@@ -581,6 +601,11 @@ class TestNumericalRobustness:
         assert "a" in w
         assert "b" not in w
         assert w.names() == ["a"]
+
+    def test_missing_parameter_is_config_error(self):
+        w = Weights(data={"a": np.zeros(2, np.float32)}, seed=None)
+        with pytest.raises(ConfigError, match="no parameter 'b'; they were not made for"):
+            w["b"]
 
 
 def test_engine_import_leaves_detection_unloaded():
