@@ -18,7 +18,7 @@ of the plain encoder once per decode) and passes them in as `cross`.
 
 from __future__ import annotations
 
-import hashlib
+import zlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,8 +39,12 @@ from compforge.errors import CompforgeError, ConfigError, require_int
 
 
 def encoding_hash(encodings: np.ndarray) -> str:
-    """Short content hash of an encoding matrix (bit-level identity)."""
-    return hashlib.sha256(np.ascontiguousarray(encodings).tobytes()).hexdigest()[:16]
+    """16-hex-digit fingerprint of an encoding's C-ordered bytes (bit-level
+    identity): CRC-32, which any change within 32 consecutive bits alters,
+    then Adler-32. The same in every process but not a cryptographic digest;
+    zlib comes with numpy, so the engine loads no OpenSSL."""
+    buf = np.ascontiguousarray(encodings)
+    return f"{zlib.crc32(buf):08x}{zlib.adler32(buf):08x}"
 
 
 def _check_tokens(tokens: Sequence[int], vocab: int, what: str) -> None:

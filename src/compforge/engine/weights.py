@@ -49,12 +49,6 @@ class Weights:
                 "for this model config"
             ) from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.data
-
-    def names(self) -> list[str]:
-        return list(self.data)
-
 
 def _attention_shapes(d_model: int) -> dict[str, tuple[int, ...]]:
     shapes: dict[str, tuple[int, ...]] = {}

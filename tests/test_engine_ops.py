@@ -370,15 +370,15 @@ class TestWeights:
         cfg = small_config()
         a = init_weights(cfg, seed=7)
         b = init_weights(cfg, seed=7)
-        assert a.names() == b.names()
-        for name in a.names():
+        assert list(a.data) == list(b.data)
+        for name in a.data:
             np.testing.assert_array_equal(a[name], b[name])
 
     def test_different_seeds_differ(self):
         cfg = small_config()
         a = init_weights(cfg, seed=0)
         b = init_weights(cfg, seed=1)
-        assert any(not np.array_equal(a[n], b[n]) for n in a.names())
+        assert any(not np.array_equal(a[n], b[n]) for n in a.data)
 
     def test_layer_norms_start_at_identity(self):
         cfg = small_config()
@@ -390,7 +390,7 @@ class TestWeights:
         cfg = small_config()
         spec = param_spec(cfg)
         w = init_weights(cfg, seed=0)
-        assert set(spec) == set(w.names())
+        assert set(spec) == set(w.data)
         for name, shape in spec.items():
             assert w[name].shape == tuple(shape)
             assert w[name].dtype == np.float32
@@ -403,8 +403,8 @@ class TestWeights:
         loaded, loaded_cfg = load_weights(path)
         assert loaded_cfg == cfg
         assert loaded.seed == 11
-        assert sorted(loaded.names()) == sorted(w.names())
-        for name in w.names():
+        assert sorted(loaded.data) == sorted(w.data)
+        for name in w.data:
             np.testing.assert_array_equal(loaded[name], w[name])
 
     def test_load_without_config(self, tmp_path):
@@ -472,7 +472,7 @@ class TestWeights:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        param_bytes = sum(loaded[name].nbytes for name in loaded.names())
+        param_bytes = sum(array.nbytes for array in loaded.data.values())
         assert peak <= 1.25 * param_bytes
 
     def test_zero_heads_rejected(self):
@@ -541,7 +541,7 @@ class TestWeights:
         save_weights(path, weights, cfg)
         loaded, loaded_cfg = load_weights(path)
         assert loaded_cfg == cfg
-        assert set(loaded.names()) == set(param_spec(cfg)) | {"extra.w"}
+        assert set(loaded.data) == set(param_spec(cfg)) | {"extra.w"}
 
     def test_trailing_bytes_rejected(self, tmp_path):
         cfg = small_config()
@@ -595,12 +595,26 @@ class TestNumericalRobustness:
         bumped = enc.copy()
         bumped[2, 3] = np.nextafter(bumped[2, 3], np.inf, dtype=np.float32)
         assert encoding_hash(bumped) != base
+        assert re.fullmatch(r"[0-9a-f]{16}", base)
+        # A strided view fingerprints its elements in C order, like a copy.
+        wide = rng.normal(size=(8, 8)).astype(np.float32)
+        view = wide[::2, 1::2]
+        assert not view.flags.c_contiguous
+        assert encoding_hash(view) == encoding_hash(view.copy())
+        assert encoding_hash(wide.T) == encoding_hash(np.ascontiguousarray(wide.T))
+        # The same bytes give the same string in another interpreter, so the
+        # fingerprint is not a per-process salted hash such as hash().
+        code = ("import sys, numpy as np; from compforge.engine import encoding_hash; "
+                "print(encoding_hash(np.frombuffer(bytes.fromhex(sys.argv[1]), np.float32)"
+                f".reshape{enc.shape}))")
+        out = subprocess.run([sys.executable, "-c", code, enc.tobytes().hex()],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout.strip() == base
 
     def test_weights_mapping_interface(self):
         w = Weights(data={"a": np.zeros(2, np.float32)}, seed=None)
-        assert "a" in w
-        assert "b" not in w
-        assert w.names() == ["a"]
+        assert w["a"] is w.data["a"]
 
     def test_missing_parameter_is_config_error(self):
         w = Weights(data={"a": np.zeros(2, np.float32)}, seed=None)
@@ -616,3 +630,23 @@ def test_engine_import_leaves_detection_unloaded():
     detection = {f"compforge.{name}" for name in
                  ("corpus", "cover", "ngrams", "novelty", "pipeline", "uncertainty")}
     assert detection.isdisjoint(json.loads(out.stdout))
+
+
+def test_decoding_leaves_openssl_unloaded(tmp_path):
+    # Saved here: numpy.random, which init_weights uses, imports hashlib itself.
+    path = tmp_path / "model.npw"
+    cfg = small_config()
+    save_weights(path, init_weights(cfg, seed=0), cfg)
+    code = (
+        "import sys, dataclasses\n"
+        "from compforge.engine import VARIANTS, greedy_decode, load_weights\n"
+        "w, cfg = load_weights(sys.argv[1])\n"
+        "for variant in VARIANTS:\n"
+        "    result = greedy_decode([1, 2, 3], w, dataclasses.replace(cfg, variant=variant), 6)\n"
+        "    assert result.steps and result.steps[0].key_hash\n"
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"
