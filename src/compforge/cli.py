@@ -231,8 +231,6 @@ def _parse_interval(text: str) -> float:
 
 def _cmd_simulate(args) -> int:
     weights, cfg = load_weights(args.weights)
-    if cfg is None:
-        raise ConfigError(f"weights file {args.weights} carries no model config")
     updates = {}
     if args.variant is not None:
         updates["variant"] = args.variant

@@ -73,11 +73,17 @@ def _infer_format(path: str | Path) -> str:
 
 def json_line(line: str):
     """`line` parsed as JSON, any whitespace around it dropped as `id_records`
-    drops blank lines; DataError("invalid JSON: ...") if it is not JSON."""
+    drops blank lines; DataError("invalid JSON: ...") if it is not JSON or a
+    string in it holds a lone surrogate escape, which no UTF-8 writer can encode."""
     try:
-        return json.loads(line.strip())
+        record = json.loads(line.strip())
+        if "\\u" in line:  # only an escape can spell a surrogate
+            json.dumps(record, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:  # a ValueError too
+        raise DataError("invalid JSON: a string holds a lone surrogate escape")
     except (ValueError, RecursionError) as exc:  # also deep nesting, huge ints
         raise DataError(f"invalid JSON: {exc}")
+    return record
 
 
 def tsv_fields(line: str, fields: int, layout: str) -> list[str]:

@@ -24,9 +24,11 @@ ragged, in the n-gram index's sentence layout (sentence r owns
 ``length_r + 1`` cells), so one long sentence does not pad the others. A
 degree needs only the minimum count, so no back-pointers are kept.
 
-`min_cover` reconstructs the atoms of one sentence with the same DP in
-Python. Among equal-cost segmentations it prefers the longer final atom,
-applied recursively, so the result is deterministic.
+`min_cover` runs the same DP on its one sentence and reads the atoms back
+from the table, end first: the last atom ending at i starts at the earliest
+stored n-gram start j with ``f[j] = f[i] - 1``, or is the singleton at
+i - 1 if there is none. So among equal-cost segmentations it prefers the
+longer final atom, applied recursively, and its atom count is the degree's.
 """
 
 from __future__ import annotations
@@ -115,39 +117,30 @@ def min_cover(sentence: Sequence[str], dictionary: NGramDictionary) -> CoverResu
     n = len(sentence)
     if n == 0:
         raise ConfigError("cannot cover an empty sentence")
-    # lengths_from[j][length]: whether that atom from j is stored; a singleton is always there.
-    lengths_from: list[dict[int, bool]] = [{1: False} for _ in range(n)]
-    for length, starts in dictionary.stored_starts(sentence, np.array([n])):
-        for j in starts.tolist():
-            lengths_from[j][length] = True
-
-    best = [n + 1] * (n + 1)
-    best[0] = 0
-    back = [0] * (n + 1)  # back[i] = start of the chosen last atom ending at i
-    for j in range(n):
-        cost = best[j] + 1
-        for length in lengths_from[j]:
-            # Strictly better only: the earliest start, the longest final atom, wins a tie.
-            if cost < best[j + length]:
-                best[j + length] = cost
-                back[j + length] = j
-
+    best, sources, bounds = _cover_table(sentence, np.array([n]), dictionary)
+    best = best.tolist()
     atoms: list[tuple[str, ...]] = []
-    covered = [False] * n
+    covered: list[bool] = []
     i = n
     while i > 0:
-        j = back[i]
+        # The earliest start of a stored n-gram ending at i that costs one atom
+        # more than its start, else the singleton at i - 1: the longest final atom.
+        starts = sources[bounds[i] : bounds[i + 1]].tolist()
+        j = min((s for s in starts if best[s] == best[i] - 1), default=i - 1)
         atoms.append(tuple(sentence[j:i]))
-        covered[j:i] = [lengths_from[j][i - j]] * (i - j)
+        covered += [i - j > 1 or dictionary.contains(atoms[-1])] * (i - j)
         i = j
     atoms.reverse()
+    covered.reverse()
     return CoverResult(atoms=tuple(atoms), covered=tuple(covered))
 
 
-def _min_atom_counts(
+def _cover_table(
     tokens: Iterable[str], lengths: np.ndarray, dictionary: NGramDictionary
-) -> np.ndarray:
-    """Fewest atoms covering each sentence of `lengths`, laid end to end in `tokens`."""
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The cover DP over sentences of `lengths`, laid end to end in `tokens`:
+    the table `best`, and the start cells `sources` of the stored multi-token
+    n-grams, of which those ending at column i are ``sources[bounds[i] : bounds[i + 1]]``."""
     # The table's cells are those `stored_starts` yields: sentence r owns cells
     # first[r] .. first[r] + lengths[r], and cell first[r] + i holds the fewest
     # atoms covering its first i tokens, so a stored n-gram at cell c is an edge c -> c + n.
@@ -173,7 +166,7 @@ def _min_atom_counts(
         lo, hi = bounds[i], bounds[i + 1]
         if lo < hi:
             np.minimum.at(best, targets[lo:hi], best[sources[lo:hi]] + 1)
-    return best[first + lengths]
+    return best, sources, bounds
 
 
 def score_degrees(
@@ -186,7 +179,8 @@ def score_degrees(
         if not lengths.all():
             empty = len(degrees) + int(np.argmin(lengths))
             raise ConfigError(f"cannot cover an empty sentence (sentence {empty})")
-        atoms = _min_atom_counts(itertools.chain.from_iterable(chunk), lengths, dictionary)
+        best = _cover_table(itertools.chain.from_iterable(chunk), lengths, dictionary)[0]
+        atoms = best[np.cumsum(lengths + 1) - 1]  # each sentence's last cell
         degrees += map(CompositionalDegree, atoms.tolist(), lengths.tolist())
     return degrees
 

@@ -163,13 +163,6 @@ def _project_cross(
     return tuple(project(enc, w, f"dec.{i}.cross", part) for i in range(cfg.decoder_layers))
 
 
-def _check_kv(enc_v: np.ndarray, enc_k: np.ndarray) -> None:
-    if enc_v.shape[0] != enc_k.shape[0]:
-        raise ConfigError(
-            f"value encodings have {enc_v.shape[0]} rows but key encodings {enc_k.shape[0]}"
-        )
-
-
 def _finite_or_raise(logits: np.ndarray) -> None:
     if not np.all(np.isfinite(logits)):
         raise CompforgeError("non-finite logits in decoder output")
@@ -188,7 +181,6 @@ def _decode(
     the input memory is left untouched.
     """
     _check_tokens(tokens, cfg.tgt_vocab, "prefix")
-    _check_kv(enc_v, enc_k)
     memory._validate(cfg)
     t, m = memory.length, len(tokens)
     if t + m > cfg.max_tgt_positions:

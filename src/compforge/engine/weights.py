@@ -12,8 +12,9 @@ Loading checks the blob sizes the header gives against the file size, then
 reads the whole blob region once into one float32 buffer; every parameter
 is a reshaped view of it, so a loaded model holds its parameter bytes once.
 Loading raises DataError when the header does not describe the blobs, bytes
-follow the last one, or the stored config is invalid or needs a parameter
-the file lacks or holds in another shape (extra parameters are allowed).
+follow the last one, or the stored config is missing, invalid or needs a
+parameter the file lacks or holds in another shape (extra parameters are
+allowed).
 """
 
 from __future__ import annotations
@@ -119,14 +120,14 @@ def init_weights(cfg: ModelConfig, seed: int = 0, scale: float = 0.1) -> Weights
     return Weights(data=data, seed=seed)
 
 
-def save_weights(path: str | Path, weights: Weights, cfg: ModelConfig | None = None) -> None:
+def save_weights(path: str | Path, weights: Weights, cfg: ModelConfig) -> None:
     names = sorted(weights.data)
     header = {
         "names": names,
         "shapes": {name: list(weights.data[name].shape) for name in names},
         "dtype": "float32",
         "seed": weights.seed,
-        "config": cfg.to_dict() if cfg is not None else None,
+        "config": cfg.to_dict(),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -156,7 +157,7 @@ def _header_layout(header, path: str) -> list[tuple[str, tuple[int, ...]]]:
     return layout
 
 
-def load_weights(path: str | Path) -> tuple[Weights, ModelConfig | None]:
+def load_weights(path: str | Path) -> tuple[Weights, ModelConfig]:
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
         if file_size < 4:
@@ -189,10 +190,8 @@ def load_weights(path: str | Path) -> tuple[Weights, ModelConfig | None]:
     data = {name: flat[start : start + size].reshape(shape)
             for name, shape, start, size in blobs}
     config = header.get("config")
-    if config and not isinstance(config, dict):
-        raise DataError("weights header 'config' is not an object", path=str(path))
-    if not config:
-        return Weights(data=data, seed=header.get("seed")), None
+    if not isinstance(config, dict):
+        raise DataError("weights header needs 'config', a model config object", path=str(path))
     try:
         cfg = ModelConfig.from_dict(config)
     except (TypeError, ValueError, ConfigError) as exc:

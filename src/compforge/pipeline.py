@@ -34,7 +34,6 @@ one structure that grows with the pool is the set of pool ids that
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -132,6 +131,8 @@ class PipelineConfig:
             path = getattr(self, name)
             if not isinstance(path, (str, os.PathLike)):
                 raise ConfigError(f"{name} must be a path string, got {path!r}")
+            if name == "out_dir" and Path(path).exists() and not Path(path).is_dir():
+                raise ConfigError(f"out_dir is not a directory: {path}")
             if name != "out_dir" and not Path(path).is_file():
                 raise ConfigError(f"{name} does not exist: {path}")
             if name in ("train_path", "pool_path") and self.corpus_format is None:
@@ -169,6 +170,10 @@ class PipelineManifest:
 
 
 def _sha256_file(path: str | Path) -> str:
+    # Imported here: hashlib loads OpenSSL, which `compforge simulate` and any
+    # other process that imports this module without running a pipeline never need.
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):

@@ -7,7 +7,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -240,6 +243,23 @@ class TestStageCommands:
         assert json.loads(capsys.readouterr().out) == report
 
 
+def test_simulate_leaves_openssl_unloaded(sim_weights, tmp_path):
+    # The weights are saved in this process: numpy.random, which init_weights
+    # uses, imports hashlib itself.
+    sources = tmp_path / "sources.txt"
+    sources.write_text("3 5 7\n")
+    code = (
+        "import sys, compforge.cli\n"
+        "argv = ['simulate', '--weights', sys.argv[1], '--input', sys.argv[2], '--max-len', '4']\n"
+        "assert compforge.cli.main(argv) == 0\n"
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(sim_weights["path"]), str(sources)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
 class TestRunPipelineCommand:
     def write_config(self, paths, out_dir, tmp_path, **overrides):
         cfg = make_config(paths, out_dir, **overrides)
@@ -323,6 +343,29 @@ class TestRunPipelineCommand:
         assert ("warning: requested k=500 but only 51 deduplicated examples available"
                 in capsys.readouterr().err)
 
+    def test_out_dir_naming_a_file_exits_2(self, pipeline_inputs, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("not a directory")
+        blob = self.write_config(pipeline_inputs, out, tmp_path)
+        assert main(["run-pipeline", "--config", str(blob)]) == 2
+        err = capsys.readouterr().err
+        assert "out_dir is not a directory" in err and "Traceback" not in err
+        assert out.read_text() == "not a directory"
+
+    def test_lone_surrogate_in_pool_exits_3(self, pipeline_inputs, tmp_path, capsys):
+        # json.dumps writes the lone surrogate as the escape \ud800.
+        pool = pipeline_inputs["pool"]
+        lines = pool.read_text().splitlines()
+        record = json.loads(lines[2])
+        lines[2] = json.dumps({**record, "source": record["source"] + " \ud800"})
+        pool.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        blob = self.write_config(pipeline_inputs, out, tmp_path)
+        assert main(["run-pipeline", "--config", str(blob)]) == 3
+        err = capsys.readouterr().err
+        assert "lone surrogate" in err and f"{pool}:3]" in err and "Traceback" not in err
+        assert not list(out.glob("*.partial"))
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run-pipeline", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -391,13 +434,17 @@ class TestSimulate:
         assert main(["simulate", "--weights", str(sim_weights["path"]),
                      "--input", str(src), "--interval", "soon"]) == 2
 
-    def test_weights_without_config_exit_2(self, tmp_path):
-        cfg = ModelConfig(src_vocab=12, tgt_vocab=10, d_model=16, n_heads=4,
-                          max_src_positions=32, max_tgt_positions=32)
+    def test_weights_without_config_exit_3(self, sim_weights, tmp_path, capsys):
+        raw = sim_weights["path"].read_bytes()
+        (size,) = struct.unpack("<I", raw[:4])
+        header = json.loads(raw[4:4 + size])
+        header["config"] = None
+        blob = json.dumps(header).encode()
         bare = tmp_path / "bare.npw"
-        save_weights(bare, init_weights(cfg, seed=0))
+        bare.write_bytes(struct.pack("<I", len(blob)) + blob + raw[4 + size:])
         src = self.write_sources(tmp_path)
-        assert main(["simulate", "--weights", str(bare), "--input", str(src)]) == 2
+        assert main(["simulate", "--weights", str(bare), "--input", str(src)]) == 3
+        assert "needs 'config'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", VARIANTS)
     @pytest.mark.parametrize("saved", VARIANTS)
@@ -741,6 +788,16 @@ class TestMalformedInputs:
                      "--out", str(tmp_path / "u.tsv")]) == 3
         err = capsys.readouterr().err
         assert f"{dump}:2]" in err and "Traceback" not in err
+
+    def test_lone_surrogate_dump_id_exits_3(self, tmp_path, capsys):
+        dump = tmp_path / "dump.jsonl"
+        record = {"id": "p\udc00", "support": [["a", "b"]], "probs": [[[0.5, 0.5]], [[0.25, 0.75]]]}
+        dump.write_text(json.dumps(record) + "\n")
+        out = tmp_path / "u.tsv"
+        assert main(["uncertainty-score", "--dump", str(dump), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "lone surrogate" in err and f"{dump}:1]" in err and "Traceback" not in err
+        assert not out.exists() and not Path(f"{out}.partial").exists()
 
     # String and integer ids and object metas load; any other JSON kind is
     # rejected rather than turned into an id like "None" or dropped.

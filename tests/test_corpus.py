@@ -51,6 +51,17 @@ class TestLoading:
             load_parallel_corpus(path)
         assert err.value.line == 2
 
+    def test_jsonl_lone_surrogate_reports_line(self, tmp_path):
+        # A paired escape is one character; a lone one cannot be written as UTF-8.
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"source": "a \\ud83d\\ude00", "target": "b"}\n'
+                        '{"source": "a \\ud800", "target": "b"}\n', encoding="utf-8")
+        with pytest.raises(DataError, match="lone surrogate") as err:
+            load_parallel_corpus(path)
+        assert err.value.line == 2 and f"[{path}:2]" in str(err.value)
+        path.write_text('{"source": "a \\ud83d\\ude00", "target": "b"}\n', encoding="utf-8")
+        assert load_parallel_corpus(path)[0].source == ("a", "\U0001f600")
+
     def test_tsv_wrong_field_count_reports_line(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("a\tb\nno tab here\n", encoding="utf-8")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import time
 from fractions import Fraction
 from unittest import mock
@@ -23,7 +24,7 @@ from compforge.cover import (
 from compforge.errors import ConfigError
 from compforge.ngrams import NGramDictionary, build_ngram_dictionary
 
-from oracles import exhaustive_min_cover, full_sort_selection
+from oracles import all_segmentations, exhaustive_min_cover, full_sort_selection
 
 
 def dict_of(*entries):
@@ -195,6 +196,42 @@ def test_score_degrees_matches_exhaustive_cover(entries, max_n, sentences):
         assert (degree.atom_count, degree.length) == (best, len(sentence))
         assert min_cover(sentence, d).atom_count == best
         assert degree_of(sentence, d) == degree
+
+
+def tie_break_oracle(sentence, dictionary):
+    """The fewest-atom segmentation whose atom starts, read from the end, are
+    lexicographically smallest: the longest final atom, applied recursively."""
+    segmentations = all_segmentations(sentence, dictionary)
+    fewest = min(map(len, segmentations))
+
+    def starts_from_end(atoms):
+        return list(itertools.accumulate(map(len, atoms), initial=0))[-2::-1]
+
+    return min((s for s in segmentations if len(s) == fewest), key=starts_from_end)
+
+
+@st.composite
+def _sentence_and_entries(draw):
+    """A sentence and a dictionary holding some of its spans, so that equal-cost
+    segmentations, and so tie-breaks, are common."""
+    sentence = draw(st.lists(st.sampled_from(_ALPHABET + "z"), min_size=1, max_size=8))
+    spans = draw(st.lists(st.tuples(st.integers(0, len(sentence) - 1), st.integers(2, 5)),
+                          max_size=6))
+    entries = draw(st.lists(st.lists(st.sampled_from(_ALPHABET), min_size=1, max_size=4),
+                            max_size=6))
+    return sentence, entries + [sentence[i:i + n] for i, n in spans if i + n <= len(sentence)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=_sentence_and_entries(), max_n=st.one_of(st.none(), st.integers(1, 4)))
+def test_min_cover_matches_tie_break_oracle(drawn, max_n):
+    sentence, entries = drawn
+    d = NGramDictionary.from_entries(entries, max_n=max_n)
+    cover = min_cover(sentence, d)
+    assert list(cover.atoms) == tie_break_oracle(sentence, d)
+    assert [tok for atom in cover.atoms for tok in atom] == sentence
+    assert cover.covered == tuple(d.contains(atom) for atom in cover.atoms for _ in atom)
+    assert cover.atom_count == degree_of(sentence, d).atom_count
 
 
 def scored_examples(pairs):

@@ -408,12 +408,12 @@ class TestWeights:
             np.testing.assert_array_equal(loaded[name], w[name])
 
     def test_load_without_config(self, tmp_path):
-        cfg = small_config()
-        w = init_weights(cfg, seed=0)
+        # Files saved before the config was required hold a null one.
+        blob = json.dumps({"names": ["a"], "shapes": {"a": [2]}, "config": None}).encode()
         path = tmp_path / "bare.npw"
-        save_weights(path, w)
-        _, loaded_cfg = load_weights(path)
-        assert loaded_cfg is None
+        path.write_bytes(struct.pack("<I", len(blob)) + blob + np.zeros(2, "<f4").tobytes())
+        with pytest.raises(DataError, match="needs 'config'"):
+            load_weights(path)
 
     def test_infinite_interval_saved_as_inf(self, tmp_path):
         cfg = small_config(variant="rdangle_sep", interval=math.inf)
