@@ -21,6 +21,7 @@ from compforge.engine import (
     greedy_decode,
     init_weights,
     kv_decode_full,
+    project_cross,
 )
 
 BASE = ModelConfig(
@@ -78,7 +79,8 @@ def main() -> None:
     emitted = []
     for step in result.steps:
         enc = adaptive_encode(SRC, [BASE.bos_id] + emitted[: step.point - 1], w, BASE)
-        scratch = kv_decode_full([BASE.bos_id] + emitted, enc, enc, w, BASE)[0][-1]
+        cross = (project_cross(enc, w, BASE, "v"), project_cross(enc, w, BASE, "k"))
+        scratch = kv_decode_full([BASE.bos_id] + emitted, cross, w, BASE)[0][-1]
         worst = max(worst, float(np.max(np.abs(scratch - step.logits))))
         emitted.append(step.token)
     verdict = "pass" if worst <= 1e-6 else "FAIL"

@@ -11,6 +11,7 @@ from compforge.engine.model import (
     greedy_decode,
     kv_decode_full,
     kv_decode_step,
+    project_cross,
 )
 from compforge.engine.ops import cross_attention, layer_norm, softmax
 from compforge.engine.weights import Weights, init_weights, load_weights, param_spec, save_weights
@@ -27,6 +28,7 @@ __all__ = [
     "greedy_decode",
     "kv_decode_full",
     "kv_decode_step",
+    "project_cross",
     "cross_attention",
     "layer_norm",
     "softmax",

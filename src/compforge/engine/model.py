@@ -9,11 +9,11 @@ those rows. `kv_decode_full` starts the stack from an empty memory
 (re-encoding points rebuild the memory from scratch); `kv_decode_step`
 feeds it one token, so between points the cache grows by exactly one row
 per layer and step. Decoding state is functional: a new memory is returned
-and the old one is left untouched. Both entry points take value encodings
-and key encodings as distinct matrices; shared-encoding decoding passes the
-same matrix twice. Their cross-attention projections depend only on those
-matrices, so `greedy_decode` makes them once per re-encoding point (values
-of the plain encoder once per decode) and passes them in as `cross`.
+and the old one is left untouched. The decoder reads the source only
+through each layer's cross-attention (values, keys), `CrossProjections`, so
+both entry points take those and no encoding. `greedy_decode` makes them
+with `project_cross` once per re-encoding point (the plain encoder's values
+once per decode).
 """
 
 from __future__ import annotations
@@ -151,11 +151,11 @@ class TargetMemory:
             raise ConfigError(f"memory width {sorted(widths)} does not match d_model")
 
 
-# Per-decoder-layer cross-attention (values, keys), as `_project_cross` makes them.
+# Per-decoder-layer cross-attention (values, keys), as `project_cross` makes them.
 CrossProjections = tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
 
 
-def _project_cross(
+def project_cross(
     enc: np.ndarray, w: Weights, cfg: ModelConfig, part: str
 ) -> tuple[np.ndarray, ...]:
     """Every decoder layer's cross-attention keys (`part` "k") or values ("v")
@@ -169,25 +169,23 @@ def _finite_or_raise(logits: np.ndarray) -> None:
 
 
 def _decode(
-    tokens: Sequence[int], memory: TargetMemory, enc_v: np.ndarray, enc_k: np.ndarray,
-    w: Weights, cfg: ModelConfig, cross: CrossProjections | None = None,
+    tokens: Sequence[int], memory: TargetMemory, cross: CrossProjections,
+    w: Weights, cfg: ModelConfig,
 ) -> tuple[np.ndarray, TargetMemory]:
     """Decode `tokens` at the m positions after the memory's t rows.
 
     The new rows attend to the cache and to each other through causal-mask
-    rows t..t+m-1. `cross`, if given, is the per-layer cross-attention
-    (values, keys) that `_project_cross` makes of `enc_v` and `enc_k`.
-    Returns next-token logits (m, tgt_vocab) and the memory grown by m rows;
-    the input memory is left untouched.
+    rows t..t+m-1, and to the source through `cross`, the per-layer
+    cross-attention (values, keys) that `project_cross` makes. Returns
+    next-token logits (m, tgt_vocab) and the memory grown by m rows; the
+    input memory is left untouched.
     """
     _check_tokens(tokens, cfg.tgt_vocab, "prefix")
     memory._validate(cfg)
+    cross_v, cross_k = cross
     t, m = memory.length, len(tokens)
     if t + m > cfg.max_tgt_positions:
         raise ConfigError(f"prefix of {t + m} tokens exceeds max_tgt_positions")
-    if cross is None:
-        cross = (_project_cross(enc_v, w, cfg, "v"), _project_cross(enc_k, w, cfg, "k"))
-    cross_v, cross_k = cross
     x = w["tgt_embed"][np.asarray(tokens, dtype=np.int64)] + w["dec_pos"][t : t + m]
     # A single new row sees every cached position: its mask row is all zeros.
     mask = causal_mask(t + m)[t:] if m > 1 else None
@@ -211,28 +209,26 @@ def _decode(
 
 
 def kv_decode_full(
-    prefix: Sequence[int], enc_v: np.ndarray, enc_k: np.ndarray, w: Weights, cfg: ModelConfig,
-    cross: CrossProjections | None = None,
+    prefix: Sequence[int], cross: CrossProjections, w: Weights, cfg: ModelConfig
 ) -> tuple[np.ndarray, TargetMemory]:
-    """Run the decoder over a whole prefix with an empty starting memory.
+    """Run the decoder over a whole prefix with an empty starting memory,
+    reading the source through `cross` (as `project_cross` makes it).
 
     Returns per-position next-token logits (t, tgt_vocab) and the rebuilt
     memory. Used at re-encoding points and as the from-scratch reference.
-    `cross` is as in `_decode`.
     """
-    return _decode(prefix, TargetMemory.empty(cfg), enc_v, enc_k, w, cfg, cross)
+    return _decode(prefix, TargetMemory.empty(cfg), cross, w, cfg)
 
 
 def kv_decode_step(
-    token: int, memory: TargetMemory, enc_v: np.ndarray, enc_k: np.ndarray,
-    w: Weights, cfg: ModelConfig, cross: CrossProjections | None = None,
+    token: int, memory: TargetMemory, cross: CrossProjections, w: Weights, cfg: ModelConfig
 ) -> tuple[np.ndarray, TargetMemory]:
     """Advance one step: consume `token` at the next position.
 
-    Returns next-token logits (tgt_vocab,) and the grown memory; the input
-    memory is left untouched. `cross` is as in `_decode`.
+    `cross` is as in `kv_decode_full`. Returns next-token logits
+    (tgt_vocab,) and the grown memory; the input memory is left untouched.
     """
-    logits, memory = _decode([token], memory, enc_v, enc_k, w, cfg, cross)
+    logits, memory = _decode([token], memory, cross, w, cfg)
     return logits[0], memory
 
 
@@ -297,15 +293,16 @@ def greedy_decode(
             )
 
     # Values come from the plain encoder, except for shared variants, whose
-    # values are the keys of the latest re-encoding point. Each encoding's
-    # cross-attention projections are made once, when it is made.
-    value_enc, value_hash, cross_v = None, "", ()
+    # values are the keys of the latest re-encoding point. Each side keeps
+    # its encoding's fingerprint and projections, made once per encoding.
+    value_hash, cross_v, cross_k = "", (), ()
     if not shared:
         value_enc = encode(src, w, cfg)
         value_hash = encoding_hash(value_enc)
-        cross_v = _project_cross(value_enc, w, cfg, "v")
-    key_enc, key_hash = value_enc, value_hash
-    cross_k = _project_cross(key_enc, w, cfg, "k") if points is None else ()
+        cross_v = project_cross(value_enc, w, cfg, "v")
+        if points is None:
+            cross_k = project_cross(value_enc, w, cfg, "k")
+    key_hash = value_hash
 
     prefix = [cfg.bos_id]
     memory = TargetMemory.empty(cfg)
@@ -319,21 +316,17 @@ def greedy_decode(
             current_point = t
             key_enc = adaptive_encode(src, prefix, w, cfg)
             key_hash = encoding_hash(key_enc)
-            cross_k = _project_cross(key_enc, w, cfg, "k")
+            cross_k = project_cross(key_enc, w, cfg, "k")
             reencodings += 1
             if shared:
-                value_enc, value_hash = key_enc, key_hash
-                cross_v = _project_cross(key_enc, w, cfg, "v")
-            all_logits, memory = kv_decode_full(
-                prefix, value_enc, key_enc, w, cfg, cross=(cross_v, cross_k)
-            )
+                value_hash = key_hash
+                cross_v = project_cross(key_enc, w, cfg, "v")
+            all_logits, memory = kv_decode_full(prefix, (cross_v, cross_k), w, cfg)
             # A copy: the row view would keep all t rows of logits alive.
             logits = all_logits[-1].copy()
         else:
             cached_rows += memory.length
-            logits, memory = kv_decode_step(
-                prefix[-1], memory, value_enc, key_enc, w, cfg, cross=(cross_v, cross_k)
-            )
+            logits, memory = kv_decode_step(prefix[-1], memory, (cross_v, cross_k), w, cfg)
         token = int(np.argmax(logits))
         steps.append(
             StepTrace(

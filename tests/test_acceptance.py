@@ -27,6 +27,7 @@ from compforge.engine import (
     greedy_decode,
     init_weights,
     kv_decode_full,
+    project_cross,
 )
 from compforge.ngrams import NGramDictionary
 from compforge.novelty import novel_ngram_count
@@ -265,7 +266,8 @@ def test_06_interval_one_equals_stepwise_reencoding():
             prefix = [cfg.bos_id]
             for step in result.steps:
                 enc = adaptive_encode(src, prefix, w, cfg)
-                logits = kv_decode_full(prefix, enc, enc, w, cfg)[0][-1]
+                cross = (project_cross(enc, w, cfg, "v"), project_cross(enc, w, cfg, "k"))
+                logits = kv_decode_full(prefix, cross, w, cfg)[0][-1]
                 gap = float(np.max(np.abs(logits - step.logits)))
                 worst = max(worst, gap)
                 assert gap <= 1e-6, f"trial {trial} step {step.step}: logit gap {gap:.3e}"
@@ -352,7 +354,8 @@ def test_08_cached_decoding_consumes_latest_reencoding():
                     assert step.key_hash == encoding_hash(enc)
                     assert step.value_hash == step.key_hash  # shared keys/values
                     prefix = [cfg.bos_id] + emitted
-                    scratch = kv_decode_full(prefix, enc, enc, w, cfg)[0][-1]
+                    cross = (project_cross(enc, w, cfg, "v"), project_cross(enc, w, cfg, "k"))
+                    scratch = kv_decode_full(prefix, cross, w, cfg)[0][-1]
                     gap = float(np.max(np.abs(scratch - step.logits)))
                     worst = max(worst, gap)
                     assert gap <= 1e-6, f"o={interval} step {step.step}: gap {gap:.3e}"

@@ -19,6 +19,7 @@ from compforge.engine import (
     init_weights,
     kv_decode_full,
     kv_decode_step,
+    project_cross,
 )
 from compforge.errors import ConfigError
 
@@ -41,6 +42,11 @@ def small_config(**overrides) -> ModelConfig:
     )
     params.update(overrides)
     return ModelConfig(**params)
+
+
+def cross_of(values: np.ndarray, keys: np.ndarray, w, cfg: ModelConfig):
+    """The decoder's source input: each layer's cross-attention (values, keys)."""
+    return project_cross(values, w, cfg, "v"), project_cross(keys, w, cfg, "k")
 
 
 def shr_points(horizon: int, **overrides) -> tuple[int, ...]:
@@ -108,10 +114,11 @@ class TestIncrementalDecode:
             enc_k = enc + rng.normal(scale=0.5, size=enc.shape).astype(np.float32)
             prefix = [cfg.bos_id] + list(rng.integers(0, cfg.tgt_vocab, size=6))
             for keys in (enc, enc_k):
-                full, full_mem = kv_decode_full(prefix, enc, keys, w, cfg)
+                cross = cross_of(enc, keys, w, cfg)
+                full, full_mem = kv_decode_full(prefix, cross, w, cfg)
                 memory = TargetMemory.empty(cfg)
                 for t, tok in enumerate(prefix):
-                    logits, memory = kv_decode_step(int(tok), memory, enc, keys, w, cfg)
+                    logits, memory = kv_decode_step(int(tok), memory, cross, w, cfg)
                     np.testing.assert_allclose(logits, full[t], atol=1e-6)
                 for stepped, rebuilt in zip(
                     memory.keys + memory.values, full_mem.keys + full_mem.values, strict=True
@@ -122,8 +129,9 @@ class TestIncrementalDecode:
         cfg = small_config()
         w = init_weights(cfg, seed=0)
         enc = encode([2, 4, 6], w, cfg)
-        full, full_mem = kv_decode_full([cfg.bos_id], enc, enc, w, cfg)
-        step, step_mem = kv_decode_step(cfg.bos_id, TargetMemory.empty(cfg), enc, enc, w, cfg)
+        cross = cross_of(enc, enc, w, cfg)
+        full, full_mem = kv_decode_full([cfg.bos_id], cross, w, cfg)
+        step, step_mem = kv_decode_step(cfg.bos_id, TargetMemory.empty(cfg), cross, w, cfg)
         np.testing.assert_array_equal(step, full[0])
         for a, b in zip(step_mem.keys + step_mem.values, full_mem.keys + full_mem.values):
             np.testing.assert_array_equal(a, b)
@@ -134,11 +142,12 @@ class TestIncrementalDecode:
         cfg = small_config()
         w = init_weights(cfg, seed=1)
         enc = encode([2, 4, 6, 8], w, cfg)
+        cross = cross_of(enc, enc, w, cfg)
         prefix = [1, 3, 5, 7, 9]
-        base, _ = kv_decode_full(prefix, enc, enc, w, cfg)
+        base, _ = kv_decode_full(prefix, cross, w, cfg)
         mutated = list(prefix)
         mutated[4] = 8
-        other, _ = kv_decode_full(mutated, enc, enc, w, cfg)
+        other, _ = kv_decode_full(mutated, cross, w, cfg)
         np.testing.assert_array_equal(base[:4], other[:4])
         assert not np.array_equal(base[4], other[4])
 
@@ -146,10 +155,11 @@ class TestIncrementalDecode:
         cfg = small_config()
         w = init_weights(cfg, seed=0)
         enc = encode([2, 4], w, cfg)
+        cross = cross_of(enc, enc, w, cfg)
         memory = TargetMemory.empty(cfg)
         assert memory.length == 0
         for expected in range(1, 4):
-            _, memory = kv_decode_step(1, memory, enc, enc, w, cfg)
+            _, memory = kv_decode_step(1, memory, cross, w, cfg)
             assert memory.length == expected
             assert len(memory.keys) == len(memory.values) == cfg.decoder_layers
 
@@ -157,9 +167,10 @@ class TestIncrementalDecode:
         cfg = small_config()
         w = init_weights(cfg, seed=0)
         enc = encode([2, 4], w, cfg)
-        _, memory = kv_decode_step(1, TargetMemory.empty(cfg), enc, enc, w, cfg)
+        cross = cross_of(enc, enc, w, cfg)
+        _, memory = kv_decode_step(1, TargetMemory.empty(cfg), cross, w, cfg)
         snapshot = [rows.copy() for rows in memory.keys + memory.values]
-        kv_decode_step(3, memory, enc, enc, w, cfg)
+        kv_decode_step(3, memory, cross, w, cfg)
         for a, b in zip(memory.keys + memory.values, snapshot):
             np.testing.assert_array_equal(a, b)
 
@@ -169,49 +180,52 @@ class TestIncrementalDecode:
         rng = np.random.default_rng(3)
         enc_v = encode([2, 4, 6], w, cfg)
         enc_k = enc_v + rng.normal(scale=0.5, size=enc_v.shape).astype(np.float32)
-        mixed, _ = kv_decode_full([1, 3], enc_v, enc_k, w, cfg)
-        shared, _ = kv_decode_full([1, 3], enc_v, enc_v, w, cfg)
+        mixed, _ = kv_decode_full([1, 3], cross_of(enc_v, enc_k, w, cfg), w, cfg)
+        shared, _ = kv_decode_full([1, 3], cross_of(enc_v, enc_v, w, cfg), w, cfg)
         assert not np.array_equal(mixed, shared)
 
     def test_kv_row_mismatch_rejected(self):
         cfg = small_config()
         w = init_weights(cfg, seed=0)
         enc = encode([2, 4, 6], w, cfg)
+        cross = cross_of(enc, enc[:2], w, cfg)
         with pytest.raises(ConfigError):
-            kv_decode_full([1], enc, enc[:2], w, cfg)
+            kv_decode_full([1], cross, w, cfg)
         with pytest.raises(ConfigError):
-            kv_decode_step(1, TargetMemory.empty(cfg), enc, enc[:2], w, cfg)
+            kv_decode_step(1, TargetMemory.empty(cfg), cross, w, cfg)
 
     def test_inconsistent_memory_rejected(self):
         cfg = small_config()
         w = init_weights(cfg, seed=0)
         enc = encode([2, 4], w, cfg)
+        cross = cross_of(enc, enc, w, cfg)
         rows = (
             np.zeros((2, cfg.d_model), dtype=np.float32),
             np.zeros((1, cfg.d_model), dtype=np.float32),
         )
         lopsided = TargetMemory(keys=rows, values=rows)
         with pytest.raises(ConfigError):
-            kv_decode_step(1, lopsided, enc, enc, w, cfg)
+            kv_decode_step(1, lopsided, cross, w, cfg)
         empty = (np.zeros((0, cfg.d_model), np.float32),)
         wrong_depth = TargetMemory(keys=empty, values=empty)
         with pytest.raises(ConfigError):
-            kv_decode_step(1, wrong_depth, enc, enc, w, cfg)
+            kv_decode_step(1, wrong_depth, cross, w, cfg)
         narrow = (np.zeros((1, cfg.d_model - 1), np.float32),) * cfg.decoder_layers
         with pytest.raises(ConfigError, match="memory width"):
-            kv_decode_step(1, TargetMemory(keys=narrow, values=narrow), enc, enc, w, cfg)
+            kv_decode_step(1, TargetMemory(keys=narrow, values=narrow), cross, w, cfg)
 
     def test_prefix_length_capped(self):
         cfg = small_config(max_tgt_positions=3)
         w = init_weights(cfg, seed=0)
         enc = encode([2, 4], w, cfg)
+        cross = cross_of(enc, enc, w, cfg)
         with pytest.raises(ConfigError):
-            kv_decode_full([1, 3, 5, 7], enc, enc, w, cfg)
+            kv_decode_full([1, 3, 5, 7], cross, w, cfg)
         memory = TargetMemory.empty(cfg)
         for tok in (1, 3, 5):
-            _, memory = kv_decode_step(tok, memory, enc, enc, w, cfg)
+            _, memory = kv_decode_step(tok, memory, cross, w, cfg)
         with pytest.raises(ConfigError):
-            kv_decode_step(7, memory, enc, enc, w, cfg)
+            kv_decode_step(7, memory, cross, w, cfg)
 
     def test_stepped_cache_equals_full_cache(self):
         # Every layer's cached self-attention keys and values, grown a token
@@ -223,10 +237,11 @@ class TestIncrementalDecode:
             enc_v = encode(list(rng.integers(0, cfg.src_vocab, size=6)), w, cfg)
             enc_k = enc_v + rng.normal(scale=0.5, size=enc_v.shape).astype(np.float32)
             prefix = [cfg.bos_id] + [int(tok) for tok in rng.integers(0, cfg.tgt_vocab, size=7)]
-            _, full = kv_decode_full(prefix, enc_v, enc_k, w, cfg)
+            cross = cross_of(enc_v, enc_k, w, cfg)
+            _, full = kv_decode_full(prefix, cross, w, cfg)
             stepped = TargetMemory.empty(cfg)
             for tok in prefix:
-                _, stepped = kv_decode_step(tok, stepped, enc_v, enc_k, w, cfg)
+                _, stepped = kv_decode_step(tok, stepped, cross, w, cfg)
             for layer in range(cfg.decoder_layers):
                 for got, want in ((stepped.keys[layer], full.keys[layer]),
                                   (stepped.values[layer], full.values[layer])):
@@ -241,7 +256,7 @@ class TestIncrementalDecode:
             src = list(rng.integers(0, cfg.src_vocab, size=4))
             enc = encode(src, w, cfg)
             prefix = [1] + list(rng.integers(0, cfg.tgt_vocab, size=4))
-            ours, _ = kv_decode_full(prefix, enc, enc, w, cfg)
+            ours, _ = kv_decode_full(prefix, cross_of(enc, enc, w, cfg), w, cfg)
             theirs = ref_decoder_logits(prefix, enc, enc, w, cfg)
             np.testing.assert_allclose(ours, theirs, atol=1e-5)
 
@@ -335,7 +350,7 @@ class TestGreedyDecode:
         prefix = [cfg.bos_id]
         for step in result.steps:
             enc = adaptive_encode(src, prefix, w, cfg)
-            logits, _ = kv_decode_full(prefix, enc, enc, w, cfg)
+            logits, _ = kv_decode_full(prefix, cross_of(enc, enc, w, cfg), w, cfg)
             np.testing.assert_array_equal(step.logits, logits[-1])
             token = int(np.argmax(logits[-1]))
             assert step.token == token
@@ -432,13 +447,13 @@ class TestDecodeCost:
         import compforge.engine.model as model
 
         made = []
-        project = model._project_cross
+        project = model.project_cross
 
         def counted(enc, w, cfg, part):
             made.append(part)
             return project(enc, w, cfg, part)
 
-        monkeypatch.setattr(model, "_project_cross", counted)
+        monkeypatch.setattr(model, "project_cross", counted)
         # 9 steps; rdangle o=4 re-encodes at steps 1, 5 and 9.
         for variant, interval, keys, values in (
             ("vanilla", 1, 1, 1),
