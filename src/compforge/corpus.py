@@ -86,6 +86,16 @@ def json_line(line: str):
     return record
 
 
+def read_id(value) -> str:
+    """A record's id: a string as it is, an integer as its decimal string.
+    Any other JSON value (a bool, a float, null, a list) is a DataError."""
+    if type(value) is str:
+        return value
+    if type(value) is not int:  # a bool is not an int here
+        raise DataError("id must be a string or an integer")
+    return str(value)
+
+
 def tsv_fields(line: str, fields: int, layout: str) -> list[str]:
     """The tab-separated columns of `line`; DataError("expected `layout`")
     unless there are exactly `fields`."""
@@ -149,11 +159,7 @@ def iter_parallel_corpus(path: str | Path, format: str | None = None) -> Iterato
             if not (isinstance(src_text, str) and isinstance(tgt_text, str)):
                 missing = [k for k in SIDES if not isinstance(record.get(k), str)]
                 raise DataError(f"missing or non-string field(s): {', '.join(missing)}")
-            ex_id = record.get("id", index)
-            if type(ex_id) is not str:
-                if type(ex_id) is not int:  # a bool is not an int here
-                    raise DataError("id must be a string or an integer")
-                ex_id = str(ex_id)
+            ex_id = read_id(record.get("id", index))
             meta = record.get("meta", {})
             if type(meta) is not dict:
                 raise DataError("meta must be an object")

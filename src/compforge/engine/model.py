@@ -137,18 +137,22 @@ class TargetMemory:
         return self.keys[0].shape[0]
 
     def _validate(self, cfg: ModelConfig) -> None:
-        for name, rows in (("key", self.keys), ("value", self.values)):
-            if len(rows) != cfg.decoder_layers:
-                raise ConfigError(
-                    f"memory has {len(rows)} {name} layers, model has {cfg.decoder_layers}"
-                )
-        cached = self.keys + self.values
-        lengths = {rows.shape[0] for rows in cached}
+        _check_stacks("memory", (("key", self.keys), ("value", self.values)), cfg)
+        lengths = {rows.shape[0] for rows in self.keys + self.values}
         if len(lengths) != 1:
             raise ConfigError(f"inconsistent memory lengths across layers: {sorted(lengths)}")
-        widths = {rows.shape[1] for rows in cached}
-        if widths != {cfg.d_model}:
-            raise ConfigError(f"memory width {sorted(widths)} does not match d_model")
+
+
+def _check_stacks(what: str, stacks, cfg: ModelConfig) -> None:
+    """Each (name, rows) of `stacks` holds one (n, d_model) matrix per decoder layer."""
+    for name, rows in stacks:
+        if len(rows) != cfg.decoder_layers:
+            raise ConfigError(
+                f"{what} has {len(rows)} {name} layers, model has {cfg.decoder_layers}"
+            )
+    widths = {layer.shape[1] for _, rows in stacks for layer in rows}
+    if widths != {cfg.d_model}:
+        raise ConfigError(f"{what} width {sorted(widths)} does not match d_model")
 
 
 # Per-decoder-layer cross-attention (values, keys), as `project_cross` makes them.
@@ -183,6 +187,7 @@ def _decode(
     _check_tokens(tokens, cfg.tgt_vocab, "prefix")
     memory._validate(cfg)
     cross_v, cross_k = cross
+    _check_stacks("cross", (("value", cross_v), ("key", cross_k)), cfg)
     t, m = memory.length, len(tokens)
     if t + m > cfg.max_tgt_positions:
         raise ConfigError(f"prefix of {t + m} tokens exceeds max_tgt_positions")

@@ -92,22 +92,23 @@ def benchmark_report(
 ) -> NoveltyReport:
     """Build the novelty/degree summary of `test` relative to `train`.
 
-    The tagged streams must align one-to-one with the corpora (same sentence
-    count, same side).
+    The tagged streams must align one-to-one with the corpora: tagged
+    sentence i holds the `side` tokens of example i. The first sentence that
+    does not is a DataError naming its corpus and index.
     """
-    if len(tagged_train) != len(train):
-        raise DataError(
-            f"{len(train)} training examples but {len(tagged_train)} tagged sentences"
-        )
-    if len(tagged_test) != len(test):
-        raise DataError(
-            f"{len(test)} test examples but {len(tagged_test)} tagged sentences"
-        )
     if not test:
         raise ConfigError("test set is empty")
-
     train_words = list(iter_side(train, side))
     test_words = list(iter_side(test, side))
+    for name, words, tagged in (("training", train_words, tagged_train),
+                                ("test", test_words, tagged_test)):
+        if len(tagged) != len(words):
+            raise DataError(f"{len(words)} {name} examples but {len(tagged)} tagged sentences")
+        for i, (tokens, sentence) in enumerate(zip(words, tagged)):
+            if tokens != sentence.tokens:
+                raise DataError(
+                    f"tagged {name} sentence {i} is not the {side} side of {name} example {i}"
+                )
     train_tags = [ts.tags for ts in tagged_train]
     test_tags = [ts.tags for ts in tagged_test]
 

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from compforge.corpus import id_records, json_line, tsv_fields
+from compforge.corpus import id_records, json_line, read_id, tsv_fields
 from compforge.errors import ConfigError, DataError
 
 PROB_FLOOR = 1e-10
@@ -189,9 +189,10 @@ def _dump_record(line: str, _index: int) -> tuple[str, EnsembleTokenDistribution
     """One dump line as (id, distributions); DataError if it is malformed."""
     record = json_line(line)
     try:
-        example_id, support, member_probs = str(record["id"]), record["support"], record["probs"]
+        example_id, support, member_probs = record["id"], record["support"], record["probs"]
     except (KeyError, TypeError):
         raise DataError("record needs id/support/probs")
+    example_id = read_id(example_id)
     if type(support) is not list:
         raise DataError("support must be a list of positions")
     for l, supp in enumerate(support):

@@ -242,6 +242,25 @@ class TestStageCommands:
         assert all(v == 0 for v in report["novel_word_ngrams"].values())
         assert json.loads(capsys.readouterr().out) == report
 
+    def test_analyze_novelty_rejects_tags_of_the_other_side(self, tmp_path, capsys):
+        # The tags of the source side, read with --side target, are a data
+        # error naming the corpus and the sentence, not a wrong report.
+        t = tmp_path
+        corpus = t / "corpus.tsv"
+        corpus.write_text("a b\tx y\nc\tz\n", encoding="utf-8")
+        (t / "src.tags").write_text("a\tT\nb\tT\n\nc\tT\n\n", encoding="utf-8")
+        assert main(["build-dict", "--train", str(corpus), "--min-count", "1",
+                     "--out", str(t / "d.ngix")]) == 0
+        capsys.readouterr()
+        argv = ["analyze-novelty", "--train", str(corpus), "--test", str(corpus),
+                "--tagged-train", str(t / "src.tags"), "--tagged-test", str(t / "src.tags"),
+                "--dict", str(t / "d.ngix"), "--out", str(t / "report.json")]
+        assert main(argv + ["--side", "target"]) == 3
+        err = capsys.readouterr().err
+        assert "tagged training sentence 0 is not the target side" in err
+        assert "Traceback" not in err and not (t / "report.json").exists()
+        assert main(argv + ["--side", "source"]) == 0
+
 
 def test_simulate_leaves_openssl_unloaded(sim_weights, tmp_path):
     # The weights are saved in this process: numpy.random, which init_weights
@@ -798,6 +817,20 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert "lone surrogate" in err and f"{dump}:1]" in err and "Traceback" not in err
         assert not out.exists() and not Path(f"{out}.partial").exists()
+
+    # A dump id follows the corpus rule: a string or an integer (read as its
+    # decimal string); any other JSON value is rejected, not written as "None".
+    @pytest.mark.parametrize("value", [None, True, [1], 2.0, {"k": 1}],
+                             ids=["null", "bool", "list", "float", "object"])
+    def test_bad_dump_id_exits_3(self, tmp_path, capsys, value):
+        dump = tmp_path / "dump.jsonl"
+        record = {"id": 7, "support": [["a", "b"]], "probs": [[[0.5, 0.5]], [[0.25, 0.75]]]}
+        dump.write_text(json.dumps(record) + "\n" + json.dumps({**record, "id": value}) + "\n")
+        out = tmp_path / "u.tsv"
+        assert main(["uncertainty-score", "--dump", str(dump), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "id must be a string or an integer" in err and f"{dump}:2]" in err
+        assert "Traceback" not in err and not out.exists()
 
     # String and integer ids and object metas load; any other JSON kind is
     # rejected rather than turned into an id like "None" or dropped.

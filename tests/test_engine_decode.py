@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +215,24 @@ class TestIncrementalDecode:
         narrow = (np.zeros((1, cfg.d_model - 1), np.float32),) * cfg.decoder_layers
         with pytest.raises(ConfigError, match="memory width"):
             kv_decode_step(1, TargetMemory(keys=narrow, values=narrow), cross, w, cfg)
+
+    def test_malformed_cross_rejected(self):
+        # The decoder's source input holds one value and one key matrix of
+        # width d_model per decoder layer; anything else is a ConfigError.
+        cfg = small_config()
+        w = init_weights(cfg, seed=0)
+        enc = encode([2, 4, 6], w, cfg)
+        values, keys = cross_of(enc, enc, w, cfg)
+        for cross, match in (
+            ((values[:1], keys[:1]), "cross has 1 value layers, model has 2"),
+            ((values, keys[:1]), "cross has 1 key layers"),
+            ((values, keys + keys), "cross has 4 key layers"),
+            ((values, tuple(k[:, :-1] for k in keys)), "cross width"),
+        ):
+            with pytest.raises(ConfigError, match=match):
+                kv_decode_full([1, 3], cross, w, cfg)
+            with pytest.raises(ConfigError, match=match):
+                kv_decode_step(1, TargetMemory.empty(cfg), cross, w, cfg)
 
     def test_prefix_length_capped(self):
         cfg = small_config(max_tgt_positions=3)
@@ -479,6 +499,36 @@ class TestDecodeCost:
             assert result.reencodings == reencodings, variant
             assert result.cached_rows == cached_rows, variant
 
+    def test_traced_spans_agree_with_decode_counters(self):
+        # The benchmark's tracer wraps the engine's module-level names and
+        # reads its per-layer numbers from their arguments (decode_full's rows
+        # are len(args[0]), adaptive_encode's len(args[0]) + len(args[1])).
+        # Those numbers must agree with what each decode reports about itself.
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        src, max_len = [3, 5, 7, 9], 8
+        for variant in ("vanilla", "dangle", "rdangle_shr", "rdangle_sep"):
+            for interval in (3, 1):
+                cfg = small_config(variant=variant, interval=interval)
+                w = self.no_eos_weights(cfg, 3)
+                tracer = tracing.Tracer()
+                tracer.install(tracing.ENGINE_TARGETS)
+                try:
+                    result = greedy_decode(src, w, cfg, max_len=max_len)
+                finally:
+                    tracer.uninstall()
+                stats = tracing.SpanStats(tracer.spans)
+                points = list(result.schedule or ())
+                label = f"{variant} o={interval}"
+                assert len(result.steps) == max_len, label
+                assert stats.n("model.decode_full") == result.reencodings == len(points), label
+                assert stats.num("model.decode_full", "rows") == sum(points), label
+                assert stats.n("model.decode_step") == max_len - result.reencodings, label
+                assert stats.num("model.adaptive_encode", "rows") == sum(
+                    len(src) + p for p in points), label
+                assert stats.n("model.encode") == (variant in ("vanilla", "rdangle_sep")), label
 
     def test_step_logits_hold_only_their_own_row(self):
         # At o=1 every step decodes the whole prefix; the trace keeps its last

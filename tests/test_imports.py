@@ -65,3 +65,52 @@ def test_every_import_is_used(path):
 ])
 def test_unused_imports_finds_what_it_should(source, unused):
     assert unused_imports(source) == unused
+
+
+# The independent oracles judge the package, so they must not share its code:
+# a float64 reference that called the engine would check a copy of itself.
+ORACLES = [Path(__file__).resolve().parent / name for name in ("reference_engine.py", "oracles.py")]
+
+
+def compforge_imports(path: Path) -> list[str]:
+    """The compforge modules that `path` imports anywhere in its code, directly
+    or through a module of its own directory."""
+    found, todo, seen = [], [path], set()
+    while todo:
+        current = todo.pop()
+        if current in seen:
+            continue
+        seen.add(current)
+        for node in ast.walk(ast.parse(current.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top == "compforge":
+                    found.append(name)
+                elif (current.parent / f"{top}.py").is_file():
+                    todo.append(current.parent / f"{top}.py")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", ORACLES, ids=lambda p: p.name)
+def test_oracles_import_nothing_from_compforge(path):
+    assert compforge_imports(path) == []
+
+
+@pytest.mark.parametrize("source, imports", [
+    ("import math\nimport numpy as np\n", []),
+    ("import compforge.engine\n", ["compforge.engine"]),
+    ("from compforge.engine.model import project_cross\n", ["compforge.engine.model"]),
+    ("def f():\n    from compforge import engine\n", ["compforge"]),
+    ("import helper\n", ["compforge.ops"]),
+    ("from helper import thing\n", ["compforge.ops"]),
+])
+def test_compforge_imports_finds_what_it_should(tmp_path, source, imports):
+    (tmp_path / "helper.py").write_text("from compforge.ops import project\nthing = 1\n")
+    (tmp_path / "oracle.py").write_text(source)
+    assert compforge_imports(tmp_path / "oracle.py") == imports

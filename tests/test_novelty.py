@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from compforge.corpus import ParallelExample
 from compforge.errors import ConfigError, DataError
 from compforge.ngrams import NGramDictionary
 from compforge.novelty import (
@@ -156,6 +157,18 @@ class TestBenchmarkReport:
         train, test, tg_train, tg_test, d = self.make_inputs()
         with pytest.raises(DataError):
             benchmark_report(train, test, tg_train, tg_test[:-1], d)
+
+    def test_tags_of_another_side_rejected(self):
+        # Tagged sentence i must hold the `side` tokens of example i, not just
+        # line up in count: the first that does not is named by corpus and index.
+        train, test, tg_train, tg_test, d = self.make_inputs()
+        upper = [ParallelExample(ex.id, ex.source, tuple(t.upper() for t in ex.target))
+                 for ex in test]
+        with pytest.raises(DataError, match="tagged test sentence 0 is not the target side"):
+            benchmark_report(train, upper, tg_train, tg_test, d)
+        assert benchmark_report(train, upper, tg_train, tg_test, d, side="source").n_examples == 2
+        with pytest.raises(DataError, match="tagged training sentence 2 is not"):
+            benchmark_report(train, test, tg_train[:2] + tg_train[:1], tg_test, d)
 
     def test_tag_length_mismatch_names_sentence(self):
         with pytest.raises(DataError) as err:
