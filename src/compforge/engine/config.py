@@ -79,9 +79,11 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be at least 1, got {value}")
         if self.k1 < 0 or self.k2 < 0 or self.k1 + self.k2 < 1:
             raise ConfigError("adaptive encoder needs k1, k2 >= 0 with k1 + k2 >= 1")
+        # An int is never passed to float(): one past float range is still valid.
         interval = self.interval
         if isinstance(interval, bool) or not isinstance(interval, (int, float)) or not (
-            interval == math.inf or (float(interval).is_integer() and interval >= 1)
+            interval == math.inf
+            or ((isinstance(interval, int) or interval.is_integer()) and interval >= 1)
         ):
             raise ConfigError(f"interval must be an integer >= 1 or inf, got {interval!r}")
         if not 0 <= self.bos_id < self.tgt_vocab or not 0 <= self.eos_id < self.tgt_vocab:

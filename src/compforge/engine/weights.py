@@ -5,16 +5,18 @@ and feed-forward weights are drawn uniformly from (-0.1, 0.1) with a seeded
 generator; layer norms start at the identity (gain 1, bias 0). Every
 configuration has the same stacks, so one file decodes under any variant.
 
-The file format is a small JSON header (names, shapes, seed, and the model
-config so a decoder can be rebuilt from the file alone) followed by the raw
-little-endian float32 blobs in header order. Round-tripping is bit-exact.
-Loading checks the blob sizes the header gives against the file size, then
-reads the whole blob region once into one float32 buffer; every parameter
-is a reshaped view of it, so a loaded model holds its parameter bytes once.
-Loading raises DataError when the header does not describe the blobs, bytes
-follow the last one, or the stored config is missing, invalid or needs a
-parameter the file lacks or holds in another shape (extra parameters are
-allowed).
+The file format is a small JSON header (the model config and the init seed)
+followed by the raw little-endian float32 blobs of ``param_spec(config)`` in
+sorted-name order. The config alone fixes every name and shape, so a decoder
+is rebuilt from the file alone and the layout is stated nowhere else.
+Round-tripping is bit-exact. ``save_weights`` writes exactly those
+parameters and raises ConfigError if one is missing or in another shape.
+Loading requires the file to be exactly header plus blobs long, then reads
+the blob region once into one float32 buffer; every parameter is a reshaped
+view of it, so a loaded model holds its parameter bytes once. Loading raises
+DataError when the header or its stored config is missing or invalid, or the
+file size differs from what the config needs (so a file holding extra
+arrays is rejected and must be saved again).
 """
 
 from __future__ import annotations
@@ -121,86 +123,57 @@ def init_weights(cfg: ModelConfig, seed: int = 0, scale: float = 0.1) -> Weights
 
 
 def save_weights(path: str | Path, weights: Weights, cfg: ModelConfig) -> None:
-    names = sorted(weights.data)
-    header = {
-        "names": names,
-        "shapes": {name: list(weights.data[name].shape) for name in names},
-        "dtype": "float32",
-        "seed": weights.seed,
-        "config": cfg.to_dict(),
-    }
+    """Write `cfg`'s parameters, by sorted name, after a header holding `cfg`
+    and the seed; ConfigError, before the file is opened, if `weights` lacks
+    a parameter of `cfg` or holds one in another shape."""
+    spec = param_spec(cfg)
+    for name, shape in spec.items():
+        array = weights.data.get(name)
+        if array is None or array.shape != shape:
+            found = "missing" if array is None else array.shape
+            raise ConfigError(
+                f"weights do not match their config: {name} should be {shape}, got {found}"
+            )
+    header = {"seed": weights.seed, "config": cfg.to_dict()}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for name in names:
+        for name in sorted(spec):
             fh.write(np.ascontiguousarray(weights.data[name], dtype="<f4").tobytes())
 
 
-def _header_layout(header, path: str) -> list[tuple[str, tuple[int, ...]]]:
-    """(name, shape) per blob, in file order; DataError if the header is ill-formed."""
-    if not isinstance(header, dict):
-        raise DataError("weights header is not a JSON object", path=path)
-    names, shapes = header.get("names"), header.get("shapes")
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise DataError("weights header needs 'names', a list of strings", path=path)
-    if not isinstance(shapes, dict):
-        raise DataError("weights header needs 'shapes', an object", path=path)
-    layout = []
-    for name in names:
-        shape = shapes.get(name)
-        if not isinstance(shape, list) or not all(
-            type(dim) is int and dim >= 0 for dim in shape
-        ):
-            raise DataError(f"weights header has no valid shape for {name!r}", path=path)
-        layout.append((name, tuple(shape)))
-    return layout
-
-
 def load_weights(path: str | Path) -> tuple[Weights, ModelConfig]:
+    path = str(path)
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
         if file_size < 4:
-            raise DataError("truncated weights file", path=str(path))
+            raise DataError("truncated weights file", path=path)
         (header_len,) = struct.unpack("<I", fh.read(4))
         try:
             # A header length past the end reads what is there, never more.
             header = json.loads(fh.read(min(header_len, file_size - 4)).decode("utf-8"))
         except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting, huge ints
-            raise DataError(f"unreadable weights header ({exc})", path=str(path))
-        offset = 4 + header_len
-        blobs = []  # (name, shape, first element, element count)
-        count = 0
-        for name, shape in _header_layout(header, str(path)):
-            size = math.prod(shape)  # exact: a huge shape reads as truncated, not as 0
-            if offset + 4 * (count + size) > file_size:
-                raise DataError(f"weights blob truncated at {name}", path=str(path))
-            blobs.append((name, shape, count, size))
-            count += size
-        if offset + 4 * count != file_size:
+            raise DataError(f"unreadable weights header ({exc})", path=path)
+        if not isinstance(header, dict):
+            raise DataError("weights header is not a JSON object", path=path)
+        if not isinstance(header.get("config"), dict):
+            raise DataError("weights header needs 'config', a model config object", path=path)
+        try:
+            cfg = ModelConfig.from_dict(header["config"])
+        except (TypeError, ValueError, ConfigError) as exc:
+            raise DataError(f"weights header 'config' is not a model config ({exc})", path=path)
+        layout = sorted(param_spec(cfg).items())
+        sizes = [math.prod(shape) for _, shape in layout]  # exact: a huge config never wraps
+        span = 4 + header_len + 4 * sum(sizes)
+        if span != file_size:
             raise DataError(
-                f"weights file has {file_size} bytes but its header and blobs span "
-                f"{offset + 4 * count}",
-                path=str(path),
+                f"weights file has {file_size} bytes but its header and blobs span {span}",
+                path=path,
             )
-        flat = np.empty(count, dtype="<f4")
+        flat = np.empty(sum(sizes), dtype="<f4")
         if fh.readinto(flat) != flat.nbytes:
-            raise DataError("weights file shrank while it was read", path=str(path))
-    flat = flat.astype(np.float32, copy=False)
-    data = {name: flat[start : start + size].reshape(shape)
-            for name, shape, start, size in blobs}
-    config = header.get("config")
-    if not isinstance(config, dict):
-        raise DataError("weights header needs 'config', a model config object", path=str(path))
-    try:
-        cfg = ModelConfig.from_dict(config)
-    except (TypeError, ValueError, ConfigError) as exc:
-        raise DataError(f"weights header 'config' is not a model config ({exc})", path=str(path))
-    for name, shape in param_spec(cfg).items():
-        if name not in data or data[name].shape != shape:
-            found = data[name].shape if name in data else "missing"
-            raise DataError(
-                f"weights do not match their config: {name} should be {shape}, got {found}",
-                path=str(path),
-            )
+            raise DataError("weights file shrank while it was read", path=path)
+    parts = np.split(flat.astype(np.float32, copy=False), np.cumsum(sizes)[:-1])
+    data = {name: part.reshape(shape) for (name, shape), part in zip(layout, parts)}
     return Weights(data=data, seed=header.get("seed")), cfg

@@ -13,6 +13,8 @@ Every stage writes one artifact, and every file is written by one rule,
 `replacing`: the output goes to a ``.partial`` path, which is renamed into
 place when the write succeeds and removed when it raises. So a final name
 only ever holds whole output, and a failed run leaves no ``.partial`` file.
+A run removes ``manifest.json`` before it writes anything, so only a run
+that finished leaves a manifest.
 The manifest records input digests, parameters, per-stage counts, and
 artifact digests; given identical inputs and seed, two runs produce
 byte-identical artifacts and manifests.
@@ -217,6 +219,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
     config.validate()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # An earlier run's manifest would vouch for artifacts this run replaces.
+    (out_dir / "manifest.json").unlink(missing_ok=True)
 
     manifest = PipelineManifest(
         parameters=asdict(config),

@@ -448,6 +448,24 @@ class TestSimulate:
         assert all(r["point"] == 1 for r in records)
         assert len({r["key_hash"] for r in records}) == 1
 
+    def test_interval_past_float_range_decodes_as_inf(self, sim_weights, tmp_path, capsys):
+        # float() of this integer overflows; it is still an interval >= 1.
+        huge = "1" + "0" * 400
+        src = self.write_sources(tmp_path)
+        stored = tmp_path / "stored.npw"
+        stored.write_bytes(_with_stored_config(sim_weights["path"].read_bytes(),
+                                               interval=int(huge)))
+        runs = [["--weights", str(sim_weights["path"]), "--interval", "inf"],
+                ["--weights", str(sim_weights["path"]), "--interval", huge],
+                ["--weights", str(stored)]]
+        outs = []
+        for args in runs:
+            assert main(["simulate", "--input", str(src), "--max-len", "6", *args]) == 0
+            out, err = capsys.readouterr()
+            assert "Traceback" not in err
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2] and outs[0].strip()
+
     def test_bad_interval_exits_2(self, sim_weights, tmp_path):
         src = self.write_sources(tmp_path)
         assert main(["simulate", "--weights", str(sim_weights["path"]),
@@ -488,8 +506,8 @@ class TestSimulate:
         assert capsys.readouterr().out.splitlines() == want
 
     @pytest.mark.parametrize("header", [
-        {"shapes": {}, "config": None},
-        {"names": ["a"], "shapes": {"a": "two"}, "config": None},
+        {"seed": 0},
+        {"config": {"d_model": 16}},
     ])
     def test_bad_weights_header_exits_3(self, tmp_path, capsys, header):
         blob = json.dumps(header).encode()
@@ -851,26 +869,24 @@ class TestMalformedInputs:
         assert f"{field} must be" in err and f"{pool}:2]" in err and "Traceback" not in err
 
     def test_weights_not_matching_their_config_exit_3(self, sim_weights, tmp_path, capsys):
-        cfg = sim_weights["cfg"]
         path = tmp_path / "model.npw"
-        save_weights(path, init_weights(cfg, seed=0), dataclasses.replace(cfg, d_model=32))
+        path.write_bytes(_with_stored_config(sim_weights["path"].read_bytes(), d_model=32))
         src = tmp_path / "src.txt"
         src.write_text("3 5 7\n")
         assert main(["simulate", "--weights", str(path), "--input", str(src)]) == 3
         err = capsys.readouterr().err
-        assert "do not match their config" in err and "Traceback" not in err
+        assert "header and blobs span" in err and "Traceback" not in err
 
-    def test_overflowing_weights_shape_exits_3(self, tmp_path, capsys):
-        # The shape's int64 product wraps to 0; its exact size is far past the file.
-        blob = json.dumps({"names": ["a"], "shapes": {"a": [2**32, 2**32]},
-                           "config": None}).encode()
+    def test_huge_stored_config_exits_3(self, sim_weights, tmp_path, capsys):
+        # About 2**40 parameters (4 TiB): rejected by the exact size check, unallocated.
         path = tmp_path / "huge.npw"
-        path.write_bytes(struct.pack("<I", len(blob)) + blob + b"\0" * 8)
+        path.write_bytes(_with_stored_config(sim_weights["path"].read_bytes(),
+                                             src_vocab=2**36))
         src = tmp_path / "src.txt"
         src.write_text("3 5 7\n")
         assert main(["simulate", "--weights", str(path), "--input", str(src)]) == 3
         err = capsys.readouterr().err
-        assert "truncated at a" in err and "Traceback" not in err
+        assert "header and blobs span" in err and "Traceback" not in err
 
     def test_invalid_stored_config_exits_3(self, sim_weights, tmp_path, capsys):
         path = tmp_path / "model.npw"

@@ -19,6 +19,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compforge.engine import (
     VARIANTS,
@@ -436,15 +438,15 @@ class TestWeights:
 
     @pytest.mark.parametrize("header", [
         [],                                                   # not an object
-        {"shapes": {"a": [2]}},                               # no names
-        {"names": "a", "shapes": {"a": [2]}},                 # names not a list
-        {"names": ["a"]},                                     # no shapes
-        {"names": ["a"], "shapes": [[2]]},                    # shapes not an object
-        {"names": ["a"], "shapes": {}},                       # no shape for a name
-        {"names": ["a"], "shapes": {"a": [2.0]}},             # non-integer dimension
-        {"names": ["a"], "shapes": {"a": [-2]}},              # negative dimension
-        {"names": ["a"], "shapes": {"a": [2]}, "config": 3},  # config not an object
-        {"names": ["a"], "shapes": {"a": [2]}, "config": {"d_model": 16}},
+        [{"config": small_config().to_dict()}],               # an array around it
+        {},                                                   # no config
+        {"seed": 0},                                          # no config
+        {"config": 3},                                        # config not an object
+        {"config": [small_config().to_dict()]},               # config not an object
+        {"config": {"d_model": 16}},                          # fields missing
+        {"config": {**small_config().to_dict(), "extra": 1}},  # unknown field
+        {"config": {**small_config().to_dict(), "d_model": 16.0}},  # wrongly typed
+        {"config": {**small_config().to_dict(), "n_heads": 0}},     # invalid
     ])
     def test_ill_formed_header_rejected(self, tmp_path, header):
         blob = json.dumps(header).encode()
@@ -453,13 +455,20 @@ class TestWeights:
         with pytest.raises(DataError, match="weights header"):
             load_weights(path)
 
-    def test_overflowing_shape_reads_as_truncated(self, tmp_path):
-        # 2**32 * 2**32 wraps to 0 in int64; the exact size is far past the file.
-        blob = json.dumps({"names": ["a"], "shapes": {"a": [2**32, 2**32]}}).encode()
+    def test_huge_stored_config_rejected_without_allocating(self, tmp_path):
+        # src_embed alone holds 2**40 parameters, 4 TiB; the size check is exact.
+        cfg = small_config()
         path = tmp_path / "huge.npw"
-        path.write_bytes(struct.pack("<I", len(blob)) + blob + np.zeros(2, "<f4").tobytes())
-        with pytest.raises(DataError, match="truncated at a"):
-            load_weights(path)
+        save_weights(path, init_weights(cfg, seed=0), cfg)
+        path.write_bytes(with_stored_config(path.read_bytes(), src_vocab=2**36))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="header and blobs span"):
+                load_weights(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_load_peaks_near_parameter_bytes(self, tmp_path):
         # The blobs are read once into one buffer that every parameter views.
@@ -510,6 +519,21 @@ class TestWeights:
         with pytest.raises(ConfigError, match=field):
             small_config(**{field: value})
 
+    def test_integer_interval_past_float_range_accepted(self, tmp_path):
+        # float(10**400) overflows; such an interval re-encodes at step 1 only.
+        cfg = small_config(variant="rdangle_sep", interval=10**400)
+        assert list(cfg.reencoding_points(9)) == [1]
+        path = tmp_path / "model.npw"
+        save_weights(path, init_weights(cfg, seed=0), cfg)
+        loaded, loaded_cfg = load_weights(path)
+        assert loaded_cfg == cfg and loaded_cfg.interval == 10**400
+        assert (greedy_decode([3, 4, 5], loaded, loaded_cfg, max_len=6).tokens
+                == greedy_decode([3, 4, 5], loaded, replace(cfg, interval=math.inf),
+                                 max_len=6).tokens)
+        for bad in (-(10**400), 0.5, math.nan, -math.inf):
+            with pytest.raises(ConfigError, match="interval must be"):
+                small_config(interval=bad)
+
     def test_invalid_stored_config_rejected(self, tmp_path):
         path = tmp_path / "model.npw"
         save_weights(path, init_weights(small_config(), seed=0), small_config())
@@ -519,9 +543,15 @@ class TestWeights:
 
     def test_shapes_must_match_stored_config(self, tmp_path):
         path = tmp_path / "model.npw"
+        with pytest.raises(ConfigError, match="src_embed should be"):
+            save_weights(path, init_weights(small_config(d_model=16), seed=0),
+                         small_config(d_model=32))
+        assert not path.exists()
+        # A file whose stored d_model was edited no longer spans its blobs.
         save_weights(path, init_weights(small_config(d_model=16), seed=0),
-                     small_config(d_model=32))
-        with pytest.raises(DataError, match="src_embed should be"):
+                     small_config(d_model=16))
+        path.write_bytes(with_stored_config(path.read_bytes(), d_model=32))
+        with pytest.raises(DataError, match="header and blobs span"):
             load_weights(path)
 
     def test_parameter_missing_from_stored_config_rejected(self, tmp_path):
@@ -529,19 +559,42 @@ class TestWeights:
         weights = init_weights(cfg, seed=0)
         del weights.data["out_b"]
         path = tmp_path / "model.npw"
-        save_weights(path, weights, cfg)
-        with pytest.raises(DataError, match="out_b should be .* got missing"):
-            load_weights(path)
+        with pytest.raises(ConfigError, match="out_b should be .* got missing"):
+            save_weights(path, weights, cfg)
+        assert not path.exists()
 
-    def test_extra_parameters_allowed(self, tmp_path):
+    def test_save_writes_exactly_param_spec(self, tmp_path):
         cfg = small_config()
         weights = init_weights(cfg, seed=0)
         weights.data["extra.w"] = np.ones((2, 3), np.float32)
         path = tmp_path / "model.npw"
         save_weights(path, weights, cfg)
+        raw = path.read_bytes()
+        header_end = 4 + struct.unpack_from("<I", raw)[0]
+        assert json.loads(raw[4:header_end]) == {"config": cfg.to_dict(), "seed": 0}
+        spec = param_spec(cfg)
+        assert raw[header_end:] == b"".join(weights[name].astype("<f4").tobytes()
+                                            for name in sorted(spec))
         loaded, loaded_cfg = load_weights(path)
         assert loaded_cfg == cfg
-        assert set(loaded.data) == set(param_spec(cfg)) | {"extra.w"}
+        assert set(loaded.data) == set(spec)
+
+    def test_file_in_older_layout_loads_same_arrays(self, tmp_path):
+        # Older files also list the layout in the header, blobs in sorted-name order.
+        cfg = small_config(variant="rdangle_sep", interval=math.inf)
+        weights = init_weights(cfg, seed=4)
+        names = sorted(param_spec(cfg))
+        header = {"names": names, "shapes": {n: list(weights[n].shape) for n in names},
+                  "dtype": "float32", "seed": 4, "config": cfg.to_dict()}
+        blob = json.dumps(header, sort_keys=True).encode()
+        path = tmp_path / "old.npw"
+        path.write_bytes(struct.pack("<I", len(blob)) + blob
+                         + b"".join(weights[n].astype("<f4").tobytes() for n in names))
+        loaded, loaded_cfg = load_weights(path)
+        assert loaded_cfg == cfg and loaded.seed == 4
+        assert sorted(loaded.data) == names
+        for name in names:
+            assert loaded[name].tobytes() == weights[name].tobytes()
 
     def test_trailing_bytes_rejected(self, tmp_path):
         cfg = small_config()
@@ -574,6 +627,55 @@ class TestWeights:
         assert w["aenc1.0.attn.wq"] is w["enc.0.attn.wq"]
         assert w["aenc2.0.ffn.w2"] is w["enc.1.ffn.w2"]
         assert w["aenc.ln_f.g"] is w["enc.ln_f.g"]
+
+
+@st.composite
+def weights_geometries(draw) -> ModelConfig:
+    heads = draw(st.integers(1, 3))
+    k1 = draw(st.integers(0, 2))
+    return small_config(
+        src_vocab=draw(st.integers(3, 7)), tgt_vocab=draw(st.integers(3, 7)),
+        d_model=heads * draw(st.integers(1, 3)), n_heads=heads,
+        d_ff=draw(st.none() | st.integers(1, 5)),
+        encoder_layers=draw(st.integers(1, 2)), decoder_layers=draw(st.integers(1, 2)),
+        k1=k1, k2=draw(st.integers(0 if k1 else 1, 2)),
+        max_src_positions=draw(st.integers(1, 4)), max_tgt_positions=draw(st.integers(1, 4)),
+        variant=draw(st.sampled_from(VARIANTS)),
+        interval=draw(st.integers(1, 5) | st.just(math.inf)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=weights_geometries(), seed=st.integers(0, 2**32 - 1))
+def test_weights_round_trip_property(tmp_path_factory, cfg, seed):
+    # Random bit patterns, NaN payloads included, must come back bit for bit.
+    rng = np.random.default_rng(seed)
+    weights = Weights({name: rng.integers(0, 2**32, size=shape, dtype=np.uint32).view(np.float32)
+                       for name, shape in param_spec(cfg).items()}, seed=seed)
+    path = tmp_path_factory.mktemp("weights") / "model.npw"
+    save_weights(path, weights, cfg)
+    raw = path.read_bytes()
+    header_len = struct.unpack_from("<I", raw)[0]
+    assert len(raw) == 4 + header_len + 4 * sum(a.size for a in weights.data.values())
+    loaded, loaded_cfg = load_weights(path)
+    assert loaded_cfg == cfg and loaded.seed == seed
+    assert sorted(loaded.data) == sorted(weights.data)
+    for name, array in weights.data.items():
+        assert loaded[name].dtype == np.float32 and loaded[name].shape == array.shape
+        assert loaded[name].tobytes() == array.tobytes()
+    for bad in (raw[:-1], raw + b"\0"):
+        path.write_bytes(bad)
+        with pytest.raises(DataError, match="header and blobs span"):
+            load_weights(path)
+
+
+def with_stored_config(raw: bytes, **changes) -> bytes:
+    """A saved model whose header config has `changes` applied."""
+    end = 4 + struct.unpack_from("<I", raw)[0]
+    header = json.loads(raw[4:end])
+    header["config"].update(changes)
+    blob = json.dumps(header, sort_keys=True).encode()
+    return struct.pack("<I", len(blob)) + blob + raw[end:]
 
 
 class TestNumericalRobustness:

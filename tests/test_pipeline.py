@@ -316,6 +316,21 @@ class TestFailureHandling:
         assert {name: (out / name).read_bytes() for name in before} == before
         assert not list(out.glob("*.partial"))
 
+    def test_failed_rerun_leaves_no_stale_manifest(self, pipeline_inputs, tmp_path):
+        # The rerun rewrites the index, degrees and candidates before the
+        # half-empty dump stops it, so the first manifest would no longer match.
+        out = tmp_path / "out"
+        run_pipeline(make_config(pipeline_inputs, out))
+        first = json.loads((out / "manifest.json").read_text())
+        dump = pipeline_inputs["dump"]
+        dump.write_text("".join(dump.read_text().splitlines(keepends=True)[::2]))
+        with pytest.raises(StageError) as err:
+            run_pipeline(make_config(pipeline_inputs, out, dict_min_count=3))
+        assert err.value.stage == "score_uncertainty"
+        assert not (out / "manifest.json").exists()
+        index = next(a for a in first["artifacts"] if a["path"] == "ngrams.ngix")
+        assert hashlib.sha256((out / "ngrams.ngix").read_bytes()).hexdigest() != index["sha256"]
+
     def test_malformed_pool_fails_before_any_artifact(self, pipeline_inputs, tmp_path):
         # The pool is loaded after the n-gram index is built, but still in
         # load_inputs and before the first artifact is written.
