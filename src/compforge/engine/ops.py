@@ -106,9 +106,17 @@ def attention_block(
 
 
 def ffn(x: np.ndarray, w, prefix: str) -> np.ndarray:
-    hidden = _update(np.add, x @ w[f"{prefix}.w1"], w[f"{prefix}.b1"])
+    """`relu(x @ w1 + b1) @ w2 + b2`, computed transposed.
+
+    The (in, out) matrices are column-major (see weights.py), so `.T` is
+    their C-ordered (out, in) form: BLAS reads each of its rows with unit
+    stride, where it would pack a row-major (256, 1024) matrix by 4 KB
+    strides that the prefetcher cannot follow once the weights are out of
+    cache. The product stays correct for matrices in any order.
+    """
+    hidden = _update(np.add, w[f"{prefix}.w1"].T @ x.T, w[f"{prefix}.b1"][:, None])
     np.maximum(hidden, 0.0, out=hidden)
-    return _update(np.add, hidden @ w[f"{prefix}.w2"], w[f"{prefix}.b2"])
+    return _update(np.add, (w[f"{prefix}.w2"].T @ hidden).T, w[f"{prefix}.b2"])
 
 
 def encoder_layer(

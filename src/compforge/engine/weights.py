@@ -5,18 +5,27 @@ and feed-forward weights are drawn uniformly from (-0.1, 0.1) with a seeded
 generator; layer norms start at the identity (gain 1, bias 0). Every
 configuration has the same stacks, so one file decodes under any variant.
 
-The file format is a small JSON header (the model config and the init seed)
-followed by the raw little-endian float32 blobs of ``param_spec(config)`` in
-sorted-name order. The config alone fixes every name and shape, so a decoder
-is rebuilt from the file alone and the layout is stated nowhere else.
-Round-tripping is bit-exact. ``save_weights`` writes exactly those
-parameters and raises ConfigError if one is missing or in another shape.
-Loading requires the file to be exactly header plus blobs long, then reads
-the blob region once into one float32 buffer; every parameter is a reshaped
-view of it, so a loaded model holds its parameter bytes once. Loading raises
-DataError when the header or its stored config is missing or invalid, or the
-file size differs from what the config needs (so a file holding extra
-arrays is rejected and must be saved again).
+The feed-forward matrices (every ``*.ffn.w1`` and ``*.ffn.w2``) are held and
+stored column-major: ``w["dec.0.ffn.w1"]`` is the (d_model, d_ff) array of
+the same values, Fortran-ordered, so ``ops.ffn`` multiplies by its C-ordered
+(out, in) transpose. Every other array is C-ordered.
+
+The file format is a small JSON header (the format number, the model config
+and the init seed) followed by the raw little-endian float32 blobs of
+``param_spec(config)`` in sorted-name order, each in its array's order above.
+The config alone fixes every name and shape, so a decoder is rebuilt from the
+file alone and the layout is stated nowhere else. Round-tripping is
+bit-exact. ``save_weights`` writes exactly those parameters, in that order
+whatever the order of the caller's arrays, and raises ConfigError if one is
+missing or in another shape. Loading requires the file to be exactly header
+plus blobs long, then reads the blob region once into one float32 buffer;
+every parameter is a view of it (a feed-forward matrix a column-major one), so
+loading neither copies nor transposes and a loaded model holds its parameter
+bytes once. Loading raises DataError when the header or its stored config is
+missing or invalid, the header lacks the current format number (an older
+file holds row-major feed-forward blobs and must be saved again), or the
+file size differs from what the config needs (so a file holding extra arrays
+is rejected and must be saved again).
 """
 
 from __future__ import annotations
@@ -34,6 +43,15 @@ from compforge.engine.config import ModelConfig
 from compforge.errors import ConfigError, DataError
 
 _ATTN_PARTS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+# Header "format" of files whose feed-forward blobs are column-major; files
+# without it are row-major throughout.
+_FORMAT = 2
+
+
+def _order(name: str) -> str:
+    """Memory order of a parameter: "F" for the feed-forward matrices, which
+    `ops.ffn` reads through their C-ordered transposes, else "C"."""
+    return "F" if name.endswith((".ffn.w1", ".ffn.w2")) else "C"
 
 
 @dataclass
@@ -118,7 +136,8 @@ def init_weights(cfg: ModelConfig, seed: int = 0, scale: float = 0.1) -> Weights
         elif name.endswith(".b") and ".ln" in name:
             data[name] = np.zeros(shape, dtype=np.float32)
         else:
-            data[name] = rng.uniform(-scale, scale, size=shape).astype(np.float32)
+            draw = rng.uniform(-scale, scale, size=shape)
+            data[name] = draw.astype(np.float32, order=_order(name))
     return Weights(data=data, seed=seed)
 
 
@@ -134,13 +153,13 @@ def save_weights(path: str | Path, weights: Weights, cfg: ModelConfig) -> None:
             raise ConfigError(
                 f"weights do not match their config: {name} should be {shape}, got {found}"
             )
-    header = {"seed": weights.seed, "config": cfg.to_dict()}
+    header = {"format": _FORMAT, "seed": weights.seed, "config": cfg.to_dict()}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for name in sorted(spec):
-            fh.write(np.ascontiguousarray(weights.data[name], dtype="<f4").tobytes())
+            fh.write(np.asarray(weights.data[name], dtype="<f4").tobytes(order=_order(name)))
 
 
 def load_weights(path: str | Path) -> tuple[Weights, ModelConfig]:
@@ -163,6 +182,24 @@ def load_weights(path: str | Path) -> tuple[Weights, ModelConfig]:
             cfg = ModelConfig.from_dict(header["config"])
         except (TypeError, ValueError, ConfigError) as exc:
             raise DataError(f"weights header 'config' is not a model config ({exc})", path=path)
+        if header.get("format") != _FORMAT:
+            raise DataError(
+                f"weights header lacks 'format': {_FORMAT}; the file is in an older, row-major "
+                "layout: save it again with save_weights",
+                path=path,
+            )
+        # param_spec grows with the layer counts, so a header stating more
+        # layers than the file can hold is rejected before it is built; each
+        # layer is at least as large as a plain encoder layer.
+        layers = cfg.encoder_layers + cfg.k1 + cfg.k2 + cfg.decoder_layers
+        layer_size = sum(map(math.prod, _layer_shapes(cfg, "enc.0", cross=False).values()))
+        least = 4 + header_len + 4 * layers * layer_size
+        if least > file_size:
+            raise DataError(
+                f"weights file has {file_size} bytes but its header and blobs span "
+                f"at least {least}",
+                path=path,
+            )
         layout = sorted(param_spec(cfg).items())
         sizes = [math.prod(shape) for _, shape in layout]  # exact: a huge config never wraps
         span = 4 + header_len + 4 * sum(sizes)
@@ -175,5 +212,6 @@ def load_weights(path: str | Path) -> tuple[Weights, ModelConfig]:
         if fh.readinto(flat) != flat.nbytes:
             raise DataError("weights file shrank while it was read", path=path)
     parts = np.split(flat.astype(np.float32, copy=False), np.cumsum(sizes)[:-1])
-    data = {name: part.reshape(shape) for (name, shape), part in zip(layout, parts)}
+    data = {name: part.reshape(shape, order=_order(name))
+            for (name, shape), part in zip(layout, parts)}
     return Weights(data=data, seed=header.get("seed")), cfg

@@ -518,6 +518,20 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "weights header" in err and "Traceback" not in err
 
+    def test_weights_in_older_layout_exit_3(self, sim_weights, tmp_path, capsys):
+        # Before the format number, files held row-major feed-forward blobs.
+        raw = sim_weights["path"].read_bytes()
+        (size,) = struct.unpack("<I", raw[:4])
+        header = json.loads(raw[4:4 + size])
+        del header["format"]
+        blob = json.dumps(header).encode()
+        old = tmp_path / "old.npw"
+        old.write_bytes(struct.pack("<I", len(blob)) + blob + raw[4 + size:])
+        src = self.write_sources(tmp_path)
+        assert main(["simulate", "--weights", str(old), "--input", str(src)]) == 3
+        err = capsys.readouterr().err
+        assert "save it again" in err and "Traceback" not in err
+
     def test_trailing_weights_bytes_exit_3(self, sim_weights, tmp_path, capsys):
         padded = tmp_path / "padded.npw"
         padded.write_bytes(sim_weights["path"].read_bytes() + b"\0\0\0\0")

@@ -12,8 +12,10 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from compforge.engine import (
+    VARIANTS,
     ModelConfig,
     TargetMemory,
+    Weights,
     adaptive_encode,
     encode,
     encoding_hash,
@@ -420,6 +422,21 @@ class TestGreedyDecode:
         result = greedy_decode([2, 4, 6], w, cfg, max_len=8)
         for step in result.steps:
             assert step.token == int(np.argmax(step.logits))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_weights_memory_order_does_not_change_decoding(self, variant):
+        # The feed-forward matrices are column-major; C-ordered ones decode alike.
+        cfg = small_config(variant=variant, interval=2)
+        w = init_weights(cfg, seed=8)
+        c_ordered = Weights({name: np.ascontiguousarray(array) for name, array in w.data.items()})
+        assert not w["dec.0.ffn.w2"].flags.c_contiguous
+        assert c_ordered["dec.0.ffn.w2"].flags.c_contiguous
+        for src in ([3, 5, 7, 9], [2, 11, 4, 4, 6, 8, 10, 3]):
+            ours = greedy_decode(src, w, cfg, max_len=12)
+            theirs = greedy_decode(src, c_ordered, cfg, max_len=12)
+            assert ours.tokens == theirs.tokens
+            for a, b in zip(ours.steps, theirs.steps):
+                np.testing.assert_allclose(a.logits, b.logits, rtol=0, atol=1e-6)
 
     def test_bad_max_len_rejected(self):
         cfg = small_config()

@@ -571,30 +571,82 @@ class TestWeights:
         save_weights(path, weights, cfg)
         raw = path.read_bytes()
         header_end = 4 + struct.unpack_from("<I", raw)[0]
-        assert json.loads(raw[4:header_end]) == {"config": cfg.to_dict(), "seed": 0}
+        assert json.loads(raw[4:header_end]) == {"config": cfg.to_dict(), "format": 2,
+                                                 "seed": 0}
         spec = param_spec(cfg)
-        assert raw[header_end:] == b"".join(weights[name].astype("<f4").tobytes()
+        assert raw[header_end:] == b"".join(weights[name].astype("<f4").tobytes(order="A")
                                             for name in sorted(spec))
         loaded, loaded_cfg = load_weights(path)
         assert loaded_cfg == cfg
         assert set(loaded.data) == set(spec)
 
-    def test_file_in_older_layout_loads_same_arrays(self, tmp_path):
-        # Older files also list the layout in the header, blobs in sorted-name order.
+    def test_file_in_older_layout_rejected(self, tmp_path):
+        # Older files have no format number and row-major feed-forward blobs;
+        # some also list the layout in the header.
         cfg = small_config(variant="rdangle_sep", interval=math.inf)
         weights = init_weights(cfg, seed=4)
         names = sorted(param_spec(cfg))
-        header = {"names": names, "shapes": {n: list(weights[n].shape) for n in names},
-                  "dtype": "float32", "seed": 4, "config": cfg.to_dict()}
-        blob = json.dumps(header, sort_keys=True).encode()
-        path = tmp_path / "old.npw"
-        path.write_bytes(struct.pack("<I", len(blob)) + blob
-                         + b"".join(weights[n].astype("<f4").tobytes() for n in names))
-        loaded, loaded_cfg = load_weights(path)
-        assert loaded_cfg == cfg and loaded.seed == 4
-        assert sorted(loaded.data) == names
-        for name in names:
-            assert loaded[name].tobytes() == weights[name].tobytes()
+        blobs = b"".join(weights[n].astype("<f4").tobytes() for n in names)
+        listed = {"names": names, "shapes": {n: list(weights[n].shape) for n in names},
+                  "dtype": "float32"}
+        for header in ({"seed": 4, "config": cfg.to_dict()},
+                       {**listed, "seed": 4, "config": cfg.to_dict()},
+                       {"format": 1, "seed": 4, "config": cfg.to_dict()}):
+            blob = json.dumps(header, sort_keys=True).encode()
+            path = tmp_path / "old.npw"
+            path.write_bytes(struct.pack("<I", len(blob)) + blob + blobs)
+            with pytest.raises(DataError, match="older, row-major layout: save it again"):
+                load_weights(path)
+
+    def test_huge_layer_count_rejected_without_allocating(self, tmp_path):
+        # param_spec would build about 1.6 * 10**8 entries (about 25 GB); a file
+        # of about 100 KB cannot hold 10**7 layers, so the header is rejected first.
+        cfg = small_config()
+        path = tmp_path / "deep.npw"
+        save_weights(path, init_weights(cfg, seed=0), cfg)
+        path.write_bytes(with_stored_config(path.read_bytes(), encoder_layers=10**7))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="header and blobs span at least"):
+                load_weights(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_ffn_matrices_column_major_every_other_array_c(self, tmp_path):
+        cfg = small_config(d_ff=24)
+        path = tmp_path / "model.npw"
+        save_weights(path, init_weights(cfg, seed=0), cfg)
+        for weights in (init_weights(cfg, seed=0), load_weights(path)[0]):
+            for name, array in weights.data.items():
+                if name.endswith((".ffn.w1", ".ffn.w2")):
+                    assert array.flags.f_contiguous and not array.flags.c_contiguous, name
+                else:
+                    assert array.flags.c_contiguous, name
+
+    def test_loaded_arrays_view_one_buffer(self, tmp_path):
+        cfg = small_config()
+        path = tmp_path / "model.npw"
+        save_weights(path, init_weights(cfg, seed=0), cfg)
+        loaded, _ = load_weights(path)
+        buffer = loaded["src_embed"].base
+        assert buffer.ndim == 1 and buffer.flags.owndata
+        assert buffer.size == sum(array.size for array in loaded.data.values())
+        for name, array in loaded.data.items():
+            assert np.shares_memory(array, buffer), name
+
+    def test_save_ignores_the_callers_array_order(self, tmp_path):
+        cfg = small_config()
+        weights = init_weights(cfg, seed=3)
+        flipped = Weights({name: np.asfortranarray(array) if array.flags.c_contiguous
+                           else np.ascontiguousarray(array)
+                           for name, array in weights.data.items()}, seed=3)
+        assert flipped["dec.0.ffn.w1"].flags.c_contiguous
+        assert flipped["dec.0.self.wq"].flags.f_contiguous
+        save_weights(tmp_path / "a.npw", weights, cfg)
+        save_weights(tmp_path / "b.npw", flipped, cfg)
+        assert (tmp_path / "a.npw").read_bytes() == (tmp_path / "b.npw").read_bytes()
 
     def test_trailing_bytes_rejected(self, tmp_path):
         cfg = small_config()
