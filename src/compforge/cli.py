@@ -164,7 +164,9 @@ def _cmd_select_pool(args) -> int:
 
     def scored_on_side():
         """The joined pairs; after the last, DataError if a row's length is not
-        the --side token count, as when it was scored on the other side."""
+        the --side token count, as when it was scored on the other side. The
+        raise waits for the end so that ids missing from the scores, which
+        `join_by_id` reports only there, take precedence."""
         wrong = ""
         for ex, degree in join_by_id(pool, table, "scores"):
             length = len(side_tokens(ex, args.side))
@@ -259,14 +261,10 @@ def _cmd_simulate(args) -> int:
             print(" ".join(str(tok) for tok in result.tokens))
             if trace_fh is not None:
                 for step in result.steps:
-                    record = {
-                        "sequence": i,
-                        "step": step.step,
-                        "point": step.point,
-                        "key_hash": step.key_hash,
-                        "value_hash": step.value_hash,
-                        "token": step.token,
-                    }
+                    # The sequence index and every StepTrace field but the logits.
+                    record = {f.name: getattr(step, f.name)
+                              for f in dataclasses.fields(step) if f.name != "logits"}
+                    record["sequence"] = i
                     trace_fh.write(json.dumps(record, sort_keys=True) + "\n")
     return 0
 

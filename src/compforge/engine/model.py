@@ -1,6 +1,9 @@
 """Forward-pass engine: plain encoding, adaptive re-encoding, scheduled
 greedy decoding with an incrementally grown K/V cache.
 
+Both encoders run one stack, `_encoder`: the plain encoder is the adaptive
+encoder's stack with no prefix. `_check_source` states the source rule once.
+
 Full and incremental decoding share one decoder stack, `_decode`, which
 runs new target tokens after a memory of earlier positions. The memory is a
 per-layer cache of projected self-attention keys and values: new positions
@@ -57,53 +60,56 @@ def _check_tokens(tokens: Sequence[int], vocab: int, what: str) -> None:
             raise ConfigError(f"{what} token id {tok} outside vocabulary of size {vocab}")
 
 
-def _embed_source(src: Sequence[int], w: Weights) -> np.ndarray:
-    return w["src_embed"][np.asarray(src, dtype=np.int64)] + w["enc_pos"][: len(src)]
-
-
-def encode(src: Sequence[int], w: Weights, cfg: ModelConfig) -> np.ndarray:
-    """Plain encoder: (n, d_model) source encodings."""
+def _check_source(src: Sequence[int], prefix_len: int, cfg: ModelConfig) -> None:
+    """The source rule: valid token ids, and room in max_src_positions for the
+    source plus a `prefix_len`-token prefix."""
     _check_tokens(src, cfg.src_vocab, "source")
-    if len(src) > cfg.max_src_positions:
-        raise ConfigError(f"source of {len(src)} tokens exceeds max_src_positions")
-    x = _embed_source(src, w)
-    for prefix in cfg.encoder_prefixes():
-        x = encoder_layer(x, w, prefix, cfg.n_heads)
-    return layer_norm(x, w["enc.ln_f.g"], w["enc.ln_f.b"])
+    if len(src) + prefix_len > cfg.max_src_positions:
+        raise ConfigError(f"source+prefix of {len(src) + prefix_len} positions exceeds "
+                          f"max_src_positions={cfg.max_src_positions}")
 
 
-def adaptive_encode(
-    src: Sequence[int], prefix: Sequence[int], w: Weights, cfg: ModelConfig
-) -> np.ndarray:
-    """Source encodings conditioned on the decoded prefix.
+def _encoder(src: Sequence[int], prefix: Sequence[int], stage1: list[str], stage2: list[str],
+             final: str, w: Weights, cfg: ModelConfig) -> np.ndarray:
+    """The encoder stack: (n, d_model) encodings of the n source rows.
 
-    Stage 1 runs k1 layers over the concatenated source + prefix rows (the
-    prefix embeds with the target table and continues the source position
-    indices); the result is truncated back to the source rows, and stage 2
-    runs k2 layers over those. The last stage-1 layer computes only the
-    source rows (keys and values still come from every row). With fusion
-    disabled, the prefix rows are left out: stage 1 runs on the source rows
-    alone, so the prefix cannot influence the output at all.
+    Prefix rows follow the source rows; they embed with the target table and
+    continue the source position indices. `stage1` runs over every row, its
+    last layer computing only the source rows (keys and values still come
+    from every row); `stage2` runs over the source rows, then layer norm `final`.
     """
-    _check_tokens(src, cfg.src_vocab, "source")
-    _check_tokens(prefix, cfg.tgt_vocab, "prefix")
     n, t = len(src), len(prefix)
-    if n + t > cfg.max_src_positions:
-        raise ConfigError(
-            f"source+prefix of {n + t} positions exceeds max_src_positions={cfg.max_src_positions}"
-        )
-    x = _embed_source(src, w)
-    if cfg.fusion_enabled:
+    x = w["src_embed"][np.asarray(src, dtype=np.int64)] + w["enc_pos"][:n]
+    if t:
         prefix_rows = w["tgt_embed"][np.asarray(prefix, dtype=np.int64)] + w["enc_pos"][n : n + t]
         x = np.concatenate([x, prefix_rows], axis=0)
-
-    stage1, stage2 = cfg.adaptive_prefixes()
     for i, layer in enumerate(stage1, start=1):
         x = encoder_layer(x, w, layer, cfg.n_heads, rows=n if i == len(stage1) else None)
     x = x[:n]  # already n rows unless stage 1 is empty
     for layer in stage2:
         x = encoder_layer(x, w, layer, cfg.n_heads)
-    return layer_norm(x, w["aenc.ln_f.g"], w["aenc.ln_f.b"])
+    return layer_norm(x, w[f"{final}.g"], w[f"{final}.b"])
+
+
+def encode(src: Sequence[int], w: Weights, cfg: ModelConfig) -> np.ndarray:
+    """Plain encoder: (n, d_model) source encodings, the stack with no prefix."""
+    _check_source(src, 0, cfg)
+    return _encoder(src, (), cfg.encoder_prefixes(), [], "enc.ln_f", w, cfg)
+
+
+def adaptive_encode(
+    src: Sequence[int], prefix: Sequence[int], w: Weights, cfg: ModelConfig
+) -> np.ndarray:
+    """Source encodings conditioned on the decoded prefix: the stack over the
+    source + prefix rows, stage 1 of k1 layers and stage 2 of k2. With fusion
+    disabled, the prefix rows are left out, so the prefix cannot influence
+    the output at all.
+    """
+    _check_source(src, len(prefix), cfg)
+    _check_tokens(prefix, cfg.tgt_vocab, "prefix")
+    stage1, stage2 = cfg.adaptive_prefixes()
+    fused = prefix if cfg.fusion_enabled else ()
+    return _encoder(src, fused, stage1, stage2, "aenc.ln_f", w, cfg)
 
 
 # -- target memory and decoding ---------------------------------------------
@@ -276,9 +282,9 @@ def greedy_decode(
     Emits the argmax token each step (ties resolve to the lowest token id)
     and stops at EOS or after `max_len` steps. The trace records, per step,
     the hashes of the key and value encodings actually consumed and the
-    schedule point they came from. For adaptive variants, a source too long
-    to re-encode with the prefix of the last schedule point is rejected
-    before any encoding.
+    schedule point they came from. A source that breaks the source rule
+    (for adaptive variants, with the prefix of the last schedule point) is
+    rejected before any encoding.
     """
     require_int("max_len", max_len)
     if max_len < 1:
@@ -288,14 +294,8 @@ def greedy_decode(
 
     shared = cfg.variant in ("dangle", "rdangle_shr")
     points = cfg.reencoding_points(max_len)
-    if points is not None:
-        # adaptive_encode at point p reads the source plus a p-token prefix.
-        longest = len(src) + points[-1]
-        if longest > cfg.max_src_positions:
-            raise ConfigError(
-                f"source+prefix of up to {longest} positions exceeds "
-                f"max_src_positions={cfg.max_src_positions}"
-            )
+    # adaptive_encode at point p reads the source plus a p-token prefix.
+    _check_source(src, 0 if points is None else points[-1], cfg)
 
     # Values come from the plain encoder, except for shared variants, whose
     # values are the keys of the latest re-encoding point. Each side keeps

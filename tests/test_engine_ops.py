@@ -280,6 +280,24 @@ class TestEncode:
         with pytest.raises(ConfigError):
             encode([0] * 5, w, cfg)
 
+    def test_source_that_does_not_fit_has_one_message(self):
+        # Every entry point states the source rule with the same words: 7
+        # positions, source alone or source + prefix, do not fit in 6.
+        message = "source+prefix of 7 positions exceeds max_src_positions=6"
+        calls = []
+        for variant in ("vanilla", "dangle"):
+            cfg = small_config(variant=variant, max_src_positions=6)
+            w = init_weights(cfg, seed=0)
+            calls.append(lambda w=w, cfg=cfg: encode([1] * 7, w, cfg))
+            calls.append(lambda w=w, cfg=cfg: adaptive_encode([1] * 4, [1, 2, 3], w, cfg))
+            # vanilla encodes the 7-token source; dangle re-encodes 4 + 3 at step 3.
+            src = [1] * 7 if variant == "vanilla" else [1] * 4
+            calls.append(lambda src=src, w=w, cfg=cfg: greedy_decode(src, w, cfg, max_len=3))
+        for call in calls:
+            with pytest.raises(ConfigError) as raised:
+                call()
+            assert str(raised.value) == message
+
 
 class TestAdaptiveEncode:
     def test_matches_reference(self):
@@ -341,8 +359,8 @@ class TestAdaptiveEncode:
         assert not np.array_equal(a, b)
 
     def test_fusion_disabled_ignores_prefix_exactly(self):
-        # Masked prefix columns get exp(-inf) == 0 attention mass, so the
-        # source rows are bitwise independent of what the prefix contains.
+        # Fusion off leaves the prefix rows out of the stack, so the source
+        # rows are bitwise independent of what the prefix contains.
         cfg = small_config(fusion_enabled=False)
         w = init_weights(cfg, seed=0)
         a = adaptive_encode([5, 7, 2], [1], w, cfg)
@@ -355,16 +373,16 @@ class TestAdaptiveEncode:
         with pytest.raises(ConfigError):
             adaptive_encode([0, 1, 2, 3], [1, 2, 3], w, cfg)
 
-    def test_shared_encoder_first_stage_matches_plain_prefix(self):
+    @pytest.mark.parametrize("prefix", [[1], [1, 4, 6]], ids=["prefix1", "prefix3"])
+    @pytest.mark.parametrize("k1, k2", [(0, 3), (1, 2), (2, 1), (3, 0)])
+    def test_shared_encoder_first_stage_matches_plain_prefix(self, k1, k2, prefix):
         # With the adaptive stacks tied to the plain encoder and an
         # empty-influence setup (fusion off), adaptive encoding of X equals
-        # plain encoding of X bit for bit.
-        cfg = small_config(fusion_enabled=False, encoder_layers=2)
+        # plain encoding of X bit for bit, whichever stage is empty.
+        cfg = small_config(fusion_enabled=False, encoder_layers=3, k1=k1, k2=k2)
         w = tie_adaptive_encoder(init_weights(cfg, seed=3), cfg)
         src = [5, 7, 2, 9]
-        np.testing.assert_array_equal(
-            adaptive_encode(src, [1, 4], w, cfg), encode(src, w, cfg)
-        )
+        assert np.array_equal(adaptive_encode(src, prefix, w, cfg), encode(src, w, cfg))
 
 
 class TestWeights:
