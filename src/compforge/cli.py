@@ -41,11 +41,15 @@ from compforge.uncertainty import (
 )
 
 
+# The paper's parameters, whose flag defaults are `PipelineConfig`'s.
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
+
+
 def _add_corpus_flags(parser: argparse.ArgumentParser, side: bool = True) -> None:
     parser.add_argument("--format", choices=("tsv", "jsonl"), default=None,
                         help="corpus format (default: inferred from suffix)")
     if side:
-        parser.add_argument("--side", choices=("source", "target"), default="target")
+        parser.add_argument("--side", choices=("source", "target"), default=_DEFAULTS["side"])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,15 +58,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-dict", help="build a frequent n-gram index")
     p.add_argument("--train", required=True)
-    p.add_argument("--min-count", type=int, default=3)
-    p.add_argument("--max-n", type=int, default=8, help="longest n-gram; 0 means no cap")
+    p.add_argument("--min-count", type=int, default=_DEFAULTS["dict_min_count"])
+    p.add_argument("--max-n", type=int, default=_DEFAULTS["max_n"],
+                   help="longest n-gram; 0 means no cap")
     p.add_argument("--out", required=True)
     _add_corpus_flags(p)
 
     p = sub.add_parser("filter-oov", help="drop pool examples with rare tokens")
     p.add_argument("--train", required=True)
     p.add_argument("--pool", required=True)
-    p.add_argument("--min-count", type=int, default=3)
+    p.add_argument("--min-count", type=int, default=_DEFAULTS["oov_min_count"])
     p.add_argument("--out", required=True)
     _add_corpus_flags(p)
 
@@ -75,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select-pool", help="dedup and keep top-k by degree")
     p.add_argument("--pool", required=True)
     p.add_argument("--scores", required=True, help="degree TSV from comp-degree")
-    p.add_argument("--k", type=int, default=60_000)
+    p.add_argument("--k", type=int, default=_DEFAULTS["pool_k"])
     p.add_argument("--out", required=True)
     _add_corpus_flags(p)
 
@@ -86,10 +91,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample-testset", help="band-sample the final test set")
     p.add_argument("--pool", required=True)
     p.add_argument("--scores", required=True, help="uncertainty TSV")
-    p.add_argument("--discard-top", type=int, default=2_000)
-    p.add_argument("--window", type=int, default=18_000)
-    p.add_argument("--sample", type=int, default=3_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--discard-top", type=int, default=_DEFAULTS["discard_top"])
+    p.add_argument("--window", type=int, default=_DEFAULTS["window"])
+    p.add_argument("--sample", type=int, default=_DEFAULTS["sample"])
+    p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
     p.add_argument("--out", required=True)
     _add_corpus_flags(p, side=False)
 
@@ -163,19 +168,14 @@ def _cmd_select_pool(args) -> int:
     pool = iter_parallel_corpus(args.pool, args.format)
 
     def scored_on_side():
-        """The joined pairs; after the last, DataError if a row's length is not
-        the --side token count, as when it was scored on the other side. The
-        raise waits for the end so that ids missing from the scores, which
-        `join_by_id` reports only there, take precedence."""
-        wrong = ""
+        """The joined pairs; DataError at the first row whose length is not the
+        --side token count, as when it was scored on the other side."""
         for ex, degree in join_by_id(pool, table, "scores"):
             length = len(side_tokens(ex, args.side))
-            if degree.length != length and not wrong:
-                wrong = (f"example {ex.id!r} has {length} {args.side} tokens but its "
-                         f"degree row has length {degree.length}")
+            if degree.length != length:
+                raise DataError(f"example {ex.id!r} has {length} {args.side} tokens but its "
+                                f"degree row has length {degree.length}", path=args.scores)
             yield ex, degree
-        if wrong:
-            raise DataError(wrong, path=args.scores)
 
     selection = select_candidate_pool(scored_on_side(), args.k, args.side)
     if selection.warning:

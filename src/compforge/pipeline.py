@@ -31,6 +31,15 @@ So peak memory is O(train + k), not O(pool). It holds train or its index,
 one batch, the k candidates and the ensemble dump, which is read whole. The
 one structure that grows with the pool is the set of pool ids that
 `id_records` keeps to reject a repeated id.
+
+Each step runs inside the ``_stage`` block of the stage it belongs to, which
+re-raises a `ConfigError` or `DataError` from it as a `StageError` naming
+that stage, with the original error as its cause. So an error is named by
+where it is raised: reading the pool is ``load_inputs``, a batch's filtering
+``filter_oov`` and its scoring ``score_degrees``, and the top-k heap
+``select_pool``. Joins raise at the first example whose id is missing.
+`PipelineConfig.validate` rejects an input that is the same file as one of
+the run's outputs or its ``.partial`` file, before any stage runs.
 """
 
 from __future__ import annotations
@@ -72,6 +81,10 @@ from compforge.uncertainty import (
 )
 
 T = TypeVar("T")
+
+# What a run writes under out_dir: the six artifacts in stage order, then the manifest.
+_OUTPUTS = ("pool_filtered.jsonl", "ngrams.ngix", "degrees.tsv", "candidates.jsonl",
+            "uncertainty.tsv", "testset.jsonl", "manifest.json")
 
 
 def _check_workers(workers: int | None) -> None:
@@ -139,6 +152,15 @@ class PipelineConfig:
                 raise ConfigError(f"{name} does not exist: {path}")
             if name in ("train_path", "pool_path") and self.corpus_format is None:
                 _infer_format(path)
+        # A run would replace an input that is one of its outputs or their .partial files.
+        outputs = [Path(self.out_dir) / f"{name}{suffix}" for name in _OUTPUTS
+                   for suffix in ("", ".partial")]
+        for name in ("train_path", "pool_path", "ensemble_dump_path"):
+            path = getattr(self, name)
+            for output in outputs:
+                if output.exists() and os.path.samefile(path, output):
+                    raise ConfigError(f"{name} {path} is the same file as {output}, "
+                                      "which the run writes")
 
     @classmethod
     def from_json(cls, path: str | Path, **overrides) -> "PipelineConfig":
@@ -186,18 +208,12 @@ def _sha256_file(path: str | Path) -> str:
 def join_by_id(
     examples: Iterable[ParallelExample], table: Mapping[str, T], source: str
 ) -> Iterator[tuple[ParallelExample, T]]:
-    """Yield (example, table[example.id]) in example order, skipping ids the table
-    lacks; after the last pair, DataError if any id was missing, with their count."""
-    missing, first = 0, ""
+    """Yield (example, table[example.id]) in example order; DataError at the
+    first example whose id the table lacks."""
     for ex in examples:
-        if ex.id in table:
-            yield ex, table[ex.id]
-        else:
-            if not missing:
-                first = ex.id
-            missing += 1
-    if missing:
-        raise DataError(f"{missing} pool examples missing from {source}, e.g. {first!r}")
+        if ex.id not in table:
+            raise DataError(f"pool example {ex.id!r} missing from {source}")
+        yield ex, table[ex.id]
 
 
 @contextlib.contextmanager
@@ -214,13 +230,25 @@ def replacing(path: str | Path) -> Iterator[Path]:
         raise
 
 
+@contextlib.contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Re-raise a ConfigError or DataError from the block as StageError(name).
+    A StageError from an inner block is neither, so it passes through."""
+    try:
+        yield
+    except (ConfigError, DataError) as exc:
+        raise StageError(name, str(exc)) from exc
+
+
 def run_pipeline(config: PipelineConfig) -> PipelineManifest:
     """Run all six stages; returns the manifest (also written to out_dir)."""
     config.validate()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (filtered_file, index_file, degrees_file, candidates_file, uncertainty_file, testset_file,
+     manifest_file) = (out_dir / name for name in _OUTPUTS)
     # An earlier run's manifest would vouch for artifacts this run replaces.
-    (out_dir / "manifest.json").unlink(missing_ok=True)
+    manifest_file.unlink(missing_ok=True)
 
     manifest = PipelineManifest(
         parameters=asdict(config),
@@ -237,96 +265,86 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
         },
     )
 
-    def finish(label: str, filename: str, in_count: int, out_count: int,
+    def finish(stage: str, label: str, path: Path, in_count: int, out_count: int,
                writer: Callable[[Path], None] | None = None) -> None:
-        """Write the current stage's artifact, unless the pool pass already has,
-        and record the stage and the artifact."""
-        path = out_dir / filename
+        """Write the stage's artifact, unless the pool pass already has, and
+        record the stage and the artifact."""
         if writer is not None:
-            with replacing(path) as partial:
+            with _stage(stage), replacing(path) as partial:
                 writer(partial)
         manifest.stages.append({"name": stage, "in": in_count, "out": out_count})
         manifest.artifacts.append(
-            {"name": label, "path": filename, "sha256": _sha256_file(path), "records": out_count}
+            {"name": label, "path": path.name, "sha256": _sha256_file(path), "records": out_count}
         )
 
     # The work runs in a different order from the stages (see the module docstring).
-    stage = "load_inputs"
-    try:
+    with _stage("load_inputs"):
         train = load_parallel_corpus(config.train_path, config.corpus_format)
-        train_size = len(train)
-        stage = "filter_oov"
+    train_size = len(train)
+    with _stage("filter_oov"):
         counts = build_vocab_counts(train, config.side)
-        stage = "build_dictionary"
+    with _stage("build_dictionary"):
         dictionary = build_ngram_dictionary(
             iter_side(train, config.side), config.dict_min_count, config.max_n
         )
-        del train
+    del train
 
-        stage = "load_inputs"
+    with _stage("load_inputs"):
         pool = iter_parallel_corpus(config.pool_path, config.corpus_format)
-        pool_size = 0
+    pool_size = 0
 
-        def filter_and_score(filtered_fh, degrees_fh):
-            """Yield the scored pool a batch at a time, appending the survivors
-            and their degree rows to the two artifacts."""
-            nonlocal stage, pool_size
+    def filter_and_score(filtered_fh, degrees_fh):
+        """Yield the scored pool a batch at a time, appending the survivors
+        and their degree rows to the two artifacts."""
+        nonlocal pool_size
+        with _stage("load_inputs"):
             for batch in batched(pool, _CHUNK):
                 pool_size += len(batch)
-                stage = "filter_oov"
-                kept = filter_oov(batch, counts, config.oov_min_count)
-                filtered_fh.writelines(map(jsonl_line, kept))
-                stage = "score_degrees"
-                scored = score_pool(kept, dictionary, config.side)
-                degrees_fh.writelines(degree_line(ex.id, degree) for ex, degree in scored)
-                stage = "select_pool"
+                with _stage("filter_oov"):
+                    kept = filter_oov(batch, counts, config.oov_min_count)
+                    filtered_fh.writelines(map(jsonl_line, kept))
+                with _stage("score_degrees"):
+                    scored = score_pool(kept, dictionary, config.side)
+                    degrees_fh.writelines(degree_line(ex.id, degree) for ex, degree in scored)
                 yield from scored
                 del batch, kept, scored  # only one batch is alive while the next is read
-                stage = "load_inputs"
 
-        with replacing(out_dir / "pool_filtered.jsonl") as filtered_path, \
-                replacing(out_dir / "degrees.tsv") as degrees_path, \
-                open(filtered_path, "w", encoding="utf-8") as filtered_fh, \
-                open(degrees_path, "w", encoding="utf-8") as degrees_fh:
-            selection = select_candidate_pool(
-                filter_and_score(filtered_fh, degrees_fh), config.pool_k, config.side
-            )
-        kept_size = selection.scored
-        del pool, counts
+    with replacing(filtered_file) as filtered_path, \
+            replacing(degrees_file) as degrees_path, \
+            open(filtered_path, "w", encoding="utf-8") as filtered_fh, \
+            open(degrees_path, "w", encoding="utf-8") as degrees_fh, \
+            _stage("select_pool"):
+        selection = select_candidate_pool(
+            filter_and_score(filtered_fh, degrees_fh), config.pool_k, config.side
+        )
+    kept_size = selection.scored
+    del pool, counts
 
-        stage = "filter_oov"
-        finish("filtered_pool", "pool_filtered.jsonl", pool_size, kept_size)
+    finish("filter_oov", "filtered_pool", filtered_file, pool_size, kept_size)
+    finish("build_dictionary", "ngram_index", index_file, train_size, len(dictionary),
+           dictionary.save)
+    del dictionary
+    finish("score_degrees", "degree_scores", degrees_file, kept_size, kept_size)
 
-        stage = "build_dictionary"
-        finish("ngram_index", "ngrams.ngix", train_size, len(dictionary), dictionary.save)
-        del dictionary
+    if selection.warning:
+        manifest.metadata["warnings"].append(selection.warning)
+    candidates = list(selection.examples)
+    finish("select_pool", "candidate_pool", candidates_file, kept_size, len(candidates),
+           lambda p: save_corpus_jsonl(candidates, p))
 
-        stage = "score_degrees"
-        finish("degree_scores", "degrees.tsv", kept_size, kept_size)
-
-        stage = "select_pool"
-        if selection.warning:
-            manifest.metadata["warnings"].append(selection.warning)
-        candidates = list(selection.examples)
-        finish("candidate_pool", "candidates.jsonl", kept_size, len(candidates),
-               lambda p: save_corpus_jsonl(candidates, p))
-
-        stage = "score_uncertainty"
+    with _stage("score_uncertainty"):
         dump = read_ensemble_dump(config.ensemble_dump_path)
         ranked = [(ex, token_uncertainties(dist).sequence_score)
                   for ex, dist in join_by_id(candidates, dump, "ensemble dump")]
-        finish("uncertainty_scores", "uncertainty.tsv", len(candidates), len(ranked),
-               lambda p: write_uncertainty_tsv(((ex.id, score) for ex, score in ranked), p))
+    finish("score_uncertainty", "uncertainty_scores", uncertainty_file, len(candidates),
+           len(ranked),
+           lambda p: write_uncertainty_tsv(((ex.id, score) for ex, score in ranked), p))
 
-        stage = "sample_testset"
-        chosen = band_select(
-            ranked, config.discard_top, config.window, config.sample, config.seed
-        )
-        finish("testset", "testset.jsonl", len(ranked), len(chosen),
-               lambda p: save_corpus_jsonl(chosen, p))
-    except (ConfigError, DataError) as exc:
-        raise StageError(stage, str(exc)) from exc
+    with _stage("sample_testset"):
+        chosen = band_select(ranked, config.discard_top, config.window, config.sample, config.seed)
+    finish("sample_testset", "testset", testset_file, len(ranked), len(chosen),
+           lambda p: save_corpus_jsonl(chosen, p))
 
-    with replacing(out_dir / "manifest.json") as partial:
+    with replacing(manifest_file) as partial:
         partial.write_text(manifest.to_json() + "\n", encoding="utf-8")
     return manifest

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -24,7 +26,7 @@ from compforge.corpus import load_parallel_corpus
 from compforge.engine import VARIANTS, ModelConfig, greedy_decode, init_weights, save_weights
 from compforge.errors import CompforgeError, ConfigError, DataError, StageError
 from compforge.ngrams import NGramDictionary
-from compforge.pipeline import run_pipeline
+from compforge.pipeline import PipelineConfig, run_pipeline
 
 from test_pipeline import make_config
 
@@ -184,6 +186,44 @@ class TestStageCommands:
                 f"{length + 1} [{t / 'deg.tsv'}]") in err
         assert not (t / "c.jsonl").exists() and not (t / "c.jsonl.partial").exists()
         assert main([*select, "--side", "source"]) == 0
+
+    @pytest.mark.parametrize("missing, wrong", [("p3", "p7"), ("p7", "p3")])
+    def test_select_pool_reports_the_first_bad_score_row(self, pipeline_inputs, tmp_path,
+                                                         capsys, missing, wrong):
+        # The scores lack one pool id and give another a wrong length: the
+        # error is whichever of the two the pool reaches first.
+        lengths = {ex.id: len(ex.target) for ex in load_parallel_corpus(pipeline_inputs["pool"])}
+        scores, out = tmp_path / "deg.tsv", tmp_path / "c.jsonl"
+        scores.write_text("".join(f"{ex_id}\t1\t{n + (ex_id == wrong)}\t0.5\n"
+                                  for ex_id, n in lengths.items() if ex_id != missing))
+        assert main(["select-pool", "--pool", str(pipeline_inputs["pool"]),
+                     "--scores", str(scores), "--k", "5", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        if missing == "p3":
+            assert err == "error: pool example 'p3' missing from scores\n"
+        else:
+            assert err == (f"error: example 'p3' has {lengths['p3']} target tokens but its "
+                           f"degree row has length {lengths['p3'] + 1} [{scores}]\n")
+        assert not out.exists() and not (tmp_path / "c.jsonl.partial").exists()
+
+    @pytest.mark.parametrize("command, required", [
+        ("build-dict", ["--train", "t", "--out", "o"]),
+        ("filter-oov", ["--train", "t", "--pool", "p", "--out", "o"]),
+        ("comp-degree", ["--dict", "d", "--pool", "p", "--out", "o"]),
+        ("select-pool", ["--pool", "p", "--scores", "s", "--out", "o"]),
+        ("uncertainty-score", ["--dump", "d", "--out", "o"]),
+        ("sample-testset", ["--pool", "p", "--scores", "s", "--out", "o"]),
+    ])
+    def test_stage_flag_defaults_are_the_pipeline_defaults(self, command, required):
+        # Each flag's destination, and the PipelineConfig field it stands for.
+        fields = {"min_count": "oov_min_count" if command == "filter-oov" else "dict_min_count",
+                  "max_n": "max_n", "side": "side", "k": "pool_k",
+                  "discard_top": "discard_top", "window": "window", "sample": "sample",
+                  "seed": "seed"}
+        defaults = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
+        args = vars(cli._build_parser().parse_args([command, *required]))
+        assert {dest: args[dest] for dest in fields if dest in args} == {
+            dest: defaults[field] for dest, field in fields.items() if dest in args}
 
     @pytest.mark.parametrize("command", ["build-dict", "uncertainty-score", "sample-testset"])
     def test_failed_write_keeps_earlier_out_file(self, pipeline_inputs, tmp_path, monkeypatch,
@@ -370,6 +410,34 @@ class TestRunPipelineCommand:
         err = capsys.readouterr().err
         assert "out_dir is not a directory" in err and "Traceback" not in err
         assert out.read_text() == "not a directory"
+
+    def test_rerun_on_its_own_filtered_pool_exits_2(self, pipeline_inputs, tmp_path, capsys):
+        # The second run would replace pool_filtered.jsonl, its own pool.
+        out = tmp_path / "out"
+        assert main(["run-pipeline", "--config",
+                     str(self.write_config(pipeline_inputs, out, tmp_path))]) == 0
+        pool = out / "pool_filtered.jsonl"
+        before = pool.read_bytes()
+        blob = self.write_config(pipeline_inputs, out, tmp_path, pool_path=str(pool),
+                                 oov_min_count=40)
+        capsys.readouterr()
+        assert main(["run-pipeline", "--config", str(blob)]) == 2
+        assert f"pool_path {pool} is the same file as {pool}" in capsys.readouterr().err
+        assert pool.read_bytes() == before
+
+    @pytest.mark.parametrize("output", ["manifest.json", "uncertainty.tsv.partial"])
+    def test_input_linked_to_an_output_exits_2(self, pipeline_inputs, tmp_path, capsys, output):
+        # A run removes its manifest first and writes each artifact to its .partial file.
+        out = tmp_path / "out"
+        out.mkdir()
+        dump = out / output
+        dump.write_bytes(pipeline_inputs["dump"].read_bytes())
+        link = tmp_path / "dump-link.jsonl"
+        link.symlink_to(dump)
+        blob = self.write_config(pipeline_inputs, out, tmp_path, ensemble_dump_path=str(link))
+        assert main(["run-pipeline", "--config", str(blob)]) == 2
+        assert f"ensemble_dump_path {link} is the same file as {dump}" in capsys.readouterr().err
+        assert dump.read_bytes() == pipeline_inputs["dump"].read_bytes()
 
     def test_lone_surrogate_in_pool_exits_3(self, pipeline_inputs, tmp_path, capsys):
         # json.dumps writes the lone surrogate as the escape \ud800.
@@ -578,6 +646,22 @@ class TestSimulate:
         assert not trace.exists() and not (tmp_path / "trace.jsonl.partial").exists()
 
 
+class TestConsoleScript:
+    def test_module_help_exits_0(self):
+        out = subprocess.run([sys.executable, "-m", "compforge.cli", "--help"],
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.returncode == 0 and "run-pipeline" in out.stdout
+
+    def test_project_script_is_the_entrypoint(self):
+        # Python 3.10 has no tomllib, so the one [project.scripts] line is read with a regex.
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+        module, attr = re.fullmatch(r'compforge = "([\w.]+):(\w+)"',
+                                    section.group(1).strip()).groups()
+        assert getattr(importlib.import_module(module), attr) is cli.entrypoint
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -653,8 +737,10 @@ class TestExitCodes:
                      "--out", str(tmp_path / "deg.tsv")]) == 3
 
     def test_scores_missing_ids_exit_3(self, pipeline_inputs, tmp_path, capsys):
+        # Only one of sixty rows, with p0's real length, so the first error is p1's absence.
+        length = len(load_parallel_corpus(pipeline_inputs["pool"])[0].target)
         scores = tmp_path / "deg.tsv"
-        scores.write_text("p0\t1\t2\t0.5\n")  # only one of sixty
+        scores.write_text(f"p0\t1\t{length}\t0.5\n")
         assert main(["select-pool", "--pool", str(pipeline_inputs["pool"]),
                      "--scores", str(scores), "--k", "5",
                      "--out", str(tmp_path / "c.jsonl")]) == 3

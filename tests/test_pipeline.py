@@ -242,13 +242,92 @@ class TestJoinById:
         assert [(ex.id, value) for ex, value in pairs] == [("c", 3), ("a", 1), ("b", 2)]
 
     def test_missing_ids_are_counted_and_the_first_named(self):
+        # The join raises at the first missing id, after the pairs before it.
         examples = _examples(["a", "b", "c", "d"])
+        pairs = []
         with pytest.raises(DataError) as err:
-            list(join_by_id(examples, {"a": 1, "c": 3}, "ensemble dump"))
-        assert str(err.value) == "2 pool examples missing from ensemble dump, e.g. 'b'"
+            for ex, value in join_by_id(examples, {"a": 1, "c": 3}, "ensemble dump"):
+                pairs.append((ex.id, value))
+        assert str(err.value) == "pool example 'b' missing from ensemble dump"
+        assert pairs == [("a", 1)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(ids=st.lists(st.sampled_from("abcdef"), max_size=8),
+           keys=st.sets(st.sampled_from("abcdef")))
+    def test_pairs_stop_at_the_first_missing_id(self, ids, keys):
+        table = {key: key.upper() for key in keys}
+        pairs = []
+        try:
+            for ex, value in join_by_id(_examples(ids), table, "scores"):
+                pairs.append((ex.id, value))
+        except DataError as err:
+            first = next(i for i, ex_id in enumerate(ids) if ex_id not in table)
+            assert str(err) == f"pool example {ids[first]!r} missing from scores"
+        else:
+            first = len(ids)
+            assert set(ids) <= keys
+        assert pairs == [(ex_id, ex_id.upper()) for ex_id in ids[:first]]
+
+
+def _failing(real, call: int, error: type[Exception]):
+    """`real`, except that its `call`-th call raises `error`."""
+    calls = 0
+
+    def wrapper(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == call:
+            raise error("injected fault")
+        return real(*args, **kwargs)
+
+    return wrapper
+
+
+# (the name that raises, on which call, the stage its StageError names). The
+# pipeline names are patched in `compforge.pipeline`; "pool record" fails the
+# pool iterator at that record.
+_FAULTS = [
+    ("load_parallel_corpus", 1, "load_inputs"),
+    ("build_vocab_counts", 1, "filter_oov"),
+    ("build_ngram_dictionary", 1, "build_dictionary"),
+    ("filter_oov", 1, "filter_oov"),
+    ("jsonl_line", 3, "filter_oov"),
+    ("score_pool", 1, "score_degrees"),
+    ("degree_line", 2, "score_degrees"),
+    ("select_candidate_pool", 1, "select_pool"),
+    ("save_corpus_jsonl", 1, "select_pool"),
+    ("read_ensemble_dump", 1, "score_uncertainty"),
+    ("token_uncertainties", 2, "score_uncertainty"),
+    ("write_uncertainty_tsv", 1, "score_uncertainty"),
+    ("band_select", 1, "sample_testset"),
+    ("save_corpus_jsonl", 2, "sample_testset"),
+    ("NGramDictionary.save", 1, "build_dictionary"),
+    ("pool record", 6, "load_inputs"),
+]
 
 
 class TestFailureHandling:
+    @pytest.mark.parametrize("error", [ConfigError, DataError])
+    @pytest.mark.parametrize("name, call, stage", _FAULTS,
+                             ids=[f"{name}-{call}" for name, call, _ in _FAULTS])
+    def test_error_names_the_stage_that_raised_it(self, pipeline_inputs, tmp_path, monkeypatch,
+                                                  name, call, stage, error):
+        if name == "NGramDictionary.save":
+            monkeypatch.setattr(NGramDictionary, "save",
+                                _failing(NGramDictionary.save, call, error))
+        elif name == "pool record":
+            real_iter = pipeline_mod.iter_parallel_corpus
+            check = _failing(lambda ex: ex, call, error)
+            monkeypatch.setattr(pipeline_mod, "iter_parallel_corpus",
+                                lambda path, format=None: map(check, real_iter(path, format)))
+        else:
+            monkeypatch.setattr(pipeline_mod, name,
+                                _failing(getattr(pipeline_mod, name), call, error))
+        with pytest.raises(StageError) as err:
+            run_pipeline(make_config(pipeline_inputs, tmp_path / "out"))
+        assert err.value.stage == stage
+        assert type(err.value.__cause__) is error
+
     def test_band_too_large_names_stage(self, pipeline_inputs, tmp_path):
         cfg = make_config(pipeline_inputs, tmp_path / "out", discard_top=30, window=20)
         with pytest.raises(StageError) as err:
