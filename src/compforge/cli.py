@@ -99,14 +99,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p, side=False)
 
     p = sub.add_parser("analyze-novelty", help="novel n-gram / degree report")
-    p.add_argument("--train", required=True)
-    p.add_argument("--test", required=True)
     p.add_argument("--tagged-train", required=True)
     p.add_argument("--tagged-test", required=True)
     p.add_argument("--dict", required=True, dest="dict_path")
     p.add_argument("--tagset", default=None)
     p.add_argument("--out", required=True)
-    _add_corpus_flags(p)
 
     p = sub.add_parser("simulate", help="greedy-decode sources with a saved model")
     p.add_argument("--weights", required=True)
@@ -164,13 +161,13 @@ def _cmd_comp_degree(args) -> int:
 
 
 def _cmd_select_pool(args) -> int:
-    table = read_degree_tsv(args.scores)
     pool = iter_parallel_corpus(args.pool, args.format)
 
     def scored_on_side():
-        """The joined pairs; DataError at the first row whose length is not the
-        --side token count, as when it was scored on the other side."""
-        for ex, degree in join_by_id(pool, table, "scores"):
+        """The joined pairs, read once --k is checked; DataError at the first row
+        whose length is not the --side token count, as when scored on the other side."""
+        table = read_degree_tsv(args.scores)
+        for ex, degree in join_by_id(pool, table, "scores", args.scores):
             length = len(side_tokens(ex, args.side))
             if degree.length != length:
                 raise DataError(f"example {ex.id!r} has {length} {args.side} tokens but its "
@@ -197,9 +194,11 @@ def _cmd_uncertainty_score(args) -> int:
 
 
 def _cmd_sample_testset(args) -> int:
-    pool = load_parallel_corpus(args.pool, args.format)
-    ranked = list(join_by_id(pool, read_uncertainty_tsv(args.scores), "scores"))
-    chosen = band_select(ranked, args.discard_top, args.window, args.sample, args.seed)
+    def ranked():  # read once band_select has checked the flags
+        pool = load_parallel_corpus(args.pool, args.format)
+        yield from join_by_id(pool, read_uncertainty_tsv(args.scores), "scores", args.scores)
+
+    chosen = band_select(ranked(), args.discard_top, args.window, args.sample, args.seed)
     with replacing(args.out) as out:
         save_corpus_jsonl(chosen, out)
     print(f"sampled {len(chosen)} examples -> {args.out}")
@@ -207,15 +206,9 @@ def _cmd_sample_testset(args) -> int:
 
 
 def _cmd_analyze_novelty(args) -> int:
-    train = load_parallel_corpus(args.train, args.format)
-    test = load_parallel_corpus(args.test, args.format)
-    tagged_train = read_tagged_file(args.tagged_train)
-    tagged_test = read_tagged_file(args.tagged_test)
-    dictionary = NGramDictionary.load(args.dict_path)
-    report = benchmark_report(
-        train, test, tagged_train, tagged_test, dictionary,
-        side=args.side, tagset=args.tagset,
-    )
+    report = benchmark_report(read_tagged_file(args.tagged_train),
+                              read_tagged_file(args.tagged_test),
+                              NGramDictionary.load(args.dict_path), args.tagset)
     with replacing(args.out) as out:
         out.write_text(report.to_json() + "\n", encoding="utf-8")
     print(report.to_json())

@@ -1,10 +1,10 @@
 """Novel n-gram statistics for characterizing a constructed test set.
 
 Novelty is counted over n-gram *types*: an n-gram of the test stream is
-novel if it never occurs in the training stream. Counts are reported for
-word streams and for POS-tag streams (tags come from the caller; no tagger
-ships here), for each n in `ORDERS`, alongside the mean compositional degree
-of the test examples. Each stream is counted with the n-gram index.
+novel if it never occurs in the training stream. Each side is one tagged
+stream (tags come from the caller; no tagger ships here): its tokens give
+the word n-grams and the test set's mean compositional degree, its tags the
+tag n-grams, for each n in `ORDERS`. Each stream is counted with the n-gram index.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from compforge.corpus import ParallelExample, iter_side, text_lines
+from compforge.corpus import text_lines
 from compforge.cover import score_degrees
 from compforge.errors import ConfigError, DataError
 from compforge.ngrams import NGramDictionary, build_ngram_dictionary
@@ -82,53 +82,34 @@ class NoveltyReport:
 
 
 def benchmark_report(
-    train: Sequence[ParallelExample],
-    test: Sequence[ParallelExample],
     tagged_train: Sequence[TaggedSentence],
     tagged_test: Sequence[TaggedSentence],
     dictionary: NGramDictionary,
-    side: str = "target",
     tagset: str | None = None,
 ) -> NoveltyReport:
-    """Build the novelty/degree summary of `test` relative to `train`.
+    """Build the novelty/degree summary of `tagged_test` relative to `tagged_train`.
 
-    The tagged streams must align one-to-one with the corpora: tagged
-    sentence i holds the `side` tokens of example i. The first sentence that
-    does not is a DataError naming its corpus and index.
+    Word n-grams and the mean degree come from the sentences' tokens and tag
+    n-grams from their tags, so words and tags describe the same sentences.
     """
-    if not test:
+    if not tagged_test:
         raise ConfigError("test set is empty")
-    train_words = list(iter_side(train, side))
-    test_words = list(iter_side(test, side))
-    for name, words, tagged in (("training", train_words, tagged_train),
-                                ("test", test_words, tagged_test)):
-        if len(tagged) != len(words):
-            raise DataError(f"{len(words)} {name} examples but {len(tagged)} tagged sentences")
-        for i, (tokens, sentence) in enumerate(zip(words, tagged)):
-            if tokens != sentence.tokens:
-                raise DataError(
-                    f"tagged {name} sentence {i} is not the {side} side of {name} example {i}"
-                )
-    train_tags = [ts.tags for ts in tagged_train]
-    test_tags = [ts.tags for ts in tagged_test]
-
-    novel_words = _novel_counts(train_words, test_words, ORDERS)
-    novel_tags = _novel_counts(train_tags, test_tags, ORDERS)
-
+    test_words = [ts.tokens for ts in tagged_test]
     degrees = [degree.value for degree in score_degrees(test_words, dictionary)]
-    mean_degree = sum(degrees) / len(degrees)
     return NoveltyReport(
-        n_examples=len(test),
-        mean_degree=mean_degree,
-        novel_word_ngrams=novel_words,
-        novel_tag_ngrams=novel_tags,
+        n_examples=len(tagged_test),
+        mean_degree=sum(degrees) / len(degrees),
+        novel_word_ngrams=_novel_counts((ts.tokens for ts in tagged_train), test_words, ORDERS),
+        novel_tag_ngrams=_novel_counts((ts.tags for ts in tagged_train),
+                                       (ts.tags for ts in tagged_test), ORDERS),
         tagset=tagset,
     )
 
 
 def read_tagged_file(path: str | Path) -> list[TaggedSentence]:
     """Read the vertical tagged format: ``token<TAB>TAG`` lines, blank line
-    between sentences."""
+    between sentences. Each token is non-empty and holds no whitespace, as
+    the corpus readers' tokens do; any other line is a DataError naming it."""
     sentences: list[TaggedSentence] = []
     tokens: list[str] = []
     tags: list[str] = []
@@ -141,8 +122,12 @@ def read_tagged_file(path: str | Path) -> list[TaggedSentence]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise DataError("expected token<TAB>TAG", path=str(path), line=lineno)
-        tokens.append(parts[0])
-        tags.append(parts[1])
+        token, tag = parts
+        if token.split() != [token]:
+            raise DataError(f"token {token!r} is empty or holds whitespace",
+                            path=str(path), line=lineno)
+        tokens.append(token)
+        tags.append(tag)
     if tokens:
         sentences.append(TaggedSentence(tuple(tokens), tuple(tags)))
     return sentences

@@ -206,13 +206,13 @@ def _sha256_file(path: str | Path) -> str:
 
 
 def join_by_id(
-    examples: Iterable[ParallelExample], table: Mapping[str, T], source: str
+    examples: Iterable[ParallelExample], table: Mapping[str, T], source: str, path: str | Path
 ) -> Iterator[tuple[ParallelExample, T]]:
-    """Yield (example, table[example.id]) in example order; DataError at the
-    first example whose id the table lacks."""
+    """Yield (example, table[example.id]) in example order; DataError naming
+    the table's `path` at the first example whose id the table lacks."""
     for ex in examples:
         if ex.id not in table:
-            raise DataError(f"pool example {ex.id!r} missing from {source}")
+            raise DataError(f"pool example {ex.id!r} missing from {source}", path=str(path))
         yield ex, table[ex.id]
 
 
@@ -334,8 +334,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
 
     with _stage("score_uncertainty"):
         dump = read_ensemble_dump(config.ensemble_dump_path)
-        ranked = [(ex, token_uncertainties(dist).sequence_score)
-                  for ex, dist in join_by_id(candidates, dump, "ensemble dump")]
+        joined = join_by_id(candidates, dump, "ensemble dump", config.ensemble_dump_path)
+        ranked = [(ex, token_uncertainties(dist).sequence_score) for ex, dist in joined]
     finish("score_uncertainty", "uncertainty_scores", uncertainty_file, len(candidates),
            len(ranked),
            lambda p: write_uncertainty_tsv(((ex.id, score) for ex, score in ranked), p))

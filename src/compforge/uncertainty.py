@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -116,7 +116,7 @@ def token_uncertainties(dists: EnsembleTokenDistributions) -> UncertaintyScore:
 
 
 def band_select(
-    ranked: Sequence[tuple[object, float]],
+    ranked: Iterable[tuple[object, float]],
     discard_top: int = 2_000,
     window: int = 18_000,
     sample: int = 3_000,
@@ -124,16 +124,18 @@ def band_select(
 ) -> list[object]:
     """Draw the test set from a band below the noisy top of the ranking.
 
-    `ranked` holds (example, score) pairs; they are ordered by score
-    descending (ties broken by example id) here, so pre-sorted input is not
-    required. The top `discard_top` items are dropped outright, and `sample`
-    items are drawn uniformly without replacement from the next `window`.
-    The draw is deterministic given `seed`; results come back in rank order.
+    `ranked` yields (example, score) pairs, read once the parameters are
+    checked; they are ordered by score descending (ties broken by example
+    id) here, so pre-sorted input is not required. The top `discard_top`
+    items are dropped outright, and `sample` items are drawn uniformly
+    without replacement from the next `window`. The draw is deterministic
+    given `seed`; results come back in rank order.
     """
     if min(discard_top, window, sample, seed) < 0:
         raise ConfigError("discard_top, window, sample and seed must be non-negative")
     if sample > window:
         raise ConfigError(f"sample {sample} exceeds window {window}")
+    ranked = list(ranked)
     if len(ranked) < discard_top + window:
         raise ConfigError(
             f"need at least discard_top+window={discard_top + window} ranked examples, "

@@ -200,7 +200,7 @@ class TestStageCommands:
                      "--scores", str(scores), "--k", "5", "--out", str(out)]) == 3
         err = capsys.readouterr().err
         if missing == "p3":
-            assert err == "error: pool example 'p3' missing from scores\n"
+            assert err == f"error: pool example 'p3' missing from scores [{scores}]\n"
         else:
             assert err == (f"error: example 'p3' has {lengths['p3']} target tokens but its "
                            f"degree row has length {lengths['p3'] + 1} [{scores}]\n")
@@ -262,17 +262,11 @@ class TestStageCommands:
 
         write_tagged(train_corpus, t / "train.tags")
         write_tagged(test_corpus, t / "test.tags")
-        test_path = t / "test.tsv"
-        with open(test_path, "w", encoding="utf-8") as fh:
-            for ex in test_corpus:
-                s = " ".join(ex.source)
-                fh.write(f"{s}\t{s}\n")
         main(["build-dict", "--train", str(pipeline_inputs["train"]),
               "--min-count", "2", "--max-n", "4", "--out", str(t / "d.ngix")])
         capsys.readouterr()
         assert main([
-            "analyze-novelty", "--train", str(pipeline_inputs["train"]),
-            "--test", str(test_path),
+            "analyze-novelty",
             "--tagged-train", str(t / "train.tags"), "--tagged-test", str(t / "test.tags"),
             "--dict", str(t / "d.ngix"), "--out", str(t / "report.json"),
         ]) == 0
@@ -282,24 +276,17 @@ class TestStageCommands:
         assert all(v == 0 for v in report["novel_word_ngrams"].values())
         assert json.loads(capsys.readouterr().out) == report
 
-    def test_analyze_novelty_rejects_tags_of_the_other_side(self, tmp_path, capsys):
-        # The tags of the source side, read with --side target, are a data
-        # error naming the corpus and the sentence, not a wrong report.
-        t = tmp_path
-        corpus = t / "corpus.tsv"
-        corpus.write_text("a b\tx y\nc\tz\n", encoding="utf-8")
-        (t / "src.tags").write_text("a\tT\nb\tT\n\nc\tT\n\n", encoding="utf-8")
-        assert main(["build-dict", "--train", str(corpus), "--min-count", "1",
-                     "--out", str(t / "d.ngix")]) == 0
-        capsys.readouterr()
-        argv = ["analyze-novelty", "--train", str(corpus), "--test", str(corpus),
-                "--tagged-train", str(t / "src.tags"), "--tagged-test", str(t / "src.tags"),
-                "--dict", str(t / "d.ngix"), "--out", str(t / "report.json")]
-        assert main(argv + ["--side", "target"]) == 3
+    @pytest.mark.parametrize("line", ["\tTOK", "w1 w2\tTOK"], ids=["tab-led", "space-in-token"])
+    def test_analyze_novelty_rejects_a_token_no_corpus_holds(self, reader_inputs, tmp_path,
+                                                            capsys, line):
+        bad, out = tmp_path / "bad.tags", tmp_path / "report.json"
+        bad.write_text(f"w1\tTOK\n{line}\n\n", encoding="utf-8")
+        assert main(["analyze-novelty", "--tagged-train", str(reader_inputs["tagged"]),
+                     "--tagged-test", str(bad), "--dict", str(reader_inputs["dict"]),
+                     "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert "tagged training sentence 0 is not the target side" in err
-        assert "Traceback" not in err and not (t / "report.json").exists()
-        assert main(argv + ["--side", "source"]) == 0
+        assert "empty or holds whitespace" in err and f"{bad}:2]" in err
+        assert "Traceback" not in err and not out.exists()
 
 
 def test_simulate_leaves_openssl_unloaded(sim_weights, tmp_path):
@@ -714,6 +701,21 @@ class TestExitCodes:
                      "--min-count", "-1", "--out", str(out)]) == 2
         assert "min_count must be" in capsys.readouterr().err and not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["select-pool", "--pool", "{pool}", "--scores", "{bad}", "--k", "0"],
+         "k must be positive"),
+        (["sample-testset", "--pool", "{bad}", "--scores", "{uncertainty}",
+          "--sample", "5", "--window", "2"], "sample 5 exceeds window 2"),
+    ], ids=["select-pool", "sample-testset"])
+    def test_selection_checks_flags_before_reading(self, reader_inputs, tmp_path, capsys,
+                                                   argv, message):
+        # The malformed input would exit 3; the bad flag is found first.
+        bad, out = tmp_path / "bad.jsonl", tmp_path / "out.jsonl"
+        bad.write_text("{broken\n", encoding="utf-8")
+        paths = dict(reader_inputs, bad=bad)
+        assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err and not out.exists()
+
     def test_comp_degree_has_no_workers_flag(self, pipeline_inputs, tmp_path, capsys):
         assert main(["comp-degree", "--dict", str(tmp_path / "d.ngix"),
                      "--pool", str(pipeline_inputs["pool"]), "--workers", "2",
@@ -1051,9 +1053,8 @@ class TestMalformedInputs:
         ("degrees", ["select-pool", "--pool", "{pool}", "--scores", "{bom}", "--out", "{out}"]),
         ("uncertainty", ["sample-testset", "--pool", "{pool}", "--scores", "{bom}",
                          "--out", "{out}"]),
-        ("tagged", ["analyze-novelty", "--train", "{train}", "--test", "{train}",
-                    "--tagged-train", "{bom}", "--tagged-test", "{tagged}", "--dict", "{dict}",
-                    "--out", "{out}"]),
+        ("tagged", ["analyze-novelty", "--tagged-train", "{bom}", "--tagged-test", "{tagged}",
+                    "--dict", "{dict}", "--out", "{out}"]),
         ("sources", ["simulate", "--weights", "{weights}", "--input", "{bom}"]),
     ], ids=["corpus", "dump", "tsv-corpus", "degree-tsv", "uncertainty-tsv", "tagged",
             "simulate-input"])
@@ -1071,8 +1072,8 @@ class TestMalformedInputs:
         ["select-pool", "--pool", "{pool}", "--scores", "{bad}", "--out", "{out}"],
         ["sample-testset", "--pool", "{pool}", "--scores", "{bad}", "--out", "{out}"],
         ["uncertainty-score", "--dump", "{bad}", "--out", "{out}"],
-        ["analyze-novelty", "--train", "{train}", "--test", "{train}", "--tagged-train", "{bad}",
-         "--tagged-test", "{bad}", "--dict", "{out}", "--out", "{out}"],
+        ["analyze-novelty", "--tagged-train", "{bad}", "--tagged-test", "{bad}",
+         "--dict", "{out}", "--out", "{out}"],
         ["simulate", "--weights", "{weights}", "--input", "{bad}"],
     ], ids=["corpus", "degree-tsv", "uncertainty-tsv", "dump", "tagged", "simulate-input"])
     def test_non_utf8_text_exits_3(self, pipeline_inputs, sim_weights, tmp_path, capsys,
@@ -1094,8 +1095,7 @@ _READERS = {
     "select-pool": {"--pool": "pool", "--scores": "degrees"},
     "uncertainty-score": {"--dump": "dump"},
     "sample-testset": {"--pool": "pool", "--scores": "uncertainty"},
-    "analyze-novelty": {"--train": "train", "--test": "train", "--tagged-train": "tagged",
-                        "--tagged-test": "tagged", "--dict": "dict"},
+    "analyze-novelty": {"--tagged-train": "tagged", "--tagged-test": "tagged", "--dict": "dict"},
     "simulate": {"--weights": "weights", "--input": "sources"},
     "run-pipeline": {"--config": "config"},
 }
@@ -1118,6 +1118,7 @@ class TestUnreadablePaths:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "error:" in err and str(bad) in err and "Traceback" not in err
+        assert not err.startswith("usage:"), err  # the command ran
 
     def test_permission_denied_exits_2(self, monkeypatch, capsys):
         import compforge.cli as cli
@@ -1282,6 +1283,8 @@ def _assert_clean_exit(code: int, err: str) -> None:
     assert code in (0, 2, 3), err
     assert "Traceback" not in err
     assert code == 0 or "error:" in err
+    # argparse's usage error: the command line is stale and the command never ran.
+    assert not err.startswith("usage:"), err
 
 
 # select-pool and sample-testset read the corrupted pool against scores for
@@ -1303,7 +1306,7 @@ def test_corrupted_selection_pool_exits_0_2_or_3(truncate, at, byte):
                 argv + ["--pool", str(pool), "--out", str(tmp / "out.jsonl")]))
 
 
-# One tagged sentence per target of _TRAIN_TSV, which is both train and test set.
+# One tagged sentence per target of _TRAIN_TSV, the side its dictionary is built from.
 _TAGGED = b"".join(
     b"".join(tok + b"\tTOK\n" for tok in line.split(b"\t")[1].split()) + b"\n"
     for line in _TRAIN_TSV.splitlines()
@@ -1325,7 +1328,7 @@ def test_corrupted_tagged_file_exits_0_2_or_3(test_side, truncate, at, byte):
                              "--out", str(dictionary)])[0] == 0
         tagged_train, tagged_test = (good, bad) if test_side else (bad, good)
         _assert_clean_exit(*_run_quietly([
-            "analyze-novelty", "--train", str(train), "--test", str(train),
+            "analyze-novelty",
             "--tagged-train", str(tagged_train), "--tagged-test", str(tagged_test),
             "--dict", str(dictionary), "--out", str(tmp / "report.json")]))
 

@@ -288,6 +288,14 @@ class TestSelection:
         with pytest.raises(ConfigError):
             select_candidate_pool([], k=0)
 
+    def test_invalid_k_checked_before_input_is_read(self):
+        def unread():
+            raise AssertionError("scored was read before k was checked")
+            yield
+
+        with pytest.raises(ConfigError):
+            select_candidate_pool(unread(), k=0)
+
 
 # Degrees with lengths up to 2^26 - 1, including near-one neighbours such as
 # (n-2)/n and (n-3)/(n-1), whose floats differ only in the last bits.

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from compforge.corpus import ParallelExample
 from compforge.errors import ConfigError, DataError
 from compforge.ngrams import NGramDictionary
 from compforge.novelty import (
@@ -15,7 +14,6 @@ from compforge.novelty import (
     read_tagged_file,
 )
 
-from conftest import make_examples
 from oracles import set_difference_novelty
 
 
@@ -83,16 +81,14 @@ class TestBenchmarkReport:
     def make_inputs(self):
         train_sents = ["a b c", "b c d", "a b d"]
         test_sents = ["a b c", "b c d"]  # subset: no novelty
-        train = make_examples(train_sents)
-        test = make_examples(test_sents)
         tagged_train = [tag_by_case(s.split()) for s in train_sents]
         tagged_test = [tag_by_case(s.split()) for s in test_sents]
         dictionary = NGramDictionary.from_entries([["a", "b"], ["c"], ["b"], ["d"]])
-        return train, test, tagged_train, tagged_test, dictionary
+        return tagged_train, tagged_test, dictionary
 
     def test_subset_test_has_zero_novelty(self):
-        train, test, tg_train, tg_test, d = self.make_inputs()
-        report = benchmark_report(train, test, tg_train, tg_test, d)
+        tg_train, tg_test, d = self.make_inputs()
+        report = benchmark_report(tg_train, tg_test, d)
         assert report.novel_word_ngrams == {2: 0, 3: 0}
         assert report.novel_tag_ngrams == {2: 0, 3: 0}
         assert report.n_examples == 2
@@ -106,11 +102,10 @@ class TestBenchmarkReport:
                        for _ in range(100)]
         test_sents = [" ".join(rng.choice(tokens, size=int(rng.integers(3, 9))))
                       for _ in range(30)]
-        train, test = make_examples(train_sents), make_examples(test_sents)
         tg_train = [tag_by_case(s.split()) for s in train_sents]
         tg_test = [tag_by_case(s.split()) for s in test_sents]
         d = NGramDictionary.from_entries([["a", "b"], ["c", "d", "e"]])
-        report = benchmark_report(train, test, tg_train, tg_test, d)
+        report = benchmark_report(tg_train, tg_test, d)
         for n in (2, 3):
             assert report.novel_word_ngrams[n] == set_difference_novelty(
                 [s.split() for s in train_sents], [s.split() for s in test_sents], n
@@ -133,42 +128,25 @@ class TestBenchmarkReport:
         assert set(report.novel_word_ngrams) == set(report.novel_tag_ngrams) == {2, 3}
 
     def test_tag_permutation_changes_only_tag_counts(self):
-        train, test, tg_train, tg_test, d = self.make_inputs()
+        tg_train, tg_test, d = self.make_inputs()
         rng = np.random.default_rng(4)
         varied = [
             TaggedSentence(ts.tokens, tuple(rng.choice(list("NVDA"), size=len(ts.tokens))))
             for ts in tg_test
         ]
-        base = benchmark_report(train, test, tg_train, varied, d)
+        base = benchmark_report(tg_train, varied, d)
         shuffled = [
             TaggedSentence(ts.tokens, tuple(rng.permutation(list(ts.tags))))
             for ts in varied
         ]
-        report = benchmark_report(train, test, tg_train, shuffled, d)
+        report = benchmark_report(tg_train, shuffled, d)
         assert report.novel_word_ngrams == base.novel_word_ngrams
         assert report.mean_degree == base.mean_degree
 
     def test_empty_test_set_rejected(self):
-        train, _, tg_train, _, d = self.make_inputs()
+        tg_train, _, d = self.make_inputs()
         with pytest.raises(ConfigError, match="test set is empty"):
-            benchmark_report(train, [], tg_train, [], d)
-
-    def test_alignment_mismatch_rejected(self):
-        train, test, tg_train, tg_test, d = self.make_inputs()
-        with pytest.raises(DataError):
-            benchmark_report(train, test, tg_train, tg_test[:-1], d)
-
-    def test_tags_of_another_side_rejected(self):
-        # Tagged sentence i must hold the `side` tokens of example i, not just
-        # line up in count: the first that does not is named by corpus and index.
-        train, test, tg_train, tg_test, d = self.make_inputs()
-        upper = [ParallelExample(ex.id, ex.source, tuple(t.upper() for t in ex.target))
-                 for ex in test]
-        with pytest.raises(DataError, match="tagged test sentence 0 is not the target side"):
-            benchmark_report(train, upper, tg_train, tg_test, d)
-        assert benchmark_report(train, upper, tg_train, tg_test, d, side="source").n_examples == 2
-        with pytest.raises(DataError, match="tagged training sentence 2 is not"):
-            benchmark_report(train, test, tg_train[:2] + tg_train[:1], tg_test, d)
+            benchmark_report(tg_train, [], d)
 
     def test_tag_length_mismatch_names_sentence(self):
         with pytest.raises(DataError) as err:
@@ -190,5 +168,15 @@ class TestTaggedIO:
         path = tmp_path / "bad.tsv"
         path.write_text("a\tX\nno_tag_here\n", encoding="utf-8")
         with pytest.raises(DataError) as err:
+            read_tagged_file(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("line", ["\tX", "a b\tX"], ids=["tab-led", "space-in-token"])
+    def test_token_is_what_a_corpus_reader_splits(self, tmp_path, line):
+        # A corpus token is non-empty and holds no whitespace, so no such
+        # tagged token can stand for a corpus sentence.
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"a\tX\n{line}\n", encoding="utf-8")
+        with pytest.raises(DataError, match="empty or holds whitespace") as err:
             read_tagged_file(path)
         assert err.value.line == 2

@@ -238,7 +238,8 @@ def _examples(ids):
 class TestJoinById:
     def test_pairs_follow_example_order(self):
         examples = _examples(["c", "a", "b"])
-        pairs = join_by_id(examples, {"a": 1, "b": 2, "c": 3, "unused": 4}, "scores")
+        pairs = join_by_id(examples, {"a": 1, "b": 2, "c": 3, "unused": 4}, "scores",
+                           "deg.tsv")
         assert [(ex.id, value) for ex, value in pairs] == [("c", 3), ("a", 1), ("b", 2)]
 
     def test_missing_ids_are_counted_and_the_first_named(self):
@@ -246,9 +247,10 @@ class TestJoinById:
         examples = _examples(["a", "b", "c", "d"])
         pairs = []
         with pytest.raises(DataError) as err:
-            for ex, value in join_by_id(examples, {"a": 1, "c": 3}, "ensemble dump"):
+            for ex, value in join_by_id(examples, {"a": 1, "c": 3}, "ensemble dump",
+                                        "dump.jsonl"):
                 pairs.append((ex.id, value))
-        assert str(err.value) == "pool example 'b' missing from ensemble dump"
+        assert str(err.value) == "pool example 'b' missing from ensemble dump [dump.jsonl]"
         assert pairs == [("a", 1)]
 
     @settings(max_examples=100, deadline=None)
@@ -258,11 +260,11 @@ class TestJoinById:
         table = {key: key.upper() for key in keys}
         pairs = []
         try:
-            for ex, value in join_by_id(_examples(ids), table, "scores"):
+            for ex, value in join_by_id(_examples(ids), table, "scores", "deg.tsv"):
                 pairs.append((ex.id, value))
         except DataError as err:
             first = next(i for i, ex_id in enumerate(ids) if ex_id not in table)
-            assert str(err) == f"pool example {ids[first]!r} missing from scores"
+            assert str(err) == f"pool example {ids[first]!r} missing from scores [deg.tsv]"
         else:
             first = len(ids)
             assert set(ids) <= keys
@@ -340,7 +342,7 @@ class TestFailureHandling:
         with pytest.raises(StageError) as err:
             run_pipeline(cfg)
         assert err.value.stage == "score_uncertainty"
-        assert "missing from ensemble dump" in str(err.value)
+        assert f"missing from ensemble dump [{pipeline_inputs['dump']}]" in str(err.value)
 
     def test_malformed_train_names_load_stage(self, pipeline_inputs, tmp_path):
         with open(pipeline_inputs["train"], "a", encoding="utf-8") as fh:

@@ -241,6 +241,21 @@ class TestBandSelect:
         with pytest.raises(ConfigError):
             band_select(self.ranked(100), 50, 60, 10, seed=0)
 
+    def test_any_iterable_is_ranked_like_a_list(self):
+        ranked = self.ranked(200)
+        assert band_select(iter(ranked), 20, 100, 30, seed=3) == band_select(ranked, 20, 100, 30,
+                                                                              seed=3)
+
+    @pytest.mark.parametrize("args", [(10, 50, 51, 0), (10, 50, 5, -1)],
+                             ids=["sample-over-window", "negative-seed"])
+    def test_parameters_checked_before_ranked_is_read(self, args):
+        def unread():
+            raise AssertionError("ranked was read before the parameters were checked")
+            yield
+
+        with pytest.raises(ConfigError):
+            band_select(unread(), *args)
+
 
 class TestDumpIO:
     def test_reads_hand_written_dump(self, tmp_path):
