@@ -80,7 +80,7 @@ def main() -> None:
     for step in result.steps:
         enc = adaptive_encode(SRC, [BASE.bos_id] + emitted[: step.point - 1], w, BASE)
         cross = (project_cross(enc, w, BASE, "v"), project_cross(enc, w, BASE, "k"))
-        scratch = kv_decode_full([BASE.bos_id] + emitted, cross, w, BASE)[0][-1]
+        scratch = kv_decode_full([BASE.bos_id] + emitted, cross, w, BASE)[0]
         worst = max(worst, float(np.max(np.abs(scratch - step.logits))))
         emitted.append(step.token)
     verdict = "pass" if worst <= 1e-6 else "FAIL"

@@ -8,15 +8,14 @@ Full and incremental decoding share one decoder stack, `_decode`, which
 runs new target tokens after a memory of earlier positions. The memory is a
 per-layer cache of projected self-attention keys and values: new positions
 normalise and project only their own rows and attend over the cache plus
-those rows. `kv_decode_full` starts the stack from an empty memory
-(re-encoding points rebuild the memory from scratch); `kv_decode_step`
-feeds it one token, so between points the cache grows by exactly one row
-per layer and step. Decoding state is functional: a new memory is returned
-and the old one is left untouched. The decoder reads the source only
-through each layer's cross-attention (values, keys), `CrossProjections`, so
-both entry points take those and no encoding. `greedy_decode` makes them
-with `project_cross` once per re-encoding point (the plain encoder's values
-once per decode).
+those rows. `kv_decode_full` starts the stack from an empty memory and
+`kv_decode_step` feeds it one token, so between re-encoding points the cache
+grows by one row per layer and step; both return the next token's logits.
+Decoding state is functional: a new memory is returned and the old one is
+left untouched. The decoder reads the source only through each layer's
+cross-attention (values, keys), `CrossProjections`, so both entry points
+take those and no encoding. `greedy_decode` makes them with `project_cross`
+once per re-encoding point (the plain encoder's values once per decode).
 """
 
 from __future__ import annotations
@@ -186,9 +185,10 @@ def _decode(
 
     The new rows attend to the cache and to each other through causal-mask
     rows t..t+m-1, and to the source through `cross`, the per-layer
-    cross-attention (values, keys) that `project_cross` makes. Returns
-    next-token logits (m, tgt_vocab) and the memory grown by m rows; the
-    input memory is left untouched.
+    cross-attention (values, keys) that `project_cross` makes. All m rows
+    project keys and values; the last layer then computes the last row
+    only. Returns its next-token logits (tgt_vocab,) and the memory grown
+    by m rows; the input memory is left untouched.
     """
     _check_tokens(tokens, cfg.tgt_vocab, "prefix")
     memory._validate(cfg)
@@ -198,7 +198,7 @@ def _decode(
     if t + m > cfg.max_tgt_positions:
         raise ConfigError(f"prefix of {t + m} tokens exceeds max_tgt_positions")
     x = w["tgt_embed"][np.asarray(tokens, dtype=np.int64)] + w["dec_pos"][t : t + m]
-    # A single new row sees every cached position: its mask row is all zeros.
+    # A last row sees every position (its mask row is all zeros): it needs no mask.
     mask = causal_mask(t + m)[t:] if m > 1 else None
     keys, values = [], []
     for idx in range(cfg.decoder_layers):
@@ -206,6 +206,8 @@ def _decode(
         normed = layer_norm(x, w[f"{p}.ln1.g"], w[f"{p}.ln1.b"])
         keys.append(np.concatenate([memory.keys[idx], project(normed, w, f"{p}.self", "k")]))
         values.append(np.concatenate([memory.values[idx], project(normed, w, f"{p}.self", "v")]))
+        if idx == cfg.decoder_layers - 1:
+            x, normed, mask = x[-1:], normed[-1:], None
         x = x + attention_block(normed, keys[-1], values[-1], w, f"{p}.self", cfg.n_heads, mask)
         normed = layer_norm(x, w[f"{p}.ln2.g"], w[f"{p}.ln2.b"])
         q = project(normed, w, f"{p}.cross", "q")
@@ -214,7 +216,7 @@ def _decode(
         normed = layer_norm(x, w[f"{p}.ln3.g"], w[f"{p}.ln3.b"])
         x = x + ffn(normed, w, f"{p}.ffn")
     x = layer_norm(x, w["dec.ln_f.g"], w["dec.ln_f.b"])
-    logits = x @ w["out_w"] + w["out_b"]
+    logits = x[0] @ w["out_w"] + w["out_b"]
     _finite_or_raise(logits)
     return logits, TargetMemory(keys=tuple(keys), values=tuple(values))
 
@@ -225,8 +227,8 @@ def kv_decode_full(
     """Run the decoder over a whole prefix with an empty starting memory,
     reading the source through `cross` (as `project_cross` makes it).
 
-    Returns per-position next-token logits (t, tgt_vocab) and the rebuilt
-    memory. Used at re-encoding points and as the from-scratch reference.
+    Returns next-token logits (tgt_vocab,) and the rebuilt memory. Used at
+    re-encoding points and as the from-scratch reference.
     """
     return _decode(prefix, TargetMemory.empty(cfg), cross, w, cfg)
 
@@ -239,8 +241,7 @@ def kv_decode_step(
     `cross` is as in `kv_decode_full`. Returns next-token logits
     (tgt_vocab,) and the grown memory; the input memory is left untouched.
     """
-    logits, memory = _decode([token], memory, cross, w, cfg)
-    return logits[0], memory
+    return _decode([token], memory, cross, w, cfg)
 
 
 # -- greedy decoding ----------------------------------------------------------
@@ -326,9 +327,7 @@ def greedy_decode(
             if shared:
                 value_hash = key_hash
                 cross_v = project_cross(key_enc, w, cfg, "v")
-            all_logits, memory = kv_decode_full(prefix, (cross_v, cross_k), w, cfg)
-            # A copy: the row view would keep all t rows of logits alive.
-            logits = all_logits[-1].copy()
+            logits, memory = kv_decode_full(prefix, (cross_v, cross_k), w, cfg)
         else:
             cached_rows += memory.length
             logits, memory = kv_decode_step(prefix[-1], memory, (cross_v, cross_k), w, cfg)

@@ -108,8 +108,8 @@ def benchmark_report(
 
 def read_tagged_file(path: str | Path) -> list[TaggedSentence]:
     """Read the vertical tagged format: ``token<TAB>TAG`` lines, blank line
-    between sentences. Each token is non-empty and holds no whitespace, as
-    the corpus readers' tokens do; any other line is a DataError naming it."""
+    between sentences. Tokens and tags are non-empty without whitespace, as
+    corpus tokens are; any other line is a DataError naming it."""
     sentences: list[TaggedSentence] = []
     tokens: list[str] = []
     tags: list[str] = []
@@ -123,9 +123,10 @@ def read_tagged_file(path: str | Path) -> list[TaggedSentence]:
         if len(parts) != 2:
             raise DataError("expected token<TAB>TAG", path=str(path), line=lineno)
         token, tag = parts
-        if token.split() != [token]:
-            raise DataError(f"token {token!r} is empty or holds whitespace",
-                            path=str(path), line=lineno)
+        for what, field in (("token", token), ("tag", tag)):
+            if field.split() != [field]:
+                raise DataError(f"{what} {field!r} is empty or holds whitespace",
+                                path=str(path), line=lineno)
         tokens.append(token)
         tags.append(tag)
     if tokens:

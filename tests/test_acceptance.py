@@ -262,12 +262,12 @@ def test_06_interval_one_equals_stepwise_reencoding():
 
             # The plainly-written pipeline: at each step, re-encode the source
             # against the prefix decoded so far, then run the decoder over the
-            # whole prefix and take the last position's logits.
+            # whole prefix and take its next-token logits.
             prefix = [cfg.bos_id]
             for step in result.steps:
                 enc = adaptive_encode(src, prefix, w, cfg)
                 cross = (project_cross(enc, w, cfg, "v"), project_cross(enc, w, cfg, "k"))
-                logits = kv_decode_full(prefix, cross, w, cfg)[0][-1]
+                logits = kv_decode_full(prefix, cross, w, cfg)[0]
                 gap = float(np.max(np.abs(logits - step.logits)))
                 worst = max(worst, gap)
                 assert gap <= 1e-6, f"trial {trial} step {step.step}: logit gap {gap:.3e}"
@@ -355,7 +355,7 @@ def test_08_cached_decoding_consumes_latest_reencoding():
                     assert step.value_hash == step.key_hash  # shared keys/values
                     prefix = [cfg.bos_id] + emitted
                     cross = (project_cross(enc, w, cfg, "v"), project_cross(enc, w, cfg, "k"))
-                    scratch = kv_decode_full(prefix, cross, w, cfg)[0][-1]
+                    scratch = kv_decode_full(prefix, cross, w, cfg)[0]
                     gap = float(np.max(np.abs(scratch - step.logits)))
                     worst = max(worst, gap)
                     assert gap <= 1e-6, f"o={interval} step {step.step}: gap {gap:.3e}"

@@ -107,7 +107,7 @@ class TestSchedule:
 class TestIncrementalDecode:
     def test_cached_matches_from_scratch(self):
         # Advancing the memory one token at a time must agree with decoding
-        # the whole prefix from an empty memory, at every position and in
+        # each prefix from an empty memory, at every prefix length and in
         # the memory it leaves, for shared and for distinct keys and values.
         cfg = small_config()
         rng = np.random.default_rng(0)
@@ -119,11 +119,11 @@ class TestIncrementalDecode:
             prefix = [cfg.bos_id] + list(rng.integers(0, cfg.tgt_vocab, size=6))
             for keys in (enc, enc_k):
                 cross = cross_of(enc, keys, w, cfg)
-                full, full_mem = kv_decode_full(prefix, cross, w, cfg)
                 memory = TargetMemory.empty(cfg)
                 for t, tok in enumerate(prefix):
                     logits, memory = kv_decode_step(int(tok), memory, cross, w, cfg)
-                    np.testing.assert_allclose(logits, full[t], atol=1e-6)
+                    full, full_mem = kv_decode_full(prefix[: t + 1], cross, w, cfg)
+                    np.testing.assert_allclose(logits, full, atol=1e-6)
                 for stepped, rebuilt in zip(
                     memory.keys + memory.values, full_mem.keys + full_mem.values, strict=True
                 ):
@@ -136,24 +136,55 @@ class TestIncrementalDecode:
         cross = cross_of(enc, enc, w, cfg)
         full, full_mem = kv_decode_full([cfg.bos_id], cross, w, cfg)
         step, step_mem = kv_decode_step(cfg.bos_id, TargetMemory.empty(cfg), cross, w, cfg)
-        np.testing.assert_array_equal(step, full[0])
+        np.testing.assert_array_equal(step, full)
         for a, b in zip(step_mem.keys + step_mem.values, full_mem.keys + full_mem.values):
             np.testing.assert_array_equal(a, b)
 
     def test_causality(self):
-        # Changing a later prefix token must not move logits at earlier
-        # positions — the causal mask zeroes that path exactly.
+        # Changing a later prefix token must not move any layer's keys or
+        # values at earlier positions (the causal mask zeroes that path
+        # exactly), but it must move the next-token logits.
         cfg = small_config()
         w = init_weights(cfg, seed=1)
         enc = encode([2, 4, 6, 8], w, cfg)
         cross = cross_of(enc, enc, w, cfg)
         prefix = [1, 3, 5, 7, 9]
-        base, _ = kv_decode_full(prefix, cross, w, cfg)
+        base, base_mem = kv_decode_full(prefix, cross, w, cfg)
         mutated = list(prefix)
         mutated[4] = 8
-        other, _ = kv_decode_full(mutated, cross, w, cfg)
-        np.testing.assert_array_equal(base[:4], other[:4])
-        assert not np.array_equal(base[4], other[4])
+        other, other_mem = kv_decode_full(mutated, cross, w, cfg)
+        for a, b in zip(base_mem.keys + base_mem.values, other_mem.keys + other_mem.values,
+                        strict=True):
+            np.testing.assert_array_equal(a[:4], b[:4])
+        assert not np.array_equal(base, other)
+
+    def test_last_layer_computes_only_the_last_row(self, monkeypatch):
+        # Every layer but the last runs its FFN and cross-attention on all m
+        # new rows; the last runs them on the one row whose logits are read.
+        # Every layer still caches keys and values for all m rows.
+        import compforge.engine.model as model
+
+        cfg = small_config(decoder_layers=3)
+        w = init_weights(cfg, seed=0)
+        enc = encode([2, 4, 6], w, cfg)
+        cross = cross_of(enc, enc, w, cfg)
+        prefix = [1, 3, 5, 7]
+        m, layers = len(prefix), cfg.decoder_layers
+        for name in ("ffn", "cross_attention"):
+            rows = []
+            real = getattr(model, name)
+
+            def counted(x, *args, real=real, rows=rows, **kwargs):
+                rows.append(x.shape[0])
+                return real(x, *args, **kwargs)
+
+            with monkeypatch.context() as patched:
+                patched.setattr(model, name, counted)
+                logits, memory = kv_decode_full(prefix, cross, w, cfg)
+            assert rows == [m] * (layers - 1) + [1], name
+            assert logits.shape == (cfg.tgt_vocab,)
+            for stack in memory.keys + memory.values:
+                assert stack.shape == (m, cfg.d_model)
 
     def test_memory_grows_one_row_per_step(self):
         cfg = small_config()
@@ -278,9 +309,10 @@ class TestIncrementalDecode:
             src = list(rng.integers(0, cfg.src_vocab, size=4))
             enc = encode(src, w, cfg)
             prefix = [1] + list(rng.integers(0, cfg.tgt_vocab, size=4))
-            ours, _ = kv_decode_full(prefix, cross_of(enc, enc, w, cfg), w, cfg)
             theirs = ref_decoder_logits(prefix, enc, enc, w, cfg)
-            np.testing.assert_allclose(ours, theirs, atol=1e-5)
+            for t in range(len(prefix)):
+                ours, _ = kv_decode_full(prefix[: t + 1], cross_of(enc, enc, w, cfg), w, cfg)
+                np.testing.assert_allclose(ours, theirs[t], atol=1e-5)
 
 
 class TestGreedyDecode:
@@ -373,8 +405,8 @@ class TestGreedyDecode:
         for step in result.steps:
             enc = adaptive_encode(src, prefix, w, cfg)
             logits, _ = kv_decode_full(prefix, cross_of(enc, enc, w, cfg), w, cfg)
-            np.testing.assert_array_equal(step.logits, logits[-1])
-            token = int(np.argmax(logits[-1]))
+            np.testing.assert_array_equal(step.logits, logits)
+            token = int(np.argmax(logits))
             assert step.token == token
             prefix.append(token)
 
@@ -548,8 +580,8 @@ class TestDecodeCost:
                 assert stats.n("model.encode") == (variant in ("vanilla", "rdangle_sep")), label
 
     def test_step_logits_hold_only_their_own_row(self):
-        # At o=1 every step decodes the whole prefix; the trace keeps its last
-        # row alone, not the (t, tgt_vocab) array it was cut from.
+        # At o=1 every step decodes the whole prefix; the trace still holds
+        # one (tgt_vocab,) row of logits per step and nothing larger.
         cfg = small_config(variant="dangle", interval=1)
         result = greedy_decode([3, 5, 7], self.no_eos_weights(cfg, 2), cfg, max_len=9)
         owners = {}

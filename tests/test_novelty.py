@@ -171,12 +171,17 @@ class TestTaggedIO:
             read_tagged_file(path)
         assert err.value.line == 2
 
-    @pytest.mark.parametrize("line", ["\tX", "a b\tX"], ids=["tab-led", "space-in-token"])
+    @pytest.mark.parametrize(
+        "line", ["\tX", "a b\tX", "a\t", "a\tX Y"],
+        ids=["tab-led", "space-in-token", "empty-tag", "space-in-tag"],
+    )
     def test_token_is_what_a_corpus_reader_splits(self, tmp_path, line):
         # A corpus token is non-empty and holds no whitespace, so no such
-        # tagged token can stand for a corpus sentence.
+        # tagged token can stand for a corpus sentence; a tag keeps the same
+        # rule, so a line that lost its tag is reported, not counted.
         path = tmp_path / "bad.tsv"
         path.write_text(f"a\tX\n{line}\n", encoding="utf-8")
         with pytest.raises(DataError, match="empty or holds whitespace") as err:
             read_tagged_file(path)
+        assert err.value.path == str(path)
         assert err.value.line == 2
