@@ -15,6 +15,8 @@ import math
 import sys
 
 from compforge.corpus import (
+    FORMATS,
+    SIDES,
     batched,
     build_vocab_counts,
     filter_oov,
@@ -28,7 +30,7 @@ from compforge.corpus import (
 )
 from compforge.cover import _CHUNK, degree_line, read_degree_tsv, select_candidate_pool
 from compforge.engine import VARIANTS, greedy_decode, load_weights
-from compforge.errors import CompforgeError, ConfigError, DataError
+from compforge.errors import CompforgeError, ConfigError, DataError, require_int
 from compforge.ngrams import NGramDictionary, build_ngram_dictionary
 from compforge.novelty import benchmark_report, read_tagged_file
 from compforge.pipeline import PipelineConfig, join_by_id, replacing, run_pipeline, score_pool
@@ -46,10 +48,10 @@ _DEFAULTS = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
 
 
 def _add_corpus_flags(parser: argparse.ArgumentParser, side: bool = True) -> None:
-    parser.add_argument("--format", choices=("tsv", "jsonl"), default=None,
+    parser.add_argument("--format", choices=FORMATS, default=None,
                         help="corpus format (default: inferred from suffix)")
     if side:
-        parser.add_argument("--side", choices=("source", "target"), default=_DEFAULTS["side"])
+        parser.add_argument("--side", choices=SIDES, default=_DEFAULTS["side"])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -122,8 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build_dict(args) -> int:
-    if args.max_n < 0:
-        raise ConfigError(f"--max-n must be non-negative (0 means no cap), got {args.max_n}")
+    require_int("--max-n", args.max_n, 0)  # 0 means no cap
     # The build checks --min-count before it reads the first line.
     corpus = iter_parallel_corpus(args.train, args.format)
     dictionary = build_ngram_dictionary(iter_side(corpus, args.side), args.min_count,
@@ -135,8 +136,7 @@ def _cmd_build_dict(args) -> int:
 
 
 def _cmd_filter_oov(args) -> int:
-    if args.min_count < 0:  # filter_oov's own check, before --train is read
-        raise ConfigError(f"min_count must be non-negative, got {args.min_count}")
+    require_int("min_count", args.min_count, 0)  # filter_oov's own check, before --train is read
     counts = build_vocab_counts(iter_parallel_corpus(args.train, args.format), args.side)
     seen = kept = 0
     with replacing(args.out) as out, open(out, "w", encoding="utf-8") as fh:

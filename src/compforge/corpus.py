@@ -22,9 +22,10 @@ from json.encoder import encode_basestring as _quote
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from compforge.errors import ConfigError, DataError
+from compforge.errors import ConfigError, DataError, require_int
 
 SIDES = ("source", "target")
+FORMATS = ("tsv", "jsonl")
 
 T = TypeVar("T")
 
@@ -88,12 +89,14 @@ def json_line(line: str):
 
 def read_id(value) -> str:
     """A record's id: a string as it is, an integer as its decimal string.
-    Any other JSON value (a bool, a float, null, a list) is a DataError."""
-    if type(value) is str:
-        return value
-    if type(value) is not int:  # a bool is not an int here
-        raise DataError("id must be a string or an integer")
-    return str(value)
+    Any other JSON value (a bool, a float, null, a list) is a DataError, and
+    so is a string holding a tab, LF or CR, which no TSV artifact row can hold."""
+    if type(value) is int:  # a bool is not an int here
+        return str(value)
+    if type(value) is not str or "\t" in value or "\n" in value or "\r" in value:
+        raise DataError(f"id must be a string or an integer with no tab or line break, "
+                        f"got {value!r}")
+    return value
 
 
 def tsv_fields(line: str, fields: int, layout: str) -> list[str]:
@@ -139,17 +142,14 @@ def iter_parallel_corpus(path: str | Path, format: str | None = None) -> Iterato
     Equal tokens share one string object, to save memory.
     """
     fmt = format or _infer_format(path)
-    if fmt not in ("tsv", "jsonl"):
+    if fmt not in FORMATS:
         raise ConfigError(f"unknown corpus format {fmt!r}")
     intern = {}.setdefault  # each token string to the first equal one seen
 
     def parse(line: str, index: int) -> tuple[str, ParallelExample]:
         if fmt == "tsv":
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"expected exactly one tab, got {len(parts) - 1}")
             ex_id = str(index)
-            src_text, tgt_text = parts
+            src_text, tgt_text = tsv_fields(line, 2, "source<TAB>target")
             meta: dict = {}
         else:
             record = json_line(line)
@@ -246,8 +246,7 @@ def filter_oov(
     from (`counts.side`) occurred at least `min_count` times in them. Order
     is preserved; the filter is idempotent.
     """
-    if min_count < 0:
-        raise ConfigError(f"min_count must be non-negative, got {min_count}")
+    require_int("min_count", min_count, 0)
     if min_count == 0:  # every token qualifies, seen or not
         return list(pool)
     frequent = {tok for tok, count in counts.counts.items() if count >= min_count}

@@ -43,7 +43,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from compforge.corpus import ParallelExample, batched, id_records, side_tokens, tsv_fields
-from compforge.errors import ConfigError, DataError
+from compforge.errors import ConfigError, DataError, require_int
 from compforge.ngrams import NGramDictionary
 
 # Sentences scored together: bounds the span arrays and the DP table, so
@@ -229,8 +229,7 @@ def select_candidate_pool(
     are below 2^26 differ by at least 1/(length1 * length2) > 2^-52, more
     than both rounding errors together.
     """
-    if k < 1:
-        raise ConfigError(f"k must be positive, got {k}")
+    require_int("k", k, 1)
     # A min-heap of (degree, -length, -index, example): its root is the
     # lowest-ranked member. Indices are unique, so examples are never compared.
     heap: list[tuple[float, int, int, ParallelExample]] = []

@@ -31,10 +31,12 @@ from typing import Any
 from compforge.errors import ConfigError, require_int
 
 VARIANTS = ("vanilla", "dangle", "rdangle_shr", "rdangle_sep")
-_INT_FIELDS = (
-    "src_vocab", "tgt_vocab", "d_model", "n_heads", "encoder_layers", "decoder_layers",
-    "k1", "k2", "max_src_positions", "max_tgt_positions", "bos_id", "eos_id",
-)
+# Each integer field and its least value; bos_id and eos_id lie below tgt_vocab.
+_INT_FIELDS = {
+    "src_vocab": 3, "tgt_vocab": 3, "d_model": 1, "n_heads": 1, "encoder_layers": 1,
+    "decoder_layers": 1, "k1": 0, "k2": 0, "max_src_positions": 1, "max_tgt_positions": 1,
+    "bos_id": None, "eos_id": None,
+}
 
 
 @dataclass(frozen=True)
@@ -57,28 +59,18 @@ class ModelConfig:
     fusion_enabled: bool = True
 
     def __post_init__(self) -> None:
-        for name in _INT_FIELDS:
-            require_int(name, getattr(self, name))
-        require_int("d_ff", self.d_ff, optional=True)
+        for name, least in _INT_FIELDS.items():
+            require_int(name, getattr(self, name), least)
+        require_int("d_ff", self.d_ff, 1, optional=True)
         if not isinstance(self.fusion_enabled, bool):
             raise ConfigError(f"fusion_enabled must be true or false, got {self.fusion_enabled!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.n_heads < 1:
-            raise ConfigError(f"n_heads must be at least 1, got {self.n_heads}")
-        if self.d_model < 1 or self.d_model % self.n_heads != 0:
-            raise ConfigError(
-                f"d_model ({self.d_model}) must be a positive multiple of n_heads ({self.n_heads})"
-            )
-        if min(self.src_vocab, self.tgt_vocab) < 3:
-            raise ConfigError("vocabularies must have at least 3 entries")
-        for name in ("encoder_layers", "decoder_layers", "d_ff",
-                     "max_src_positions", "max_tgt_positions"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be at least 1, got {value}")
-        if self.k1 < 0 or self.k2 < 0 or self.k1 + self.k2 < 1:
-            raise ConfigError("adaptive encoder needs k1, k2 >= 0 with k1 + k2 >= 1")
+        if self.d_model % self.n_heads != 0:
+            raise ConfigError(f"d_model ({self.d_model}) must be a multiple of n_heads "
+                              f"({self.n_heads})")
+        if self.k1 + self.k2 < 1:
+            raise ConfigError("adaptive encoder needs k1 + k2 >= 1")
         # An int is never passed to float(): one past float range is still valid.
         interval = self.interval
         if isinstance(interval, bool) or not isinstance(interval, (int, float)) or not (
@@ -106,9 +98,7 @@ class ModelConfig:
         """Steps 1, 1+o, 1+2o, … <= `horizon` at which the source is
         re-encoded, o being `effective_interval` (only step 1 for inf);
         None for vanilla, which never re-encodes."""
-        require_int("horizon", horizon)
-        if horizon < 1:
-            raise ConfigError(f"horizon must be at least 1, got {horizon}")
+        require_int("horizon", horizon, 1)
         if self.variant == "vanilla":
             return None
         interval = self.effective_interval

@@ -287,9 +287,7 @@ def greedy_decode(
     (for adaptive variants, with the prefix of the last schedule point) is
     rejected before any encoding.
     """
-    require_int("max_len", max_len)
-    if max_len < 1:
-        raise ConfigError(f"max_len must be at least 1, got {max_len}")
+    require_int("max_len", max_len, 1)
     if max_len > cfg.max_tgt_positions:
         raise ConfigError("max_len exceeds max_tgt_positions")
 

@@ -35,11 +35,18 @@ class DataError(CompforgeError):
         super().__init__(message + where)
 
 
-def require_int(name: str, value, optional: bool = False) -> None:
-    """ConfigError unless `value` is an int other than a bool (or None, if `optional`)."""
-    if (optional and value is None) or (isinstance(value, int) and not isinstance(value, bool)):
+def require_int(name: str, value, least: int | None = None, optional: bool = False) -> None:
+    """The rule for an integer parameter: ConfigError unless `value` is an int
+    other than a bool (or None, if `optional`) and, if `least` is given, at
+    least `least`. The message names the parameter: "`name` must be an
+    integer[ or null], got ..." or "`name` must be at least `least`, got ..."."""
+    if optional and value is None:
         return
-    raise ConfigError(f"{name} must be an integer{' or null' if optional else ''}, got {value!r}")
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer{' or null' if optional else ''}, "
+                          f"got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value}")
 
 
 class StageError(CompforgeError):

@@ -46,7 +46,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from compforge.errors import ConfigError, DataError
+from compforge.errors import ConfigError, DataError, require_int
 
 _MAGIC = b"NGIX1"
 # One node: token id, count, stored flag, then the node's child count.
@@ -304,10 +304,8 @@ def build_ngram_dictionary(
     n-grams never cross sentence boundaries. `max_n=None` removes the length
     cap; the build then stops at the longest n-gram still above threshold.
     """
-    if min_count < 0:
-        raise ConfigError(f"min_count must be non-negative, got {min_count}")
-    if max_n is not None and max_n < 1:
-        raise ConfigError(f"max_n must be at least 1, got {max_n}")
+    require_int("min_count", min_count, 0)
+    require_int("max_n", max_n, 1, optional=True)
 
     tokens: list[str] = []
     lengths: list[int] = []

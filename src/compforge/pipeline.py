@@ -52,6 +52,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from compforge.corpus import (
+    FORMATS,
+    SIDES,
     ParallelExample,
     _infer_format,
     batched,
@@ -122,29 +124,20 @@ class PipelineConfig:
     workers: int | None = None
 
     def validate(self) -> None:
-        for name in ("oov_min_count", "dict_min_count", "pool_k", "discard_top", "window",
-                     "sample", "seed"):
-            require_int(name, getattr(self, name))
-        require_int("max_n", self.max_n, optional=True)
-        require_int("workers", self.workers, optional=True)
-        for name in ("oov_min_count", "dict_min_count", "discard_top", "window", "sample",
-                     "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
-        if self.pool_k < 1:
-            raise ConfigError("pool_k must be positive")
+        for name, least in (("oov_min_count", 0), ("dict_min_count", 0), ("max_n", 1),
+                            ("pool_k", 1), ("discard_top", 0), ("window", 0), ("sample", 0),
+                            ("seed", 0), ("workers", None)):
+            require_int(name, getattr(self, name), least, optional=name in ("max_n", "workers"))
         if self.sample > self.window:
             raise ConfigError(f"sample {self.sample} exceeds window {self.window}")
-        if self.max_n is not None and self.max_n < 1:
-            raise ConfigError("max_n must be at least 1 (or None for unbounded)")
-        if self.side not in ("source", "target"):
+        if self.side not in SIDES:
             raise ConfigError(f"side must be source or target, got {self.side!r}")
-        if self.corpus_format not in (None, "tsv", "jsonl"):
+        if self.corpus_format not in (None, *FORMATS):
             raise ConfigError(f"corpus_format must be null, tsv or jsonl: {self.corpus_format!r}")
         _check_workers(self.workers)
         for name in ("train_path", "pool_path", "ensemble_dump_path", "out_dir"):
             path = getattr(self, name)
-            if not isinstance(path, (str, os.PathLike)):
+            if not isinstance(path, str):
                 raise ConfigError(f"{name} must be a path string, got {path!r}")
             if name == "out_dir" and Path(path).exists() and not Path(path).is_dir():
                 raise ConfigError(f"out_dir is not a directory: {path}")

@@ -32,7 +32,7 @@ from typing import Iterable
 import numpy as np
 
 from compforge.corpus import id_records, json_line, read_id, tsv_fields
-from compforge.errors import ConfigError, DataError
+from compforge.errors import ConfigError, DataError, require_int
 
 PROB_FLOOR = 1e-10
 SUM_TOLERANCE = 1e-9
@@ -131,8 +131,9 @@ def band_select(
     without replacement from the next `window`. The draw is deterministic
     given `seed`; results come back in rank order.
     """
-    if min(discard_top, window, sample, seed) < 0:
-        raise ConfigError("discard_top, window, sample and seed must be non-negative")
+    for name, value in (("discard_top", discard_top), ("window", window), ("sample", sample),
+                        ("seed", seed)):
+        require_int(name, value, 0)
     if sample > window:
         raise ConfigError(f"sample {sample} exceeds window {window}")
     ranked = list(ranked)

@@ -703,7 +703,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, message", [
         (["select-pool", "--pool", "{pool}", "--scores", "{bad}", "--k", "0"],
-         "k must be positive"),
+         "k must be at least 1"),
         (["sample-testset", "--pool", "{bad}", "--scores", "{uncertainty}",
           "--sample", "5", "--window", "2"], "sample 5 exceeds window 2"),
     ], ids=["select-pool", "sample-testset"])
@@ -940,8 +940,8 @@ class TestMalformedInputs:
 
     # A dump id follows the corpus rule: a string or an integer (read as its
     # decimal string); any other JSON value is rejected, not written as "None".
-    @pytest.mark.parametrize("value", [None, True, [1], 2.0, {"k": 1}],
-                             ids=["null", "bool", "list", "float", "object"])
+    @pytest.mark.parametrize("value", [None, True, [1], 2.0, {"k": 1}, "p\t1", "p\n1", "p\r1"],
+                             ids=["null", "bool", "list", "float", "object", "tab", "lf", "cr"])
     def test_bad_dump_id_exits_3(self, tmp_path, capsys, value):
         dump = tmp_path / "dump.jsonl"
         record = {"id": 7, "support": [["a", "b"]], "probs": [[[0.5, 0.5]], [[0.25, 0.75]]]}
@@ -956,8 +956,9 @@ class TestMalformedInputs:
     # rejected rather than turned into an id like "None" or dropped.
     @pytest.mark.parametrize("field, value", [
         ("id", None), ("id", True), ("id", 1.5), ("id", [1]), ("id", {"k": 1}),
+        ("id", "p\t1"), ("id", "p\n1"), ("id", "p\r1"),
         ("meta", "note"), ("meta", 0), ("meta", None), ("meta", [1]),
-    ], ids=["id-null", "id-bool", "id-float", "id-list", "id-object",
+    ], ids=["id-null", "id-bool", "id-float", "id-list", "id-object", "id-tab", "id-lf", "id-cr",
             "meta-string", "meta-zero", "meta-null", "meta-list"])
     def test_bad_corpus_id_or_meta_exits_3(self, pipeline_inputs, tmp_path, capsys,
                                            field, value):

@@ -509,7 +509,7 @@ class TestWeights:
     @pytest.mark.parametrize("overrides, match", [
         ({"variant": "beam"}, "unknown variant"),
         ({"d_model": 18}, "multiple of n_heads"),
-        ({"tgt_vocab": 2}, "at least 3 entries"),
+        ({"tgt_vocab": 2}, "tgt_vocab must be at least 3"),
         ({"encoder_layers": 0}, "encoder_layers"),
         ({"decoder_layers": 0}, "decoder_layers"),
         ({"k1": 0, "k2": 0}, "k1 \\+ k2 >= 1"),

@@ -486,6 +486,7 @@ class TestPipelineConfig:
     @pytest.mark.parametrize("field, value", [
         ("pool_k", "5"), ("oov_min_count", None), ("seed", 1.5), ("discard_top", False),
         ("max_n", 4.0), ("workers", True), ("train_path", 5), ("out_dir", None),
+        ("out_dir", Path("out")),
     ])
     def test_wrongly_typed_field_rejected(self, pipeline_inputs, tmp_path, field, value):
         with pytest.raises(ConfigError, match=field):

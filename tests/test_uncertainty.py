@@ -234,7 +234,7 @@ class TestBandSelect:
     @pytest.mark.parametrize("argument", ["discard_top", "window", "sample", "seed"])
     def test_negative_argument_rejected(self, argument):
         kwargs = {"discard_top": 10, "window": 50, "sample": 5, "seed": 0, argument: -1}
-        with pytest.raises(ConfigError, match="non-negative"):
+        with pytest.raises(ConfigError, match=f"{argument} must be at least 0"):
             band_select(self.ranked(100), **kwargs)
 
     def test_too_few_ranked_rejected(self):
