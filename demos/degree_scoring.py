@@ -31,8 +31,7 @@ SENTENCES = [
 
 
 def render(sentence: list[str], dictionary: NGramDictionary) -> str:
-    cover = min_cover(sentence, dictionary)
-    return " | ".join(" ".join(atom) for atom in cover.atoms)
+    return " | ".join(" ".join(atom) for atom in min_cover(sentence, dictionary))
 
 
 def main() -> None:

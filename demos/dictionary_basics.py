@@ -59,7 +59,7 @@ def main() -> None:
         print(f"  {' '.join(gram):<16} {count}")
 
     probe = "the dog sleeps".split()
-    print(f"\nminimum cover of {probe!r}: {min_cover(probe, dictionary).atoms}")
+    print(f"\nminimum cover of {probe!r}: {min_cover(probe, dictionary)}")
     print(f"contains ('the', 'dog') -> {dictionary.contains(['the', 'dog'])}")
     print(f"count    ('the', 'cat') -> {dictionary.count(['the', 'cat'])}")
 

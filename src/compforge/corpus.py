@@ -219,10 +219,6 @@ class VocabCounts:
     counts: dict[str, int]
     total_tokens: int
 
-    def count(self, token: str) -> int:
-        """Occurrences of `token`; absent tokens count 0."""
-        return self.counts.get(token, 0)
-
     def __len__(self) -> int:
         return len(self.counts)
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -52,18 +51,6 @@ _CHUNK = 1024
 
 
 @dataclass(frozen=True)
-class CoverResult:
-    """A minimum cover: atoms partition the sentence left to right."""
-
-    atoms: tuple[tuple[str, ...], ...]
-    covered: tuple[bool, ...]  # per token; False marks fallback singletons
-
-    @property
-    def atom_count(self) -> int:
-        return len(self.atoms)
-
-
-@dataclass(frozen=True)
 class CompositionalDegree:
     """Degree = atom_count / length, held as the two integers."""
 
@@ -73,10 +60,6 @@ class CompositionalDegree:
     @property
     def value(self) -> float:
         return self.atom_count / self.length
-
-    @property
-    def exact(self) -> Fraction:
-        return Fraction(self.atom_count, self.length)
 
 
 # -- degrees.tsv: id, atom_count, length, degree; one example per line --------
@@ -107,12 +90,12 @@ def read_degree_tsv(path: str | Path) -> dict[str, CompositionalDegree]:
     return dict(id_records(path, parse))
 
 
-def min_cover(sentence: Sequence[str], dictionary: NGramDictionary) -> CoverResult:
-    """Segment `sentence` into the fewest dictionary atoms.
+def min_cover(sentence: Sequence[str], dictionary: NGramDictionary) -> tuple[tuple[str, ...], ...]:
+    """Segment `sentence` into the fewest dictionary atoms, left to right.
 
     Uncovered tokens fall back to singleton atoms, so every sentence has a
-    cover and ``atom_count <= len(sentence)``. Ties are broken toward longer
-    final atoms.
+    cover, and the number of atoms is the degree's ``atom_count``, at most
+    ``len(sentence)``. Ties are broken toward longer final atoms.
     """
     n = len(sentence)
     if n == 0:
@@ -120,7 +103,6 @@ def min_cover(sentence: Sequence[str], dictionary: NGramDictionary) -> CoverResu
     best, sources, bounds = _cover_table(sentence, np.array([n]), dictionary)
     best = best.tolist()
     atoms: list[tuple[str, ...]] = []
-    covered: list[bool] = []
     i = n
     while i > 0:
         # The earliest start of a stored n-gram ending at i that costs one atom
@@ -128,11 +110,8 @@ def min_cover(sentence: Sequence[str], dictionary: NGramDictionary) -> CoverResu
         starts = sources[bounds[i] : bounds[i + 1]].tolist()
         j = min((s for s in starts if best[s] == best[i] - 1), default=i - 1)
         atoms.append(tuple(sentence[j:i]))
-        covered += [i - j > 1 or dictionary.contains(atoms[-1])] * (i - j)
         i = j
-    atoms.reverse()
-    covered.reverse()
-    return CoverResult(atoms=tuple(atoms), covered=tuple(covered))
+    return tuple(reversed(atoms))
 
 
 def _cover_table(

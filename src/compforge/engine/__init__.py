@@ -13,7 +13,6 @@ from compforge.engine.model import (
     kv_decode_step,
     project_cross,
 )
-from compforge.engine.ops import cross_attention, layer_norm, softmax
 from compforge.engine.weights import Weights, init_weights, load_weights, param_spec, save_weights
 
 __all__ = [
@@ -29,9 +28,6 @@ __all__ = [
     "kv_decode_full",
     "kv_decode_step",
     "project_cross",
-    "cross_attention",
-    "layer_norm",
-    "softmax",
     "Weights",
     "init_weights",
     "load_weights",

@@ -175,8 +175,10 @@ class NGramDictionary:
         Every entry is stored as a member with a synthetic count of
         ``min_count + 1``; `max_n` defaults to the longest entry.
         """
-        if not 0 <= min_count < 2**63 - 1:  # a stored node's count must fit in (0, 2**63)
-            raise ConfigError(f"min_count must be in [0, 2**63 - 1), got {min_count}")
+        require_int("min_count", min_count, 0)
+        require_int("max_n", max_n, 1, optional=True)
+        if min_count >= 2**63 - 1:  # a stored node's count must fit in (0, 2**63)
+            raise ConfigError(f"min_count must be below 2**63 - 1, got {min_count}")
         stored = {tuple(entry) for entry in entries}
         if () in stored:
             raise ConfigError("dictionary entries must be non-empty")

@@ -40,19 +40,11 @@ class TaggedSentence:
             )
 
 
-def novel_ngram_count(
-    train_stream: Iterable[Sequence[str]],
-    test_stream: Iterable[Sequence[str]],
-    n: int,
-) -> int:
-    """Number of distinct test n-grams absent from the training stream."""
-    return _novel_counts(train_stream, test_stream, (n,))[n]
-
-
 def _novel_counts(train_stream: Iterable[Sequence[str]], test_stream: Iterable[Sequence[str]],
                   orders: Sequence[int]) -> dict[int, int]:
-    """`novel_ngram_count` for each n in `orders`, read from one n-gram index
-    of each stream that keeps every n-gram up to the largest order."""
+    """For each n in `orders`, the number of distinct test n-grams absent from
+    the training stream, read from one n-gram index of each stream that keeps
+    every n-gram up to the largest order."""
     train = build_ngram_dictionary(train_stream, 0, max(orders))
     test = build_ngram_dictionary(test_stream, 0, max(orders))
     novel = Counter(len(gram) for gram, _ in test.entries()

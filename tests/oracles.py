@@ -104,7 +104,7 @@ def full_sort_selection(scored, k: int, side: str = "target"):
             first_seen[key] = (example, degree, index)
     survivors = sorted(
         first_seen.values(),
-        key=lambda item: (-item[1].exact, item[1].length, item[2]),
+        key=lambda item: (-Fraction(item[1].atom_count, item[1].length), item[1].length, item[2]),
     )
     return [example for example, _, _ in survivors[:k]]
 
@@ -124,7 +124,7 @@ def set_difference_novelty(train: Sequence[Sequence[str]], test: Sequence[Sequen
 
 
 OracleExample = namedtuple("OracleExample", "id source target")
-_OracleDegree = namedtuple("_OracleDegree", "exact length")
+_OracleDegree = namedtuple("_OracleDegree", "atom_count length")
 
 
 class _SpanSet(set):
@@ -166,7 +166,7 @@ def oracle_pipeline(
     for example in filtered:
         atoms, length = exhaustive_min_cover(tokens(example), stored), len(tokens(example))
         degrees[example.id] = (atoms, length)
-        scored.append((example, _OracleDegree(Fraction(atoms, length), length)))
+        scored.append((example, _OracleDegree(atoms, length)))
     candidates = full_sort_selection(scored, pool_k, side)
 
     uncertainty = {}

@@ -345,7 +345,7 @@ class TestVocabCounts:
 
     def test_absent_token_counts_zero(self):
         counts = build_vocab_counts(make_examples(["a"]), "target")
-        assert counts.count("zzz") == 0
+        assert counts.counts.get("zzz", 0) == 0
 
     def test_repetition_scales_counts_linearly(self):
         base = make_examples(["a b c d"])
@@ -353,7 +353,7 @@ class TestVocabCounts:
             repeated = make_examples(["a b c d"] * k)
             single = build_vocab_counts(base, "target")
             many = build_vocab_counts(repeated, "target")
-            assert all(many.count(t) == k * single.count(t) for t in single.counts)
+            assert all(many.counts[t] == k * single.counts[t] for t in single.counts)
 
     def test_counts_additivity_over_concatenation(self):
         rng = np.random.default_rng(5)
@@ -363,7 +363,7 @@ class TestVocabCounts:
         cb = build_vocab_counts(make_examples(sents_b), "target")
         cab = build_vocab_counts(make_examples(sents_a + sents_b), "target")
         for token in set(ca.counts) | set(cb.counts):
-            assert cab.count(token) == ca.count(token) + cb.count(token)
+            assert cab.counts[token] == ca.counts.get(token, 0) + cb.counts.get(token, 0)
 
 
 class TestFilterOOV:
@@ -392,7 +392,7 @@ class TestFilterOOV:
         kept = filter_oov(pool, counts, min_count=3)
         expected = [
             ex for ex in pool
-            if all(counts.count(tok) >= 3 for tok in ex.target)  # independent check
+            if all(counts.counts.get(tok, 0) >= 3 for tok in ex.target)  # independent check
         ]
         assert kept == expected
         assert len(kept) == 6

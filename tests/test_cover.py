@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -35,48 +34,43 @@ class TestMinCover:
     def test_worked_example(self):
         d = dict_of("x1", "x2", "x3 x4", "x5", "x1 x2", "x3 x4 x5")
         cover = min_cover("x1 x2 x3 x4 x5".split(), d)
-        assert cover.atom_count == 2
-        assert cover.atoms == (("x1", "x2"), ("x3", "x4", "x5"))
-        assert all(cover.covered)
+        assert len(cover) == 2
+        assert cover == (("x1", "x2"), ("x3", "x4", "x5"))
 
     def test_low_degree_sentence(self):
         d = dict_of("but", "what can we do about this ?")
         sent = "but what can we do about this ?".split()
-        cover = min_cover(sent, d)
-        assert cover.atom_count == 2
+        assert len(min_cover(sent, d)) == 2
         assert degree_of(sent, d).value == pytest.approx(0.25)
 
     def test_high_degree_sentence(self):
         d = dict_of("please", "report", "all", "changes", "here .")
         sent = "please report all changes here .".split()
-        cover = min_cover(sent, d)
-        assert cover.atom_count == 5
-        assert degree_of(sent, d).exact == Fraction(5, 6)
+        assert len(min_cover(sent, d)) == 5
+        degree = degree_of(sent, d)
+        assert (degree.atom_count, degree.length) == (5, 6)
 
     def test_uncovered_tokens_flagged(self):
         d = dict_of("a b")
-        cover = min_cover(["a", "b", "zzz"], d)
-        assert cover.atoms == (("a", "b"), ("zzz",))
-        assert cover.covered == (True, True, False)
+        assert min_cover(["a", "b", "zzz"], d) == (("a", "b"), ("zzz",))
 
     def test_singleton_member_is_covered(self):
         d = dict_of("a")
         cover = min_cover(["a", "q"], d)
-        assert cover.covered == (True, False)
+        assert cover == (("a",), ("q",))
+        assert [d.contains(atom) for atom in cover] == [True, False]
 
     def test_empty_dictionary_gives_fallback_ceiling(self):
         d = NGramDictionary.from_entries([["unused"]])
         sent = ["p", "q", "r"]
-        cover = min_cover(sent, d)
-        assert cover.atom_count == len(sent)
+        assert len(min_cover(sent, d)) == len(sent)
         assert degree_of(sent, d).value == 1.0
-        assert not any(cover.covered)
 
     def test_tie_break_prefers_longer_final_atom(self):
         d = dict_of("a", "b c", "a b", "c")
         cover = min_cover(["a", "b", "c"], d)
-        assert cover.atom_count == 2
-        assert cover.atoms == (("a",), ("b", "c"))
+        assert len(cover) == 2
+        assert cover == (("a",), ("b", "c"))
 
     def test_atoms_concatenate_to_sentence(self):
         rng = np.random.default_rng(0)
@@ -87,9 +81,9 @@ class TestMinCover:
         for _ in range(100):
             sent = list(rng.choice(tokens, size=int(rng.integers(1, 12))))
             cover = min_cover(sent, d)
-            flat = [tok for atom in cover.atoms for tok in atom]
+            flat = [tok for atom in cover for tok in atom]
             assert flat == sent
-            for atom in cover.atoms:
+            for atom in cover:
                 assert len(atom) == 1 or d.contains(atom)
 
     def test_optimal_against_exhaustive_enumeration(self):
@@ -100,7 +94,7 @@ class TestMinCover:
                 [tuple(rng.choice(tokens, size=5)) for _ in range(30)], min_count=1, max_n=4
             )
             sent = list(rng.choice(tokens, size=int(rng.integers(1, 13))))
-            assert min_cover(sent, d).atom_count == exhaustive_min_cover(sent, d)
+            assert len(min_cover(sent, d)) == exhaustive_min_cover(sent, d)
 
     def test_adding_entries_never_increases_count(self):
         rng = np.random.default_rng(17)
@@ -111,7 +105,7 @@ class TestMinCover:
         large = NGramDictionary.from_entries(richer_entries)
         for _ in range(200):
             sent = list(rng.choice(tokens, size=int(rng.integers(1, 10))))
-            assert min_cover(sent, large).atom_count <= min_cover(sent, small).atom_count
+            assert len(min_cover(sent, large)) <= len(min_cover(sent, small))
 
     def test_empty_sentence_rejected(self):
         with pytest.raises(ConfigError):
@@ -122,13 +116,13 @@ class TestDegree:
     def test_exact_fractions(self):
         d = dict_of("x1 x2", "x3 x4 x5")
         degree = degree_of("x1 x2 x3 x4 x5".split(), d)
-        assert degree.exact == Fraction(2, 5)
+        assert (degree.atom_count, degree.length) == (2, 5)
         assert degree.value == pytest.approx(0.4)
 
     def test_single_atom_sentence(self):
         d = dict_of("a b c d")
         degree = degree_of("a b c d".split(), d)
-        assert degree.atom_count == 1 and degree.exact == Fraction(1, 4)
+        assert (degree.atom_count, degree.length) == (1, 4)
 
     def test_degree_bounds(self):
         rng = np.random.default_rng(2)
@@ -153,7 +147,7 @@ class TestScoreDegrees:
                 for _ in range(2 * cover_module._CHUNK + 3)]
         degrees = score_degrees(pool, d)
         assert [(g.atom_count, g.length) for g in degrees] == [
-            (min_cover(sent, d).atom_count, len(sent)) for sent in pool
+            (len(min_cover(sent, d)), len(sent)) for sent in pool
         ]
 
     def test_empty_sentence_rejected_with_its_index(self):
@@ -194,7 +188,7 @@ def test_score_degrees_matches_exhaustive_cover(entries, max_n, sentences):
     for sentence, degree in zip(sentences, degrees, strict=True):
         best = exhaustive_min_cover(sentence, d)
         assert (degree.atom_count, degree.length) == (best, len(sentence))
-        assert min_cover(sentence, d).atom_count == best
+        assert len(min_cover(sentence, d)) == best
         assert degree_of(sentence, d) == degree
 
 
@@ -228,10 +222,9 @@ def test_min_cover_matches_tie_break_oracle(drawn, max_n):
     sentence, entries = drawn
     d = NGramDictionary.from_entries(entries, max_n=max_n)
     cover = min_cover(sentence, d)
-    assert list(cover.atoms) == tie_break_oracle(sentence, d)
-    assert [tok for atom in cover.atoms for tok in atom] == sentence
-    assert cover.covered == tuple(d.contains(atom) for atom in cover.atoms for _ in atom)
-    assert cover.atom_count == degree_of(sentence, d).atom_count
+    assert list(cover) == tie_break_oracle(sentence, d)
+    assert [tok for atom in cover for tok in atom] == sentence
+    assert len(cover) == degree_of(sentence, d).atom_count
 
 
 def scored_examples(pairs):

@@ -7,6 +7,7 @@ tolerances is evidence the vectorized math is right.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -22,23 +23,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import compforge.engine.weights as weights_module
 from compforge.engine import (
     VARIANTS,
     ModelConfig,
     Weights,
     adaptive_encode,
-    cross_attention,
     encode,
     encoding_hash,
     greedy_decode,
     init_weights,
-    layer_norm,
     load_weights,
     param_spec,
     save_weights,
-    softmax,
 )
-from compforge.engine.ops import encoder_layer
+from compforge.engine.ops import cross_attention, encoder_layer, layer_norm, softmax
 from compforge.errors import ConfigError, DataError
 
 from reference_engine import ref_adaptive_encode, ref_attention, ref_encode, ref_layer_norm
@@ -674,6 +673,21 @@ class TestWeights:
         with open(path, "ab") as fh:
             fh.write(b"\x00")
         with pytest.raises(DataError, match="header and blobs span"):
+            load_weights(path)
+
+    def test_file_that_shrinks_while_read_rejected(self, tmp_path, monkeypatch):
+        # The size is checked before the blobs are read; a file cut short in
+        # between fills fewer bytes than the blobs need.
+        cfg = small_config()
+        path = tmp_path / "model.npw"
+        save_weights(path, init_weights(cfg, seed=0), cfg)
+
+        class Shrinking(io.FileIO):
+            def readinto(self, buffer):
+                return super().readinto(memoryview(buffer).cast("B")[:-4])
+
+        monkeypatch.setattr(weights_module, "open", Shrinking, raising=False)
+        with pytest.raises(DataError, match=re.escape(f"shrank while it was read [{path}]")):
             load_weights(path)
 
     def test_unshared_adaptive_encoder_has_own_stacks(self):

@@ -13,7 +13,7 @@ from compforge.corpus import ParallelExample, VocabCounts, filter_oov
 from compforge.cover import CompositionalDegree, select_candidate_pool
 from compforge.engine import ModelConfig, greedy_decode, init_weights
 from compforge.errors import ConfigError
-from compforge.ngrams import build_ngram_dictionary
+from compforge.ngrams import NGramDictionary, build_ngram_dictionary
 from compforge.pipeline import PipelineConfig
 from compforge.uncertainty import band_select
 
@@ -47,6 +47,9 @@ ENTRY_POINTS = [
      lambda v, _: build_ngram_dictionary(SENTENCES, min_count=v)),
     ("build_ngram_dictionary", "max_n", 1,
      lambda v, _: build_ngram_dictionary(SENTENCES, max_n=v)),
+    ("from_entries", "min_count", 0,
+     lambda v, _: NGramDictionary.from_entries([["a", "b"]], min_count=v)),
+    ("from_entries", "max_n", 1, lambda v, _: NGramDictionary.from_entries([["a", "b"]], max_n=v)),
     ("select_candidate_pool", "k", 1, lambda v, _: select_candidate_pool(SCORED, v)),
     *[("band_select", name, 0,
        lambda v, _, name=name: band_select(RANKED, **{**BAND, name: v})) for name in BAND],
@@ -70,6 +73,12 @@ CASES = [
         ("below", (least or 0) - 1, f"at least {least}"),
     ]
     if kind != "below" or least is not None
+] + [
+    # More values that each built a dictionary whose saved index did not load.
+    pytest.param(lambda v, _, name=name: NGramDictionary.from_entries([["a", "b"]], **{name: v}),
+                 name, value, expected, id=f"from_entries-{name}-{value}")
+    for name, value, expected in [("min_count", 1.5, "an integer"),
+                                  ("max_n", 2.5, "an integer"), ("max_n", -1, "at least 1")]
 ]
 
 

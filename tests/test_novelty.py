@@ -7,12 +7,7 @@ import pytest
 
 from compforge.errors import ConfigError, DataError
 from compforge.ngrams import NGramDictionary
-from compforge.novelty import (
-    TaggedSentence,
-    benchmark_report,
-    novel_ngram_count,
-    read_tagged_file,
-)
+from compforge.novelty import TaggedSentence, _novel_counts, benchmark_report, read_tagged_file
 
 from oracles import set_difference_novelty
 
@@ -20,17 +15,17 @@ from oracles import set_difference_novelty
 class TestNovelCounts:
     def test_identical_streams_have_no_novelty(self):
         stream = [("a", "b", "c"), ("d", "e")]
-        assert novel_ngram_count(stream, stream, 2) == 0
+        assert _novel_counts(stream, stream, (2,))[2] == 0
 
     def test_one_novel_bigram(self):
         train = [("a", "b"), ("b", "c")]
         test = [("b", "c"), ("c", "d")]
-        assert novel_ngram_count(train, test, 2) == 1
+        assert _novel_counts(train, test, (2,))[2] == 1
 
     def test_ngrams_do_not_cross_sentences(self):
         train = [("a", "b")]
         test = [("a",), ("b",)]  # "a b" never occurs inside one test sentence
-        assert novel_ngram_count(train, test, 2) == 0
+        assert _novel_counts(train, test, (2,))[2] == 0
 
     def test_matches_set_oracle(self):
         rng = np.random.default_rng(31)
@@ -41,17 +36,17 @@ class TestNovelCounts:
                          for _ in range(20)]
                 test = [tuple(rng.choice(tokens, size=int(rng.integers(2, 8))))
                         for _ in range(10)]
-                assert novel_ngram_count(train, test, n) == set_difference_novelty(train, test, n)
+                assert _novel_counts(train, test, (n,))[n] == set_difference_novelty(train, test, n)
 
     def test_growing_train_never_increases_novelty(self):
         rng = np.random.default_rng(12)
         tokens = list("abcd")
         test = [tuple(rng.choice(tokens, size=5)) for _ in range(10)]
         train = [tuple(rng.choice(tokens, size=5)) for _ in range(5)]
-        prev = novel_ngram_count(train, test, 2)
+        prev = _novel_counts(train, test, (2,))[2]
         for _ in range(5):
             train = train + [tuple(rng.choice(tokens, size=5))]
-            cur = novel_ngram_count(train, test, 2)
+            cur = _novel_counts(train, test, (2,))[2]
             assert cur <= prev
             prev = cur
 
@@ -61,12 +56,12 @@ class TestNovelCounts:
         train = [tuple(rng.choice(tokens, size=5)) for _ in range(10)]
         t1 = [tuple(rng.choice(tokens, size=5)) for _ in range(6)]
         t2 = [tuple(rng.choice(tokens, size=5)) for _ in range(6)]
-        both = novel_ngram_count(train, t1 + t2, 2)
-        assert both <= novel_ngram_count(train, t1, 2) + novel_ngram_count(train, t2, 2)
+        both = _novel_counts(train, t1 + t2, (2,))[2]
+        assert both <= _novel_counts(train, t1, (2,))[2] + _novel_counts(train, t2, (2,))[2]
 
     def test_invalid_n(self):
         with pytest.raises(ConfigError):
-            novel_ngram_count([("a",)], [("a",)], 0)
+            _novel_counts([("a",)], [("a",)], (0,))
 
 
 def tag_by_case(sentence):
