@@ -177,8 +177,8 @@ def _cmd_select_pool(args) -> int:
     selection = select_candidate_pool(scored_on_side(), args.k, args.side)
     if selection.warning:
         print(f"warning: {selection.warning}", file=sys.stderr)
-    with replacing(args.out) as out, open(out, "w", encoding="utf-8") as fh:
-        fh.writelines(map(jsonl_line, selection.examples))
+    with replacing(args.out) as out:
+        save_corpus_jsonl(selection.examples, out)
     print(f"selected {len(selection.examples)} of {selection.scored} scored -> {args.out}")
     return 0
 

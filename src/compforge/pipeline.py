@@ -1,13 +1,7 @@
 """End-to-end test set construction.
 
-Stages, in order:
-
-1. ``filter_oov``        — drop pool examples with rare tokens
-2. ``build_dictionary``  — frequent n-gram index over the training side
-3. ``score_degrees``     — minimum-cover degree for every surviving example
-4. ``select_pool``       — dedup + top-k by degree
-5. ``score_uncertainty`` — ingest the ensemble dump, score knowledge uncertainty
-6. ``sample_testset``    — band selection below the noisy top
+The stages, their manifest labels and their artifact files are `STAGES`, in
+stage order.
 
 Every stage writes one artifact, and every file is written by one rule,
 `replacing`: the output goes to a ``.partial`` path, which is renamed into
@@ -24,8 +18,8 @@ vocabulary counted and its n-gram index built, and then it is freed. One
 pass then reads the pool `_CHUNK` examples at a time: each batch is
 OOV-filtered, its survivors are appended to ``pool_filtered.jsonl``,
 degree-scored, appended to ``degrees.tsv`` and offered to the top-k heap of
-`select_candidate_pool`. After the pass, the stages are recorded in stage
-order.
+`select_candidate_pool`. After the pass the other four artifacts are
+written, and then the manifest lists every stage and artifact in stage order.
 
 So peak memory is O(train + k), not O(pool). It holds train or its index,
 one batch, the k candidates and the ensemble dump, which is read whole. The
@@ -47,7 +41,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -84,9 +78,17 @@ from compforge.uncertainty import (
 
 T = TypeVar("T")
 
+# Each stage, in stage order, with its artifact's manifest label and file name.
+STAGES = {
+    "filter_oov": ("filtered_pool", "pool_filtered.jsonl"),
+    "build_dictionary": ("ngram_index", "ngrams.ngix"),
+    "score_degrees": ("degree_scores", "degrees.tsv"),
+    "select_pool": ("candidate_pool", "candidates.jsonl"),
+    "score_uncertainty": ("uncertainty_scores", "uncertainty.tsv"),
+    "sample_testset": ("testset", "testset.jsonl"),
+}
 # What a run writes under out_dir: the six artifacts in stage order, then the manifest.
-_OUTPUTS = ("pool_filtered.jsonl", "ngrams.ngix", "degrees.tsv", "candidates.jsonl",
-            "uncertainty.tsv", "testset.jsonl", "manifest.json")
+_OUTPUTS = (*(name for _, name in STAGES.values()), "manifest.json")
 
 
 def _check_workers(workers: int | None) -> None:
@@ -178,9 +180,9 @@ class PipelineConfig:
 class PipelineManifest:
     parameters: dict
     inputs: dict[str, str]
-    stages: list[dict] = field(default_factory=list)
-    artifacts: list[dict] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    stages: list[dict]
+    artifacts: list[dict]
+    metadata: dict
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -238,37 +240,19 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
     config.validate()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (filtered_file, index_file, degrees_file, candidates_file, uncertainty_file, testset_file,
-     manifest_file) = (out_dir / name for name in _OUTPUTS)
+    paths = {stage: out_dir / name for stage, (_, name) in STAGES.items()}
+    manifest_file = out_dir / _OUTPUTS[-1]
     # An earlier run's manifest would vouch for artifacts this run replaces.
     manifest_file.unlink(missing_ok=True)
+    inputs = {
+        "train": _sha256_file(config.train_path),
+        "pool": _sha256_file(config.pool_path),
+        "ensemble_dump": _sha256_file(config.ensemble_dump_path),
+    }
 
-    manifest = PipelineManifest(
-        parameters=asdict(config),
-        inputs={
-            "train": _sha256_file(config.train_path),
-            "pool": _sha256_file(config.pool_path),
-            "ensemble_dump": _sha256_file(config.ensemble_dump_path),
-        },
-        metadata={
-            "rmi_formula": "mean over members of KL(ensemble_mean || member)",
-            "aggregation": "mean of per-token reverse mutual information",
-            "dedup": "exact-duplicate removal on the scored side",
-            "warnings": [],
-        },
-    )
-
-    def finish(stage: str, label: str, path: Path, in_count: int, out_count: int,
-               writer: Callable[[Path], None] | None = None) -> None:
-        """Write the stage's artifact, unless the pool pass already has, and
-        record the stage and the artifact."""
-        if writer is not None:
-            with _stage(stage), replacing(path) as partial:
-                writer(partial)
-        manifest.stages.append({"name": stage, "in": in_count, "out": out_count})
-        manifest.artifacts.append(
-            {"name": label, "path": path.name, "sha256": _sha256_file(path), "records": out_count}
-        )
+    def write(stage: str, writer: Callable[[Path], object]) -> None:
+        with _stage(stage), replacing(paths[stage]) as partial:
+            writer(partial)
 
     # The work runs in a different order from the stages (see the module docstring).
     with _stage("load_inputs"):
@@ -302,8 +286,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
                 yield from scored
                 del batch, kept, scored  # only one batch is alive while the next is read
 
-    with replacing(filtered_file) as filtered_path, \
-            replacing(degrees_file) as degrees_path, \
+    with replacing(paths["filter_oov"]) as filtered_path, \
+            replacing(paths["score_degrees"]) as degrees_path, \
             open(filtered_path, "w", encoding="utf-8") as filtered_fh, \
             open(degrees_path, "w", encoding="utf-8") as degrees_fh, \
             _stage("select_pool"):
@@ -313,31 +297,46 @@ def run_pipeline(config: PipelineConfig) -> PipelineManifest:
     kept_size = selection.scored
     del pool, counts
 
-    finish("filter_oov", "filtered_pool", filtered_file, pool_size, kept_size)
-    finish("build_dictionary", "ngram_index", index_file, train_size, len(dictionary),
-           dictionary.save)
+    write("build_dictionary", dictionary.save)
+    dictionary_size = len(dictionary)
     del dictionary
-    finish("score_degrees", "degree_scores", degrees_file, kept_size, kept_size)
-
-    if selection.warning:
-        manifest.metadata["warnings"].append(selection.warning)
     candidates = list(selection.examples)
-    finish("select_pool", "candidate_pool", candidates_file, kept_size, len(candidates),
-           lambda p: save_corpus_jsonl(candidates, p))
+    write("select_pool", lambda p: save_corpus_jsonl(candidates, p))
 
     with _stage("score_uncertainty"):
         dump = read_ensemble_dump(config.ensemble_dump_path)
         joined = join_by_id(candidates, dump, "ensemble dump", config.ensemble_dump_path)
         ranked = [(ex, token_uncertainties(dist).sequence_score) for ex, dist in joined]
-    finish("score_uncertainty", "uncertainty_scores", uncertainty_file, len(candidates),
-           len(ranked),
-           lambda p: write_uncertainty_tsv(((ex.id, score) for ex, score in ranked), p))
+    write("score_uncertainty",
+          lambda p: write_uncertainty_tsv(((ex.id, score) for ex, score in ranked), p))
 
     with _stage("sample_testset"):
         chosen = band_select(ranked, config.discard_top, config.window, config.sample, config.seed)
-    finish("sample_testset", "testset", testset_file, len(ranked), len(chosen),
-           lambda p: save_corpus_jsonl(chosen, p))
+    write("sample_testset", lambda p: save_corpus_jsonl(chosen, p))
 
+    # Each stage's (in, out) record counts; an artifact's records are its stage's out.
+    sizes = {
+        "filter_oov": (pool_size, kept_size),
+        "build_dictionary": (train_size, dictionary_size),
+        "score_degrees": (kept_size, kept_size),
+        "select_pool": (kept_size, len(candidates)),
+        "score_uncertainty": (len(candidates), len(ranked)),
+        "sample_testset": (len(ranked), len(chosen)),
+    }
+    manifest = PipelineManifest(
+        parameters=asdict(config),
+        inputs=inputs,
+        stages=[{"name": stage, "in": sizes[stage][0], "out": sizes[stage][1]}
+                for stage in STAGES],
+        artifacts=[{"name": label, "path": name, "sha256": _sha256_file(paths[stage]),
+                    "records": sizes[stage][1]} for stage, (label, name) in STAGES.items()],
+        metadata={
+            "rmi_formula": "mean over members of KL(ensemble_mean || member)",
+            "aggregation": "mean of per-token reverse mutual information",
+            "dedup": "exact-duplicate removal on the scored side",
+            "warnings": [selection.warning] if selection.warning else [],
+        },
+    )
     with replacing(manifest_file) as partial:
         partial.write_text(manifest.to_json() + "\n", encoding="utf-8")
     return manifest

@@ -28,7 +28,7 @@ from compforge.errors import CompforgeError, ConfigError, DataError, StageError
 from compforge.ngrams import NGramDictionary
 from compforge.pipeline import PipelineConfig, run_pipeline
 
-from test_pipeline import make_config
+from test_pipeline import ARTIFACTS, make_config
 
 
 @pytest.fixture
@@ -119,11 +119,20 @@ class TestStageCommands:
         assert len(chained) == 5
         assert set(chained) <= {ex.id for ex in candidates}
 
-        # the same parameters through the one-shot pipeline select the same set
-        manifest_out = t / "pipe"
-        run_pipeline(make_config(paths, manifest_out))
-        direct = [ex.id for ex in load_parallel_corpus(manifest_out / "testset.jsonl")]
-        assert chained == direct
+        # the same parameters through the one-shot pipeline write the same artifacts
+        pipe = t / "pipe"
+        run_pipeline(make_config(paths, pipe))
+        for chained_file, artifact in (("d.ngix", "ngrams.ngix"),
+                                       ("filtered.jsonl", "pool_filtered.jsonl"),
+                                       ("degrees.tsv", "degrees.tsv"),
+                                       ("cands.jsonl", "candidates.jsonl"),
+                                       ("test.jsonl", "testset.jsonl")):
+            assert (t / chained_file).read_bytes() == (pipe / artifact).read_bytes(), artifact
+        # uncertainty-score scores the whole dump; the pipeline only the candidates
+        rows = {line.split("\t")[0]: line for line in (t / "unc.tsv").read_text().splitlines()}
+        assert (pipe / "uncertainty.tsv").read_text().splitlines() == [
+            rows[ex.id] for ex in candidates
+        ]
 
     def test_select_pool_warning_on_small_pool(self, pipeline_inputs, tmp_path, capsys):
         t = tmp_path
@@ -412,7 +421,8 @@ class TestRunPipelineCommand:
         assert f"pool_path {pool} is the same file as {pool}" in capsys.readouterr().err
         assert pool.read_bytes() == before
 
-    @pytest.mark.parametrize("output", ["manifest.json", "uncertainty.tsv.partial"])
+    @pytest.mark.parametrize("output", [f"{name}{suffix}" for name in (*ARTIFACTS, "manifest.json")
+                                        for suffix in ("", ".partial")])
     def test_input_linked_to_an_output_exits_2(self, pipeline_inputs, tmp_path, capsys, output):
         # A run removes its manifest first and writes each artifact to its .partial file.
         out = tmp_path / "out"
